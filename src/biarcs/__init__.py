@@ -33,9 +33,11 @@ from .curve import (
 from .energy import (
     EnergyReport,
     HolderCheck,
+    PairStats,
     continuous_tp_energy,
     discrete_tp_energy,
     holder_bound_check,
+    pair_stats,
     ropelength_proxy,
     thickness_and_ropelength,
 )

@@ -89,10 +89,11 @@ class Arc:
         khat = self.curvature * r
         phi = s * k
         c, sn = np.cos(phi), np.sin(phi)
+        # r (1 - cos phi) written without its cancellation for small phi
         pos = (
             self.start
             + np.multiply.outer(r * sn, self.direction)
-            + np.multiply.outer(r * (1.0 - c), khat)
+            + np.multiply.outer(2.0 * r * np.sin(0.5 * phi) ** 2, khat)
         )
         tan = np.multiply.outer(c, self.direction) + np.multiply.outer(sn, khat)
         return pos, tan

@@ -99,6 +99,8 @@ def parse_int_list(text: str):
         raise ConfigError(f"bad integer list {text!r}") from exc
     if not values:
         raise ConfigError("empty sweep")
+    if min(values) < 1:
+        raise ConfigError("sweep values must be positive")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ConfigError("sweep must be strictly increasing")
     return values
@@ -218,6 +220,15 @@ def resolved_curve(settings: dict):
     return arclength_reparametrize(raw)
 
 
+def _partition(curve, n: int, settings: dict):
+    """The partition of the curve into n cells that the settings ask for;
+    its invalid sizes and modes are configuration errors."""
+    try:
+        return make_partition(curve.length, n, settings["partition"], settings["seed"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def emit(rows: list[dict], columns: list[str], settings: dict) -> None:
     if settings["format"] == "csv":
         lines = [",".join(columns)]
@@ -243,7 +254,7 @@ def cmd_energy(settings: dict) -> int:
     curve = resolved_curve(settings)
     n = settings["n"]
     grid = settings["grid"] or GRID_DEFAULTS["energy"]
-    part = make_partition(curve.length, n, settings["partition"], settings["seed"])
+    part = _partition(curve, n, settings)
     beta = build_biarc_curve(curve, part)
     meta = {"grid": grid, "curve": settings["curve"], "seed": settings["seed"]}
     reports = [
@@ -288,7 +299,7 @@ def cmd_converge(settings: dict) -> int:
     reference = continuous_tp_energy(curve, q, grid)
     rows = []
     for i, n in enumerate(settings["n_sweep"]):
-        part = make_partition(curve.length, n, settings["partition"], settings["seed"])
+        part = _partition(curve, n, settings)
         try:
             beta = build_biarc_curve(curve, part)
         except BiarcCurveBuildError as exc:
@@ -326,7 +337,7 @@ def cmd_ropelength(settings: dict) -> int:
     _, reference = thickness_and_ropelength(curve, grid)
     rows = []
     for n in settings["n_sweep"]:
-        part = make_partition(curve.length, n, settings["partition"], settings["seed"])
+        part = _partition(curve, n, settings)
         beta = build_biarc_curve(curve, part)
         proxy = ropelength_proxy(beta, curve.length)
         rows.append({"n": n, "proxy": proxy, "reference": reference, "gap": abs(proxy - reference)})
@@ -383,7 +394,7 @@ def cmd_anneal(settings: dict) -> int:
         n = initial.n_segments
         L = initial.total_length
     else:
-        part = make_partition(curve.length, n, settings["partition"], settings["seed"])
+        part = _partition(curve, n, settings)
         initial = build_biarc_curve(curve, part)
         L = curve.length
     cfg = AnnealConfig(

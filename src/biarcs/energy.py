@@ -3,7 +3,13 @@
 Discrete energies live on closed biarc curves and are driven by the
 junction quotients x_ij = 2 dist(l(q_j), q_i) / |q_i - q_j|^2, the inverse
 tangent-point radius of junction i seen from the tangent line l(q_j) at
-junction j. High powers are accumulated in log space.
+junction j. Every double sum over point pairs - the discrete energy, the
+anneal guards, the continuous quadrature and the thickness seed search -
+goes through one row-blocked kernel, `_pair_tiles`: it walks tiles of
+about PAIR_TILE pairs, so memory stays O(n * block) however large n is.
+`pair_stats` reduces those tiles in a single pass to the energy (high
+powers accumulated as a streaming log-sum-exp), the largest quotient and
+the smallest junction distance.
 """
 
 from __future__ import annotations
@@ -13,13 +19,15 @@ import math
 from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import logsumexp
 
 from .curve import CurveSpec, curvature_values, periodic_distance
 from .interpolate import BiarcCurve, check_Bn
 
 # switch the double sum to log-space accumulation beyond this power
 LOG_SPACE_POWER = 50.0
+# point pairs per row tile of the pair kernel: a tile's temporaries take a
+# few MB and stay cache-resident whatever the number of points
+PAIR_TILE = 1 << 15
 
 CSV_HEADER = "kind,q,n,value,grid,curve,seed"
 
@@ -46,44 +54,96 @@ class EnergyReport:
         return f"{self.kind},{self.q:.12g},{self.n},{self.value:.12g},{grid},{curve},{seed}"
 
 
-def pair_quotients(points: np.ndarray, tangents: np.ndarray):
-    """Matrix x[i, j] = 2 dist(l(q_j), q_i) / |q_i - q_j|^2 of inverse
-    tangent-point radii between junctions, zero on the diagonal, together
-    with the off-diagonal mask."""
-    points = np.asarray(points, dtype=float)
-    tangents = np.asarray(tangents, dtype=float)
-    diff = points[:, None, :] - points[None, :, :]  # q_i - q_j
-    dist2 = np.einsum("ijk,ijk->ij", diff, diff)
+def _pair_tiles(points: np.ndarray, tangents: np.ndarray):
+    """Row tiles of the pair quotient. Yields (lo, dist2, x) where, for
+    i = lo + r and every j,
+
+        dist2[r, j] = |p_i - p_j|^2,
+        x[r, j] = 2 |(p_i - p_j) - ((p_i - p_j) . t_j) t_j| / dist2[r, j],
+
+    the inverse tangent-point radius of p_i seen from the tangent line at
+    p_j. On the diagonal i = j, dist2 is NaN and x is 0. The caller runs
+    the loop under np.errstate: coincident points give NaN quotients.
+    """
     n = len(points)
-    off = ~np.eye(n, dtype=bool)
-    scale = float(np.sqrt(dist2[off].max()))
-    if dist2[off].min() <= (1e-12 * scale) ** 2:
-        raise ValueError("coincident junction points")
-    along = np.einsum("ijk,jk->ij", diff, tangents)
-    perp = diff - along[:, :, None] * tangents[None, :, :]
-    h = np.linalg.norm(perp, axis=-1)
-    x = np.zeros_like(dist2)
-    x[off] = 2.0 * h[off] / dist2[off]
-    return x, off
+    rows = max(1, PAIR_TILE // n)
+    px, py, pz = np.ascontiguousarray(np.asarray(points, dtype=float).T)
+    tx, ty, tz = np.ascontiguousarray(np.asarray(tangents, dtype=float).T)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        # p_i - p_j, one (rows, n) array per coordinate
+        dx, dy, dz = px[lo:hi, None] - px, py[lo:hi, None] - py, pz[lo:hi, None] - pz
+        dist2 = dx * dx + dy * dy + dz * dz
+        along = dx * tx + dy * ty + dz * tz
+        dx -= along * tx
+        dy -= along * ty
+        dz -= along * tz
+        h = np.sqrt(dx * dx + dy * dy + dz * dz)
+        # flat index of (r, lo + r) is lo + r (n + 1)
+        dist2.reshape(-1)[lo :: n + 1] = np.nan
+        x = 2.0 * h / dist2
+        x.reshape(-1)[lo :: n + 1] = 0.0
+        yield lo, dist2, x
 
 
-def log_pair_sum(points, tangents, lam, q: float) -> float:
-    """log of sum_{i != j} x_ij^q lambda_i lambda_j."""
-    x, off = pair_quotients(points, tangents)
+@dataclass(frozen=True)
+class PairStats:
+    """One pass over the pairs i != j of a junction configuration."""
+
+    energy: float  # sum_{i != j} x_ij^q lambda_i lambda_j (inf on overflow)
+    log_energy: float  # its logarithm, finite where the energy overflows
+    max_quotient: float  # largest x_ij: the inverse of the thickness proxy
+    min_distance: float  # smallest |q_i - q_j|
+
+
+def pair_stats(points, tangents, lam, q: float) -> PairStats:
+    """Energy, largest quotient and smallest distance of the junction pairs
+    in one pass of the row-blocked pair kernel.
+
+    The energy is a plain sum for q <= LOG_SPACE_POWER and a streaming
+    log-sum-exp beyond. Raises ValueError when two junctions coincide
+    relative to the configuration's diameter.
+    """
     lam = np.asarray(lam, dtype=float)
-    logw = np.log(lam[:, None] * lam[None, :])
-    with np.errstate(divide="ignore"):
-        logx = np.where(off & (x > 0), np.log(np.where(x > 0, x, 1.0)), -np.inf)
-    terms = q * logx + logw
-    return float(logsumexp(terms[off]))
+    log_space = q > LOG_SPACE_POWER
+    total = 0.0  # the plain sum, or sum exp(term - shift) in log space
+    shift = -math.inf  # largest log term so far
+    max_x = 0.0
+    min_d2, max_d2 = math.inf, 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for lo, dist2, x in _pair_tiles(points, tangents):
+            lam_rows = lam[lo : lo + len(x)]
+            min_d2 = min(min_d2, float(np.fmin.reduce(dist2, axis=None)))
+            max_d2 = max(max_d2, float(np.fmax.reduce(dist2, axis=None)))
+            max_x = max(max_x, float(x.max()))
+            if log_space:
+                terms = q * np.log(x) + np.log(lam_rows[:, None] * lam[None, :])
+                top = float(terms.max())
+                if top > shift:
+                    total *= math.exp(shift - top)
+                    shift = top
+                if shift > -math.inf:
+                    total += float(np.exp(terms - shift).sum())
+            else:
+                total += float(lam_rows @ (x**q @ lam))
+        if min_d2 <= (1e-12 * math.sqrt(max_d2)) ** 2:
+            raise ValueError("coincident junction points")
+        if log_space:
+            log_energy = shift + math.log(total) if total > 0.0 else -math.inf
+            energy = float(np.exp(log_energy))
+        else:
+            energy = total
+            log_energy = float(np.log(total))
+    return PairStats(
+        energy=energy,
+        log_energy=log_energy,
+        max_quotient=max_x,
+        min_distance=math.sqrt(min_d2),
+    )
 
 
-def _junction_quotients(beta: BiarcCurve):
-    return pair_quotients(beta.junction_points, beta.junction_tangents)
-
-
-def _log_pair_sum(beta: BiarcCurve, q: float) -> float:
-    return log_pair_sum(beta.junction_points, beta.junction_tangents, beta.segment_lengths, q)
+def _beta_stats(beta: BiarcCurve, q: float) -> PairStats:
+    return pair_stats(beta.junction_points, beta.junction_tangents, beta.segment_lengths, q)
 
 
 def discrete_tp_energy(beta: BiarcCurve, q: float, gated: bool, L: float) -> float:
@@ -97,15 +157,10 @@ def discrete_tp_energy(beta: BiarcCurve, q: float, gated: bool, L: float) -> flo
     n = beta.n_segments
     if gated and not check_Bn(beta, L, n):
         return math.inf
-    if q > LOG_SPACE_POWER:
-        return float(np.exp(_log_pair_sum(beta, q)))
-    x, off = _junction_quotients(beta)
-    lam = beta.segment_lengths
-    w = lam[:, None] * lam[None, :]
-    return float(np.sum(x[off] ** q * w[off]))
+    return _beta_stats(beta, q).energy
 
 
-def continuous_tp_energy(curve: CurveSpec, q: float, grid: int, chunk: int = 256) -> float:
+def continuous_tp_energy(curve: CurveSpec, q: float, grid: int) -> float:
     """Double quadrature of the inverse tangent-point radius to the power q
     over the periodic square; diagonal cells use the curvature limit."""
     if not curve.is_arclength:
@@ -117,25 +172,17 @@ def continuous_tp_energy(curve: CurveSpec, q: float, grid: int, chunk: int = 256
     s = (np.arange(grid) + 0.5) * h
     pos = curve.position(s)
     tan = curve.derivative(s)
-    curv = curvature_values(curve, s)
-    par = periodic_distance(s[:, None], s[None, :], L)
-    total = 0.0
-    for lo in range(0, grid, chunk):
-        hi = min(lo + chunk, grid)
-        diff = pos[None, lo:hi, :] - pos[:, None, :]  # gamma(t_j) - gamma(s_i)
-        dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-        rows = np.arange(lo, hi)
-        diag = rows[None, :] == np.arange(grid)[:, None]
-        near = (dist2 < (1e-9 * L) ** 2) & ~diag & (par[:, lo:hi] > 2.5 * h)
-        if np.any(near):
-            raise ValueError("curve is not embedded: distinct parameters collide")
-        along = np.einsum("ijk,ik->ij", diff, tan)
-        perp2 = dist2 - along * along
-        perp2 = np.maximum(perp2, 0.0)
-        safe = np.where(diag, 1.0, dist2)
-        x = 2.0 * np.sqrt(perp2) / safe
-        x[diag] = curv[lo:hi]
-        total += float(np.sum(x**q))
+    total = float(np.sum(curvature_values(curve, s) ** q))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo, dist2, x in _pair_tiles(pos, tan):
+            i, j = np.nonzero(dist2 < (1e-9 * L) ** 2)
+            # nodes of the midpoint grid are h apart: a collapsed chord
+            # between nodes more than 2.5 h apart along the curve means
+            # two distinct parameters collide
+            sep = np.abs(i + lo - j)
+            if np.any(np.minimum(sep, grid - sep) > 2):
+                raise ValueError("curve is not embedded: distinct parameters collide")
+            total += float(np.sum(x**q))
     return total * h * h
 
 
@@ -168,15 +215,23 @@ def thickness_and_ropelength(curve: CurveSpec, grid: int = 64) -> tuple[float, f
     s = (np.arange(grid) + 0.5) * h
     pos = curve.position(s)
     tan = curve.derivative(s)
-    diff = pos[None, :, :] - pos[:, None, :]
-    dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-    along = np.einsum("ijk,ik->ij", diff, tan)
-    perp2 = np.maximum(dist2 - along * along, 0.0)
-    par = periodic_distance(s[:, None], s[None, :], L)
-    admissible = par >= 1e-3 * L
-    inv = np.zeros_like(dist2)
-    inv[admissible] = 2.0 * np.sqrt(perp2[admissible]) / dist2[admissible]
-    flat = np.argsort(inv, axis=None)[::-1][: 8 * 4]
+    # the largest inverse radii of the grid, tile by tile: the top cells of
+    # each tile include every cell of the global top that lies in it
+    k = 8 * 4  # seed candidates, before the neighbour filter keeps eight
+    values, cells = [], []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo, _, x in _pair_tiles(pos, tan):
+            par = periodic_distance(s[lo : lo + len(x), None], s[None, :], L)
+            inv = np.where(par >= 1e-3 * L, x, 0.0).reshape(-1)
+            top = np.argpartition(inv, -k)[-k:] if inv.size > k else np.arange(inv.size)
+            # x[r, c] is the inverse radius of node lo + r seen from the
+            # tangent line at node c: grid cell (c, lo + r)
+            r, c = np.divmod(top, grid)
+            values.append(inv[top])
+            cells.append(c * grid + lo + r)
+    values, cells = np.concatenate(values), np.concatenate(cells)
+    # largest first; equal values by descending cell, as a stable sort would
+    flat = cells[np.lexsort((cells, values))[::-1][:k]]
     # keep the best cells that are not immediate grid neighbours of a better one
     seeds = []
     for f in flat:
@@ -215,7 +270,7 @@ def ropelength_proxy(beta: BiarcCurve, L: float) -> float:
     n = beta.n_segments
     if not check_Bn(beta, L, n):
         return math.inf
-    log_energy = _log_pair_sum(beta, float(n))
+    log_energy = _beta_stats(beta, float(n)).log_energy
     return float(np.exp((n - 2) / n * math.log(L) + log_energy / n))
 
 
@@ -234,8 +289,8 @@ def holder_bound_check(beta: BiarcCurve, k: float, m: float, L: float) -> Holder
     n = beta.n_segments
     if not check_Bn(beta, L, n):
         raise ValueError("biarc curve fails the length gate")
-    lhs = math.exp(_log_pair_sum(beta, float(k)) / k)
+    lhs = math.exp(_beta_stats(beta, float(k)).log_energy / k)
     length = beta.total_length
     factor = (4.0 * length * length * n * (n - 1) / n**2) ** (1.0 / k - 1.0 / m)
-    rhs = factor * math.exp(_log_pair_sum(beta, float(m)) / m)
+    rhs = factor * math.exp(_beta_stats(beta, float(m)).log_energy / m)
     return HolderCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs * (1.0 + 1e-12))

@@ -4,7 +4,7 @@ length-gate membership, and C^1 distance to the interpolated curve."""
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -57,7 +57,7 @@ class BiarcCurve:
         return float(self.offsets[-1])
 
 
-def _assemble(biarcs, points, tangents, source_params=None) -> BiarcCurve:
+def _assemble(biarcs, points, tangents) -> BiarcCurve:
     points = np.asarray(points, dtype=float)
     tangents = np.asarray(tangents, dtype=float)
     lengths = np.array([b.total_length for b in biarcs])
@@ -85,7 +85,6 @@ def _assemble(biarcs, points, tangents, source_params=None) -> BiarcCurve:
         junction_tangents=tangents,
         segment_lengths=lengths,
         offsets=offsets,
-        source_params=None if source_params is None else np.asarray(source_params, float),
         _arc_starts=starts,
         _arc_dirs=dirs,
         _arc_khat=khat,
@@ -154,7 +153,7 @@ def build_biarc_curve(
             f"{exc} (consider a finer partition; largest gap {partition.max_gap:.4g})",
             segment=exc.segment,
         ) from exc
-    return _assemble(out.biarcs, points, tangents, source_params=partition.samples)
+    return replace(out, source_params=np.asarray(partition.samples, dtype=float))
 
 
 def eval_biarc_curve(beta: BiarcCurve, s):
@@ -173,7 +172,8 @@ def eval_biarc_curve(beta: BiarcCurve, s):
     sinp, cosp = np.sin(phi), np.cos(phi)
     rk = 1.0 / np.where(straight, 1.0, k)
     coef_dir = np.where(straight, local, rk * sinp)
-    coef_nrm = np.where(straight, 0.0, rk * (1.0 - cosp))
+    # r (1 - cos phi) written without its cancellation for small phi
+    coef_nrm = np.where(straight, 0.0, 2.0 * rk * np.sin(0.5 * phi) ** 2)
     dirs = beta._arc_dirs[idx]
     khat = beta._arc_khat[idx]
     pos = beta._arc_starts[idx] + coef_dir[:, None] * dirs + coef_nrm[:, None] * khat

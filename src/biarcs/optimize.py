@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .biarc import ImproperPairError, IncompatiblePairError, PointTangent, build_balanced_biarc
-from .energy import LOG_SPACE_POWER, log_pair_sum, pair_quotients
+from .energy import pair_stats
 from .interpolate import BiarcCurve, from_junctions
 
 
@@ -62,28 +62,19 @@ class AnnealTrace:
         return self.records[self.records[:, 3] > 0.5]
 
 
-def _config_energy(points, tangents, lam, q) -> float:
-    if q > LOG_SPACE_POWER:
-        return float(np.exp(log_pair_sum(points, tangents, lam, q)))
-    x, off = pair_quotients(points, tangents)
-    w = lam[:, None] * lam[None, :]
-    return float(np.sum(x[off] ** q * w[off]))
-
-
-def _min_pair_distance(points) -> float:
-    n = len(points)
-    diff = points[:, None, :] - points[None, :, :]
-    d = np.linalg.norm(diff, axis=-1)
-    return float(d[~np.eye(n, dtype=bool)].min())
-
-
-def _thickness_proxy(points, tangents) -> float:
-    """Smallest junction tangent-point radius of the configuration."""
-    x, off = pair_quotients(points, tangents)
-    positive = off & (x > 0)
-    if not np.any(positive):
-        return np.inf
-    return float(1.0 / x[positive].max())
+def _candidate_energy(points, tangents, lam, cfg: AnnealConfig, quotient_ceiling: float):
+    """Energy of a candidate configuration from one pair-kernel pass, or
+    None when the move is rejected: junctions closer than
+    ``cfg.min_pair_distance`` (coincident ones included) or a thickness
+    proxy below half its initial value, i.e. a largest junction quotient
+    above ``quotient_ceiling``."""
+    try:
+        stats = pair_stats(points, tangents, lam, cfg.q)
+    except ValueError:  # coincident junction points
+        return None
+    if stats.min_distance < cfg.min_pair_distance or stats.max_quotient > quotient_ceiling:
+        return None
+    return stats.energy
 
 
 def _rebuild_segments(points, tangents, j, n):
@@ -119,15 +110,17 @@ def anneal_discrete(initial: BiarcCurve, cfg: AnnealConfig) -> tuple[BiarcCurve,
         raise ValueError("initial configuration fails the length gate")
     points = initial.junction_points.copy()
     tangents = initial.junction_tangents.copy()
-    if _min_pair_distance(points) < cfg.min_pair_distance:
+    stats = pair_stats(points, tangents, lam, cfg.q)
+    if stats.min_distance < cfg.min_pair_distance:
         raise ValueError("initial junctions are closer than min_pair_distance")
 
     rng = np.random.default_rng(cfg.seed)
-    energy = _config_energy(points, tangents, lam, cfg.q)
+    energy = stats.energy
     temperature = (
         cfg.initial_temperature if cfg.initial_temperature is not None else 0.1 * energy
     )
-    thickness_floor = 0.5 * _thickness_proxy(points, tangents)
+    # the thickness proxy is the inverse of the largest junction quotient
+    quotient_ceiling = 2.0 * stats.max_quotient
     sigma_q = cfg.sigma_position * cfg.L / n
 
     best_energy = energy
@@ -150,13 +143,12 @@ def anneal_discrete(initial: BiarcCurve, cfg: AnnealConfig) -> tuple[BiarcCurve,
         if rebuilt is not None:
             cand_lam = lam.copy()
             cand_lam[(j - 1) % n], cand_lam[j] = rebuilt
-            if (
-                cand_lam.min() >= lo
-                and cand_lam.max() <= hi
-                and _min_pair_distance(cand_points) >= cfg.min_pair_distance
-                and _thickness_proxy(cand_points, cand_tangents) >= thickness_floor
-            ):
-                cand_energy = _config_energy(cand_points, cand_tangents, cand_lam, cfg.q)
+            cand_energy = None
+            if cand_lam.min() >= lo and cand_lam.max() <= hi:
+                cand_energy = _candidate_energy(
+                    cand_points, cand_tangents, cand_lam, cfg, quotient_ceiling
+                )
+            if cand_energy is not None:
                 delta = cand_energy - energy
                 if delta <= 0.0 or rng.random() < math.exp(-delta / temperature):
                     points, tangents, lam = cand_points, cand_tangents, cand_lam

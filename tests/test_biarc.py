@@ -5,6 +5,7 @@ import pytest
 from conftest import random_cocircular_pair, random_proper_pair, random_rotation, unit
 
 from biarcs.biarc import (
+    Arc,
     ImproperPairError,
     IncompatiblePairError,
     PairClass,
@@ -215,6 +216,13 @@ class TestEval:
                 p0, _ = eval_biarc(biarc, s)
                 p1, _ = eval_biarc(biarc, s + ds)
                 assert np.linalg.norm(p1 - p0) / ds == pytest.approx(1.0, abs=1e-6)
+
+
+    def test_near_straight_arc_keeps_its_bend(self):
+        # r (1 - cos phi) cancels to 0 here; the bend is k s^2 / 2 = 5e-9
+        arc = Arc(start=np.zeros(3), direction=[1.0, 0, 0], curvature=[0, 1e-8, 0], length=1.0)
+        pos, _ = arc.at(1.0)
+        assert pos[1] == pytest.approx(5e-9, rel=1e-6)
 
 
 class TestBiarcParameter:

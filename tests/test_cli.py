@@ -43,6 +43,22 @@ class TestEnergyCommand:
         assert "power of two" in err
 
 
+class TestConfigErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["energy", "--curve", "circle", "--n", "3"], "n >= 4"),
+            (["energy", "--curve", "circle", "--partition", "jitter:0.5"], "jitter amplitude"),
+            (["converge", "--curve", "circle", "--n-sweep", "3,8"], "n >= 4"),
+            (["mollify", "--curve", "circle", "--n-sweep", "0,4"], "positive"),
+        ],
+    )
+    def test_bad_sizes_exit_2(self, capsys, argv, message):
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+
+
 class TestConvergeCommand:
     def test_circle_slope(self, capsys):
         code, out, _ = run(

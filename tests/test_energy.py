@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,11 +13,13 @@ from biarcs.curve import (
     make_partition,
     preset_curve,
 )
+from biarcs import energy
 from biarcs.energy import (
     EnergyReport,
     continuous_tp_energy,
     discrete_tp_energy,
     holder_bound_check,
+    pair_stats,
     ropelength_proxy,
     thickness_and_ropelength,
 )
@@ -24,6 +27,28 @@ from biarcs.interpolate import build_biarc_curve, from_junctions
 
 TWO_PI = 2 * math.pi
 FOUR_PI2 = 4 * math.pi**2
+
+
+def dense_pair_quotients(points, tangents):
+    """Dense reference for the pair kernel: x[i, j] = 2 dist(l(q_j), q_i) /
+    |q_i - q_j|^2 from (n, n, 3) arrays, zero on the diagonal, with the
+    squared distances and the off-diagonal mask."""
+    diff = points[:, None, :] - points[None, :, :]  # q_i - q_j
+    dist2 = np.einsum("ijk,ijk->ij", diff, diff)
+    off = ~np.eye(len(points), dtype=bool)
+    along = np.einsum("ijk,jk->ij", diff, tangents)
+    perp = diff - along[:, :, None] * tangents[None, :, :]
+    h = np.linalg.norm(perp, axis=-1)
+    x = np.zeros_like(dist2)
+    x[off] = 2.0 * h[off] / dist2[off]
+    return x, dist2, off
+
+
+def random_configuration(rng, n):
+    points = rng.normal(size=(n, 3))
+    tangents = rng.normal(size=(n, 3))
+    tangents /= np.linalg.norm(tangents, axis=-1, keepdims=True)
+    return points, tangents, rng.uniform(0.5, 1.5, size=n)
 
 
 def circle_beta(n, radius=1.0):
@@ -76,6 +101,73 @@ class TestDiscrete:
         _, beta = circle_beta(8)
         with pytest.raises(ValueError):
             discrete_tp_energy(beta, 1.5, gated=False, L=TWO_PI)
+
+
+class TestPairKernel:
+    @pytest.mark.parametrize(
+        "n, tile",
+        [(3, None), (64, None), (23, 50), (300, None)],
+        ids=["n3", "one-tile", "tiles-of-2-rows", "partial-last-tile"],
+    )
+    def test_matches_dense_reference(self, n, tile, monkeypatch):
+        if tile is not None:
+            monkeypatch.setattr(energy, "PAIR_TILE", tile)
+        rows = energy.PAIR_TILE // n
+        if n == 64:
+            assert rows >= n
+        elif n > 3:
+            assert n % rows != 0
+        rng = np.random.default_rng(n)
+        points, tangents, lam = random_configuration(rng, n)
+        x, dist2, off = dense_pair_quotients(points, tangents)
+        w = np.outer(lam, lam)
+
+        plain = pair_stats(points, tangents, lam, 3.0)
+        assert plain.energy == pytest.approx(np.sum(x[off] ** 3 * w[off]), rel=1e-12)
+        assert plain.max_quotient == pytest.approx(x[off].max(), rel=1e-13)
+        assert plain.min_distance == pytest.approx(np.sqrt(dist2[off].min()), rel=1e-13)
+
+        # log space at q = n (forced above the switch for n = 3)
+        q = float(n) if n > energy.LOG_SPACE_POWER else 60.0
+        terms = q * np.log(x[off]) + np.log(w[off])
+        top = terms.max()
+        expected = top + np.log(np.sum(np.exp(terms - top)))
+        logged = pair_stats(points, tangents, lam, q)
+        assert logged.log_energy == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        assert logged.max_quotient == plain.max_quotient
+        assert logged.min_distance == plain.min_distance
+
+    def test_coincident_points_rejected(self):
+        rng = np.random.default_rng(4)
+        points, tangents, lam = random_configuration(rng, 40)
+        for gap in (0.0, 1e-14):
+            bad = points.copy()
+            bad[17] = points[5] + gap
+            with pytest.raises(ValueError, match="coincident junction points"):
+                pair_stats(bad, tangents, lam, 3.0)
+            with pytest.raises(ValueError, match="coincident junction points"):
+                pair_stats(bad, tangents, lam, 80.0)
+
+    def test_memory_bounded_at_n_4096(self):
+        # the dense (n, n, 3) path needs ~1.7 GB here
+        rng = np.random.default_rng(0)
+        points, tangents, lam = random_configuration(rng, 4096)
+        tracemalloc.start()
+        try:
+            stats = pair_stats(points, tangents, lam, 3.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(stats.energy)
+        assert peak <= 64 * 2**20
+
+    def test_tiling_leaves_grid_results_unchanged(self, monkeypatch):
+        knot = arclength_reparametrize(preset_curve("torus_knot", [2, 3, 2.0, 0.5]))
+        one_tile = (continuous_tp_energy(knot, 3.0, 64), thickness_and_ropelength(knot, 64))
+        monkeypatch.setattr(energy, "PAIR_TILE", 100)  # one grid row per tile
+        e, (delta, rope) = continuous_tp_energy(knot, 3.0, 64), thickness_and_ropelength(knot, 64)
+        assert e == pytest.approx(one_tile[0], rel=1e-13)
+        assert (delta, rope) == one_tile[1]
 
 
 class TestContinuous:
@@ -204,9 +296,7 @@ class TestProxy:
         for n in (8, 12, 20):
             beta = jittered_circle_config(rng, n)
             lam = beta.segment_lengths
-            from biarcs.energy import _junction_quotients
-
-            x, off = _junction_quotients(beta)
+            x, _, off = dense_pair_quotients(beta.junction_points, beta.junction_tangents)
             direct_energy = float(np.sum(x[off] ** n * np.outer(lam, lam)[off]))
             direct = TWO_PI ** ((n - 2) / n) * direct_energy ** (1 / n)
             assert ropelength_proxy(beta, TWO_PI) == pytest.approx(direct, rel=1e-10)

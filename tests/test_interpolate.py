@@ -138,6 +138,29 @@ class TestEval:
         assert np.allclose(p1, p2, atol=1e-12) and np.allclose(t1, t2, atol=1e-12)
 
 
+    def test_near_straight_arc_keeps_its_bend(self):
+        # a stadium whose first biarc joins (0, 0) and (1, eps) with both
+        # tangents along x: its first arc starts along x with curvature
+        # k = 4 eps towards y, so at s = 1/4 it is k s^2 / 2 = eps / 8 off
+        # the x axis; r (1 - cos phi) cancels to 0 there
+        eps = 2.5e-9
+        pts = [(0, 0), (1, eps), (2, 0)]
+        tans = [(1, 0)] * 3
+        for deg in (-45, 0, 45, 90, 135, 180, 225):
+            a = math.radians(deg)
+            cx = 2.0 if deg <= 90 else 0.0
+            pts.append((cx + math.cos(a), 1 + math.sin(a)))
+            tans.append((-math.sin(a), math.cos(a)))
+            if deg == 90:
+                pts += [(1, 2), (0, 2)]
+                tans += [(-1, 0)] * 2
+        beta = from_junctions(
+            np.array([(x, y, 0.0) for x, y in pts]), np.array([(x, y, 0.0) for x, y in tans])
+        )
+        pos, _ = eval_biarc_curve(beta, 0.25)
+        assert pos[1] == pytest.approx(eps / 8, rel=1e-6)
+
+
 class TestGate:
     def test_uniform_circle_passes(self):
         for n in (8, 16, 64):

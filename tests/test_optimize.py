@@ -6,7 +6,13 @@ import pytest
 from biarcs.curve import make_partition, preset_curve
 from biarcs.energy import discrete_tp_energy
 from biarcs.interpolate import build_biarc_curve, check_Bn, from_junctions
-from biarcs.optimize import AnnealConfig, AnnealTrace, anneal_discrete, trace_to_csv
+from biarcs.optimize import (
+    AnnealConfig,
+    AnnealTrace,
+    _candidate_energy,
+    anneal_discrete,
+    trace_to_csv,
+)
 
 TWO_PI = 2 * math.pi
 
@@ -90,6 +96,19 @@ class TestGuards:
         cfg = AnnealConfig(q=4.0, n=16, L=TWO_PI, steps=100)
         with pytest.raises(ValueError):
             anneal_discrete(small, cfg)
+
+    def test_close_junctions_reject_the_move(self):
+        beta = circle_config(16)
+        cfg = AnnealConfig(q=4.0, n=16, L=TWO_PI, min_pair_distance=1e-3)
+        rest = (beta.junction_tangents, beta.segment_lengths, cfg, math.inf)
+        e = _candidate_energy(beta.junction_points, *rest)
+        assert e == pytest.approx(discrete_tp_energy(beta, 4.0, gated=False, L=TWO_PI))
+        # closer than min_pair_distance, and coincident (where the pair
+        # kernel itself raises): rejected, not raised
+        for gap in (1e-6, 0.0):
+            points = beta.junction_points.copy()
+            points[5] = points[2] + gap
+            assert _candidate_energy(points, *rest) is None
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
