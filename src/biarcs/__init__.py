@@ -8,6 +8,7 @@ from .biarc import (
     ImproperPairError,
     IncompatiblePairError,
     PairClass,
+    PairError,
     PointTangent,
     balanced_matching_point,
     biarc_parameter,

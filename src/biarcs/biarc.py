@@ -1,16 +1,25 @@
-"""Point-tangent pairs, matching-point selection, and balanced biarcs.
+"""Point-tangent pairs, the balanced matching point, and balanced biarcs.
 
-A biarc interpolates a pair of point-tangent data with two circular arcs
-joined C^1 at a matching point m. The admissible matching points of a
-non-degenerate pair form a circle through the two data points; we always
-pick the *balanced* point, equidistant from both, on the preferred subarc
-running from the first point to the second. That point is the angular
-midpoint of the subarc, so the selection is closed-form.
+A biarc interpolates a pair of point-tangent data (p0, t0), (p1, t1) with
+two circular arcs joined C^1 at a matching point m. The admissible matching
+points of a non-degenerate pair form a circle through p0 and p1, tangent at
+p0 to u = normalize(t0 + t1*), where t1* is t1 reflected at the unit chord
+e = (p1 - p0) / |p1 - p0|. We always pick the *balanced* point, equidistant
+from both data points: the angular midpoint of the subarc running from p0
+to p1. It lies on the bisector of the chord at the sagitta of that subarc,
+
+    m = (p0 + p1) / 2 + (|p1 - p0| / 2) (u - (u.e) e) / (1 + u.e),
+
+a closed form without branches; 1 + u.e > 1 for every proper pair.
+
+`_balanced_arcs` builds the biarcs of n pairs in one batched pass over
+(n, 3) arrays into flat arc arrays, and `_eval_arcs` is the one evaluator
+of arcs. `PointTangent`, `Arc` and `Biarc` are single-pair views of those
+arrays.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -20,16 +29,26 @@ from .geom import as_vec3, norm, reflect_about, require_unit
 
 # Equality tolerance for classification tests on unit vectors.
 CLASSIFY_TOL = 1e-9
-# Below this angle between the preferred tangent and the chord the
-# matching-point circle degenerates to the chord itself.
-NEAR_STRAIGHT_ANGLE = 1e-7
+# Largest tangent mismatch, and position mismatch relative to the biarc's
+# length, that a built biarc may show where its arcs meet.
+JOIN_TOL = 1e-9
 
 
-class ImproperPairError(ValueError):
-    """The pair's tangents do not both point forward along the chord."""
+class PairError(ValueError):
+    """No balanced biarc interpolates a point-tangent pair. ``index`` is the
+    position of the first failing pair in its batch."""
+
+    def __init__(self, message: str = "", index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
-class IncompatiblePairError(ValueError):
+class ImproperPairError(PairError):
+    """The pair's tangents do not both point forward along the chord (which
+    includes coincident points)."""
+
+
+class IncompatiblePairError(PairError):
     """Cocircular pair with opposing orientations: no balanced matching point."""
 
 
@@ -79,32 +98,9 @@ class Arc:
 
     def at(self, s):
         """Position and unit tangent at arclength s (scalar or array)."""
-        s = np.asarray(s, dtype=float)
         k = norm(self.curvature)
-        if k == 0.0:
-            pos = self.start + np.multiply.outer(s, self.direction)
-            tan = np.broadcast_to(self.direction, s.shape + (3,)).copy()
-            return pos, tan
-        r = 1.0 / k
-        khat = self.curvature * r
-        phi = s * k
-        c, sn = np.cos(phi), np.sin(phi)
-        # r (1 - cos phi) written without its cancellation for small phi
-        pos = (
-            self.start
-            + np.multiply.outer(r * sn, self.direction)
-            + np.multiply.outer(2.0 * r * np.sin(0.5 * phi) ** 2, khat)
-        )
-        tan = np.multiply.outer(c, self.direction) + np.multiply.outer(sn, khat)
-        return pos, tan
-
-    def curvature_at(self, s) -> np.ndarray:
-        k = norm(self.curvature)
-        if k == 0.0:
-            return np.zeros(3)
-        khat = self.curvature / k
-        phi = float(s) * k
-        return k * (-math.sin(phi) * self.direction + math.cos(phi) * khat)
+        normal = self.curvature / k if k > 0.0 else np.zeros(3)
+        return _eval_arcs(self.start, self.direction, normal, k, s)
 
     @property
     def end(self) -> np.ndarray:
@@ -113,15 +109,6 @@ class Arc:
     @property
     def end_tangent(self) -> np.ndarray:
         return self.at(self.length)[1]
-
-    def reversed(self) -> "Arc":
-        p_end, t_end = self.at(self.length)
-        return Arc(
-            start=p_end,
-            direction=-t_end / norm(t_end),
-            curvature=self.curvature_at(self.length),
-            length=self.length,
-        )
 
 
 @dataclass(frozen=True)
@@ -136,13 +123,116 @@ class Biarc:
         return self.first.length + self.second.length
 
 
-def _chord_frame(a: PointTangent, b: PointTangent):
-    d = b.point - a.point
-    dist = norm(d)
-    if dist == 0.0:
-        raise ValueError("point-tangent pair has coincident points")
-    e = d / dist
-    return d, dist, e
+def _eval_arcs(starts, dirs, normals, k, local):
+    """Position and unit tangent at arclength ``local`` along arcs given by
+    start point, unit start tangent, unit normal (zero on a straight arc)
+    and curvature k. Arguments broadcast: per-arc arrays of shape (m, 3) and
+    (m,), or a single arc's vectors with ``local`` of any shape."""
+    k = np.asarray(k, dtype=float)
+    local = np.asarray(local, dtype=float)
+    phi = local * k
+    sinp = np.sin(phi)
+    straight = k == 0.0
+    rk = 1.0 / np.where(straight, 1.0, k)
+    along = np.where(straight, local, rk * sinp)
+    # r (1 - cos phi) written without its cancellation for small phi
+    bend = 2.0 * rk * np.sin(0.5 * phi) ** 2
+    pos = starts + along[..., None] * dirs + bend[..., None] * normals
+    tan = np.cos(phi)[..., None] * dirs + sinp[..., None] * normals
+    return pos, tan
+
+
+def _dot(a, b):
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _interleave(a, b):
+    """Rows a_0, b_0, a_1, b_1, ... of two arrays of one shape."""
+    return np.stack([a, b], axis=1).reshape((-1,) + a.shape[1:])
+
+
+def _arcs_to(starts, dirs, ends):
+    """Unit normals, curvatures and lengths of the arcs that leave each start
+    along its unit direction and end at the matching end."""
+    chord = ends - starts
+    chord2 = _dot(chord, chord)
+    along = _dot(chord, dirs)
+    perp = chord - along[:, None] * dirs
+    # project once more: on a nearly straight arc perp is tiny, and the
+    # rounding of the first projection leaves a residue along dirs that is
+    # large next to it
+    perp -= _dot(perp, dirs)[:, None] * dirs
+    h = np.sqrt(_dot(perp, perp))
+    normals = perp / np.where(h > 0.0, h, 1.0)[:, None]
+    # radius chord2 / 2h; the arc turns twice its tangent-chord angle
+    lengths = np.where(h > 0.0, chord2 * np.arctan2(h, along) / h, along)
+    return normals, 2.0 * h / chord2, lengths
+
+
+def _balanced_arcs(p0, t0, p1, t1):
+    """Balanced biarcs through the n pairs (p0, t0) -> (p1, t1), each given
+    as an (n, 3) array.
+
+    Returns the flat arrays (starts, dirs, normals, k, lengths) of the 2n
+    arcs in chain order, read by `_eval_arcs`: arc 2i is the first arc of
+    pair i, arc 2i + 1 its second, and starts[2i + 1] its matching point.
+    The n biarc lengths come last. Raises the PairError of the first pair
+    that is improper, incompatible, or whose arcs fail to meet within
+    JOIN_TOL, with ``index`` set to that pair.
+    """
+    with np.errstate(invalid="ignore", divide="ignore"):
+        d = p1 - p0
+        dist = np.sqrt(_dot(d, d))
+        e = d / dist[:, None]
+        w = t0 + 2.0 * _dot(e, t1)[:, None] * e - t1
+        wlen = np.sqrt(_dot(w, w))
+        u = w / wlen[:, None]
+        ue = _dot(u, e)
+        m = 0.5 * (p0 + p1) + (0.5 * dist / (1.0 + ue))[:, None] * (u - ue[:, None] * e)
+        # the second arc leaves m along t1 reflected at its chord
+        c = p1 - m
+        t_m = 2.0 * (_dot(c, t1) / _dot(c, c))[:, None] * c - t1
+        starts, dirs, ends = _interleave(p0, m), _interleave(t0, t_m), _interleave(m, p1)
+        normals, k, lengths = _arcs_to(starts, dirs, ends)
+        total = lengths[0::2] + lengths[1::2]
+        # each arc must end where the next piece starts: the first at m
+        # along t_m, the second at p1 along t1
+        end, end_tan = _eval_arcs(starts, dirs, normals, k, lengths)
+        gap = np.sqrt(_dot(end - ends, end - ends)).reshape(-1, 2).max(axis=1)
+        miss = end_tan - _interleave(t_m, t1)
+        turn = np.sqrt(_dot(miss, miss)).reshape(-1, 2).max(axis=1)
+        proper = (_dot(d, t0) > 0.0) & (_dot(d, t1) > 0.0)
+        ok = proper & (wlen > CLASSIFY_TOL) & (gap <= JOIN_TOL * total) & (turn <= JOIN_TOL)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        if dist[i] == 0.0:
+            raise ImproperPairError("point-tangent pair has coincident points", i)
+        if not proper[i]:
+            raise ImproperPairError(
+                "pair is not proper: both tangents must make a positive inner "
+                "product with the chord",
+                i,
+            )
+        if not wlen[i] > CLASSIFY_TOL:
+            raise IncompatiblePairError(
+                "cocircular pair with incompatible orientations has no balanced "
+                "matching point",
+                i,
+            )
+        raise PairError(
+            f"biarc join failed to close: position gap {gap[i]:.3e}, tangent "
+            f"mismatch {turn[i]:.3e}",
+            i,
+        )
+    return starts, dirs, normals, k, lengths, total
+
+
+def _biarc_view(starts, dirs, normals, k, lengths, pair) -> Biarc:
+    """The Biarc made of arcs 0 and 1 of the given flat arc arrays."""
+    first, second = (
+        Arc(starts[j], dirs[j], k[j] * normals[j], float(lengths[j])) for j in (0, 1)
+    )
+    return Biarc(first=first, second=second, matching_point=starts[1], pair=pair)
 
 
 def classify_pair(a: PointTangent, b: PointTangent) -> PairClass:
@@ -152,7 +242,11 @@ def classify_pair(a: PointTangent, b: PointTangent) -> PairClass:
     parallel to the chord) the locus is the chord's line, which the
     equal-tangent classes describe.
     """
-    d, dist, e = _chord_frame(a, b)
+    d = b.point - a.point
+    dist = norm(d)
+    if dist == 0.0:
+        raise ValueError("point-tangent pair has coincident points")
+    e = d / dist
     t0, t1 = a.tangent, b.tangent
     if norm(t0 - t1) <= CLASSIFY_TOL:
         if abs(float(np.dot(t0, e))) <= CLASSIFY_TOL:
@@ -171,78 +265,16 @@ def is_proper(a: PointTangent, b: PointTangent) -> bool:
     return float(np.dot(d, a.tangent)) > 0.0 and float(np.dot(d, b.tangent)) > 0.0
 
 
-def _require_constructible(a: PointTangent, b: PointTangent):
-    d, dist, e = _chord_frame(a, b)
-    if not is_proper(a, b):
-        raise ImproperPairError(
-            "pair is not proper: both tangents must make a positive inner "
-            "product with the chord"
-        )
-    t1s = reflect_about(e, b.tangent)
-    if norm(a.tangent + t1s) <= CLASSIFY_TOL:
-        raise IncompatiblePairError(
-            "cocircular pair with incompatible orientations has no balanced "
-            "matching point"
-        )
-    return d, dist, e, t1s
+def build_balanced_biarc(a: PointTangent, b: PointTangent) -> Biarc:
+    """Construct the proper balanced biarc interpolating the pair."""
+    arcs = _balanced_arcs(a.point[None], a.tangent[None], b.point[None], b.tangent[None])
+    return _biarc_view(*arcs[:5], pair=(a, b))
 
 
 def balanced_matching_point(a: PointTangent, b: PointTangent) -> np.ndarray:
     """The unique matching point on the preferred subarc equidistant from
     both data points."""
-    d, dist, e, t1s = _require_constructible(a, b)
-    w = a.tangent + t1s
-    u = w / norm(w)
-    # sin of the angle between the subarc tangent at a.point and the chord
-    sin_angle = norm(np.cross(u, e))
-    if sin_angle < NEAR_STRAIGHT_ANGLE:
-        # matching-point circle degenerates to the chord; balance at midpoint
-        return 0.5 * (a.point + b.point)
-    perp = d - float(np.dot(d, u)) * u
-    v = perp / norm(perp)
-    r = dist * dist / (2.0 * float(np.dot(d, v)))
-    center = a.point + r * v
-    rho0 = a.point - center
-    x1 = float(np.dot(b.point - center, rho0)) / (r * r)
-    y1 = float(np.dot(b.point - center, u)) / r
-    theta1 = math.atan2(y1, x1) % (2.0 * math.pi)
-    # the balanced point is the angular midpoint of the subarc from a to b
-    half = 0.5 * theta1
-    return center + math.cos(half) * rho0 + math.sin(half) * r * u
-
-
-def _arc_between(p: np.ndarray, u: np.ndarray, target: np.ndarray) -> Arc:
-    """Unique arc starting at p with tangent u and ending at target."""
-    chord = target - p
-    clen = norm(chord)
-    if clen == 0.0:
-        raise ValueError("arc endpoints coincide")
-    along = float(np.dot(chord, u))
-    perp = chord - along * u
-    h = norm(perp)
-    if h <= 1e-14 * clen:
-        if along <= 0.0:
-            raise ValueError("degenerate straight arc pointing away from its target")
-        return Arc(start=p, direction=u, curvature=np.zeros(3), length=along)
-    nhat = perp / h
-    radius = clen * clen / (2.0 * h)
-    # tangent-chord angle is half the turn of the arc
-    alpha = 2.0 * math.atan2(h, along)
-    return Arc(start=p, direction=u, curvature=nhat / radius, length=radius * alpha)
-
-
-def build_balanced_biarc(a: PointTangent, b: PointTangent) -> Biarc:
-    """Construct the proper balanced biarc interpolating the pair."""
-    m = balanced_matching_point(a, b)
-    first = _arc_between(a.point, a.tangent, m)
-    second = _arc_between(b.point, -b.tangent, m).reversed()
-    mismatch = norm(first.end_tangent - second.direction)
-    if mismatch > 1e-8:
-        raise RuntimeError(
-            f"biarc join failed to close: tangent mismatch {mismatch:.3e} at the "
-            "matching point"
-        )
-    return Biarc(first=first, second=second, matching_point=m, pair=(a, b))
+    return build_balanced_biarc(a, b).matching_point
 
 
 def eval_biarc(biarc: Biarc, s: float):
@@ -252,10 +284,8 @@ def eval_biarc(biarc: Biarc, s: float):
         raise ValueError(f"arclength {s!r} outside [0, {total!r}]")
     s = min(max(s, 0.0), total)
     if s <= biarc.first.length:
-        pos, tan = biarc.first.at(s)
-    else:
-        pos, tan = biarc.second.at(s - biarc.first.length)
-    return pos, tan
+        return biarc.first.at(s)
+    return biarc.second.at(s - biarc.first.length)
 
 
 def biarc_parameter(biarc: Biarc) -> float:

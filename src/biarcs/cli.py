@@ -57,7 +57,6 @@ KNOWN_KEYS = {
     "seminorm_grid",
     "out",
     "format",
-    "strict_sequential",
     "steps",
     "cooling_rate",
     "initial_temperature",
@@ -138,14 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--grid", type=int, help="quadrature / search grid")
         cmd.add_argument("--out", help="output path ('-' for stdout)")
         cmd.add_argument("--format", choices=["csv", "json"], help="output format")
-        cmd.add_argument(
-            "--strict-sequential",
-            dest="strict_sequential",
-            action="store_true",
-            default=None,
-            help="force strictly sequential reductions (evaluation is "
-            "single-threaded and deterministic either way)",
-        )
         if name == "anneal":
             cmd.add_argument("--steps", type=int, help="annealing steps")
             cmd.add_argument("--initial", help="junction text file to start from")
@@ -177,7 +168,6 @@ def resolve_settings(args: argparse.Namespace) -> dict:
         "seminorm_grid": int(settings.get("seminorm_grid", 256)),
         "out": settings.get("out", "-"),
         "format": settings.get("format", "csv"),
-        "strict_sequential": bool(settings.get("strict_sequential", False)),
         "steps": int(settings.get("steps", 20000)),
         "cooling_rate": float(settings.get("cooling_rate", 0.995)),
         "initial_temperature": (

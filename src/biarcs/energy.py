@@ -14,7 +14,6 @@ the smallest junction distance.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 import numpy as np
@@ -41,17 +40,6 @@ class EnergyReport:
     n: int
     value: float
     metadata: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        payload = {"kind": self.kind, "q": self.q, "n": self.n, "value": self.value}
-        payload.update(self.metadata)
-        return json.dumps(payload, sort_keys=True)
-
-    def to_csv_row(self) -> str:
-        grid = self.metadata.get("grid", "")
-        curve = self.metadata.get("curve", "")
-        seed = self.metadata.get("seed", "")
-        return f"{self.kind},{self.q:.12g},{self.n},{self.value:.12g},{grid},{curve},{seed}"
 
 
 def _pair_tiles(points: np.ndarray, tangents: np.ndarray):

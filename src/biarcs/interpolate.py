@@ -9,13 +9,9 @@ from typing import Optional
 
 import numpy as np
 
-from .biarc import (
-    ImproperPairError,
-    IncompatiblePairError,
-    PointTangent,
-    build_balanced_biarc,
-)
+from .biarc import PairError, PointTangent, _balanced_arcs, _biarc_view, _eval_arcs
 from .curve import CurveSpec, Partition, tangent_modulus
+from .geom import UNIT_TOL
 
 
 class BiarcCurveBuildError(ValueError):
@@ -29,87 +25,89 @@ class BiarcCurveBuildError(ValueError):
 
 @dataclass(frozen=True)
 class BiarcCurve:
-    """A closed C^1 chain of balanced biarcs.
+    """A closed C^1 chain of balanced biarcs, held as flat arc arrays.
+
+    Biarc i runs from junction i to junction i + 1 (mod n) and is made of
+    arcs 2i and 2i + 1, the second starting at its matching point. Per arc,
+    ``arc_starts``, ``arc_dirs``, ``arc_normals`` and ``arc_k`` hold the
+    start point, unit start tangent, unit normal (zero on a straight arc)
+    and curvature; ``arc_offsets`` holds the arclength at which each arc
+    starts, with the total length appended.
 
     ``source_params`` holds the partition nodes when the curve was built by
     interpolating a CurveSpec; it is required for C^1-distance measurements.
     """
 
-    biarcs: tuple
     junction_points: np.ndarray
     junction_tangents: np.ndarray
     segment_lengths: np.ndarray
     offsets: np.ndarray
+    arc_starts: np.ndarray = field(repr=False)
+    arc_dirs: np.ndarray = field(repr=False)
+    arc_normals: np.ndarray = field(repr=False)
+    arc_k: np.ndarray = field(repr=False)
+    arc_offsets: np.ndarray = field(repr=False)
     source_params: Optional[np.ndarray] = None
-    # flattened per-arc data for vectorized evaluation
-    _arc_starts: np.ndarray = field(repr=False, default=None)
-    _arc_dirs: np.ndarray = field(repr=False, default=None)
-    _arc_khat: np.ndarray = field(repr=False, default=None)
-    _arc_k: np.ndarray = field(repr=False, default=None)
-    _arc_offsets: np.ndarray = field(repr=False, default=None)
 
     @property
     def n_segments(self) -> int:
-        return len(self.biarcs)
+        return len(self.junction_points)
 
     @property
     def total_length(self) -> float:
         return float(self.offsets[-1])
 
-
-def _assemble(biarcs, points, tangents) -> BiarcCurve:
-    points = np.asarray(points, dtype=float)
-    tangents = np.asarray(tangents, dtype=float)
-    lengths = np.array([b.total_length for b in biarcs])
-    offsets = np.concatenate([[0.0], np.cumsum(lengths)])
-    scale = max(1.0, float(offsets[-1]))
-    # closure and junction continuity are inherited from the shared data;
-    # re-check to catch construction bugs early
-    for i, b in enumerate(biarcs):
-        nxt = biarcs[(i + 1) % len(biarcs)]
-        if np.linalg.norm(b.second.end - nxt.first.start) > 1e-9 * scale:
-            raise BiarcCurveBuildError(f"junction {i} is not continuous", segment=i)
-        if np.linalg.norm(b.second.end_tangent - nxt.first.direction) > 1e-9:
-            raise BiarcCurveBuildError(f"junction {i} breaks the C1 join", segment=i)
-    arcs = [a for b in biarcs for a in (b.first, b.second)]
-    starts = np.array([a.start for a in arcs])
-    dirs = np.array([a.direction for a in arcs])
-    curvs = np.array([a.curvature for a in arcs])
-    k = np.linalg.norm(curvs, axis=-1)
-    khat = np.where(k[:, None] > 0, curvs / np.where(k[:, None] > 0, k[:, None], 1.0), 0.0)
-    arc_lengths = np.array([a.length for a in arcs])
-    arc_offsets = np.concatenate([[0.0], np.cumsum(arc_lengths)])
-    return BiarcCurve(
-        biarcs=tuple(biarcs),
-        junction_points=points,
-        junction_tangents=tangents,
-        segment_lengths=lengths,
-        offsets=offsets,
-        _arc_starts=starts,
-        _arc_dirs=dirs,
-        _arc_khat=khat,
-        _arc_k=k,
-        _arc_offsets=arc_offsets,
-    )
+    @property
+    def biarcs(self) -> tuple:
+        """The chain as Biarc objects, a read-only view built on each access."""
+        arcs = (self.arc_starts, self.arc_dirs, self.arc_normals, self.arc_k)
+        arcs += (np.diff(self.arc_offsets),)
+        data = [PointTangent(p, t) for p, t in zip(self.junction_points, self.junction_tangents)]
+        n = len(data)
+        return tuple(
+            _biarc_view(*(a[2 * i : 2 * i + 2] for a in arcs), pair=(data[i], data[(i + 1) % n]))
+            for i in range(n)
+        )
 
 
 def from_junctions(points, tangents) -> BiarcCurve:
     """Assemble the closed balanced biarc chain through the given junction
-    positions and unit tangents."""
+    positions and unit tangents, (n, 3) arrays with n >= 3.
+
+    Raises BiarcCurveBuildError, with ``segment`` set to the first failing
+    junction or pair, when the input is malformed or a pair admits no
+    balanced biarc (improper, incompatible, coincident, or not closing).
+    """
     points = np.asarray(points, dtype=float)
     tangents = np.asarray(tangents, dtype=float)
-    n = points.shape[0]
-    if n < 3:
+    if len(points) < 3:
         raise BiarcCurveBuildError("need at least three junctions to close a chain")
-    data = [PointTangent(points[i], tangents[i]) for i in range(n)]
-    biarcs = []
-    for i in range(n):
-        a, b = data[i], data[(i + 1) % n]
-        try:
-            biarcs.append(build_balanced_biarc(a, b))
-        except (ImproperPairError, IncompatiblePairError) as exc:
-            raise BiarcCurveBuildError(f"segment {i}: {exc}", segment=i) from exc
-    return _assemble(biarcs, points, tangents)
+    if points.ndim != 2 or points.shape[1] != 3 or tangents.shape != points.shape:
+        raise BiarcCurveBuildError("junction points and tangents must be matching (n, 3) arrays")
+    good = np.isfinite(points).all(axis=1)
+    good &= np.abs(np.linalg.norm(tangents, axis=1) - 1.0) <= UNIT_TOL
+    if not good.all():
+        i = int(np.argmin(good))
+        raise BiarcCurveBuildError(
+            f"junction {i}: point not finite or tangent not unit length", segment=i
+        )
+    try:
+        starts, dirs, normals, k, arc_lengths, lengths = _balanced_arcs(
+            points, tangents, np.roll(points, -1, axis=0), np.roll(tangents, -1, axis=0)
+        )
+    except PairError as exc:
+        raise BiarcCurveBuildError(f"segment {exc.index}: {exc}", segment=exc.index) from exc
+    return BiarcCurve(
+        junction_points=points,
+        junction_tangents=tangents,
+        segment_lengths=lengths,
+        offsets=np.concatenate([[0.0], np.cumsum(lengths)]),
+        arc_starts=starts,
+        arc_dirs=dirs,
+        arc_normals=normals,
+        arc_k=k,
+        arc_offsets=np.concatenate([[0.0], np.cumsum(arc_lengths)]),
+    )
 
 
 def build_biarc_curve(
@@ -163,21 +161,12 @@ def eval_biarc_curve(beta: BiarcCurve, s):
     s = np.atleast_1d(np.asarray(s, dtype=float))
     total = beta.total_length
     smod = np.mod(s, total)
-    idx = np.searchsorted(beta._arc_offsets, smod, side="right") - 1
-    idx = np.clip(idx, 0, len(beta._arc_k) - 1)
-    local = smod - beta._arc_offsets[idx]
-    k = beta._arc_k[idx]
-    straight = k == 0.0
-    phi = local * k
-    sinp, cosp = np.sin(phi), np.cos(phi)
-    rk = 1.0 / np.where(straight, 1.0, k)
-    coef_dir = np.where(straight, local, rk * sinp)
-    # r (1 - cos phi) written without its cancellation for small phi
-    coef_nrm = np.where(straight, 0.0, 2.0 * rk * np.sin(0.5 * phi) ** 2)
-    dirs = beta._arc_dirs[idx]
-    khat = beta._arc_khat[idx]
-    pos = beta._arc_starts[idx] + coef_dir[:, None] * dirs + coef_nrm[:, None] * khat
-    tan = np.where(straight[:, None], dirs, cosp[:, None] * dirs + sinp[:, None] * khat)
+    idx = np.searchsorted(beta.arc_offsets, smod, side="right") - 1
+    idx = np.clip(idx, 0, len(beta.arc_k) - 1)
+    local = smod - beta.arc_offsets[idx]
+    pos, tan = _eval_arcs(
+        beta.arc_starts[idx], beta.arc_dirs[idx], beta.arc_normals[idx], beta.arc_k[idx], local
+    )
     if scalar:
         return pos[0], tan[0]
     return pos, tan

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .biarc import ImproperPairError, IncompatiblePairError, PointTangent, build_balanced_biarc
+from .biarc import PairError, _balanced_arcs
 from .energy import pair_stats
 from .interpolate import BiarcCurve, from_junctions
 
@@ -80,18 +80,12 @@ def _candidate_energy(points, tangents, lam, cfg: AnnealConfig, quotient_ceiling
 def _rebuild_segments(points, tangents, j, n):
     """Lengths of the two biarcs adjacent to junction j, or None when a
     pair is not constructible."""
-    prev = (j - 1) % n
-    nxt = (j + 1) % n
+    starts = [(j - 1) % n, j]
+    ends = [j, (j + 1) % n]
     try:
-        b_prev = build_balanced_biarc(
-            PointTangent(points[prev], tangents[prev]), PointTangent(points[j], tangents[j])
-        )
-        b_next = build_balanced_biarc(
-            PointTangent(points[j], tangents[j]), PointTangent(points[nxt], tangents[nxt])
-        )
-    except (ImproperPairError, IncompatiblePairError, ValueError, RuntimeError):
+        return _balanced_arcs(points[starts], tangents[starts], points[ends], tangents[ends])[-1]
+    except PairError:
         return None
-    return b_prev.total_length, b_next.total_length
 
 
 def anneal_discrete(initial: BiarcCurve, cfg: AnnealConfig) -> tuple[BiarcCurve, AnnealTrace]:

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from conftest import random_cocircular_pair, random_proper_pair, random_rotation, unit
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biarcs.biarc import (
     Arc,
@@ -119,16 +121,18 @@ class TestMatchingPoint:
             assert abs(np.linalg.norm(m - center) - r) < 1e-9
 
 
-def check_biarc_invariants(biarc, a, b, tol=1e-10):
+def check_biarc_invariants(biarc, a, b, tol=1e-10, scale=1.0):
+    """Interpolation, C1 join and balance within tol, positions relative to
+    scale."""
     p0, t0 = eval_biarc(biarc, 0.0)
-    assert np.linalg.norm(p0 - a.point) <= tol
+    assert np.linalg.norm(p0 - a.point) <= tol * scale
     assert np.linalg.norm(t0 - a.tangent) <= tol
     p1, t1 = eval_biarc(biarc, biarc.total_length)
-    assert np.linalg.norm(p1 - b.point) <= tol
+    assert np.linalg.norm(p1 - b.point) <= tol * scale
     assert np.linalg.norm(t1 - b.tangent) <= tol
     # C1 join at the matching point
-    assert np.linalg.norm(biarc.first.end - biarc.matching_point) <= tol
-    assert np.linalg.norm(biarc.second.start - biarc.matching_point) <= tol
+    assert np.linalg.norm(biarc.first.end - biarc.matching_point) <= tol * scale
+    assert np.linalg.norm(biarc.second.start - biarc.matching_point) <= tol * scale
     assert np.linalg.norm(biarc.first.end_tangent - biarc.second.direction) <= tol
     # balance
     assert (
@@ -136,7 +140,7 @@ def check_biarc_invariants(biarc, a, b, tol=1e-10):
             np.linalg.norm(biarc.matching_point - a.point)
             - np.linalg.norm(b.point - biarc.matching_point)
         )
-        <= tol
+        <= tol * scale
     )
     assert biarc.total_length == pytest.approx(biarc.first.length + biarc.second.length)
 
@@ -171,6 +175,27 @@ class TestBuild:
             a, b = random_proper_pair(rng)
             biarc = build_balanced_biarc(a, b)
             check_biarc_invariants(biarc, a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        log_tilts=st.tuples(st.floats(-12.0, -5.0), st.floats(-12.0, -5.0)),
+        scale=st.sampled_from([1e-6, 1e6]),
+    )
+    def test_nearly_straight_pairs(self, seed, log_tilts, scale):
+        # each tangent tilts off the chord towards its own random side, so
+        # both S- and C-shaped nearly straight pairs occur
+        rng = np.random.default_rng(seed)
+        e, u, v = random_rotation(rng).T
+        tangents = []
+        for log_tilt in log_tilts:
+            tilt, side = 10.0**log_tilt, rng.uniform(0.0, 2 * math.pi)
+            off = math.cos(side) * u + math.sin(side) * v
+            tangents.append(math.cos(tilt) * e + math.sin(tilt) * off)
+        q0 = scale * rng.normal(size=3)
+        a = PointTangent(q0, tangents[0])
+        b = PointTangent(q0 + scale * e, tangents[1])
+        check_biarc_invariants(build_balanced_biarc(a, b), a, b, scale=scale)
 
     def test_cocircular_pair_stays_on_circle(self):
         rng = np.random.default_rng(8)

@@ -1,0 +1,18 @@
+"""The demos that use the single-pair views (`Biarc.first/second`,
+`BiarcCurve.biarcs`, `biarc_parameter`) run to completion in-process."""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+@pytest.mark.parametrize(
+    "script, last_heading",
+    [("01_biarcs.py", "--- skew ---"), ("02_interpolation.py", "jittered partitions")],
+)
+def test_demo_runs(script, last_heading, capsys):
+    runpy.run_path(str(DEMOS / script), run_name="__main__")
+    assert last_heading in capsys.readouterr().out

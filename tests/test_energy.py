@@ -1,4 +1,3 @@
-import json
 import math
 import tracemalloc
 
@@ -15,7 +14,6 @@ from biarcs.curve import (
 )
 from biarcs import energy
 from biarcs.energy import (
-    EnergyReport,
     continuous_tp_energy,
     discrete_tp_energy,
     holder_bound_check,
@@ -337,21 +335,3 @@ class TestHolder:
         with pytest.raises(ValueError):
             holder_bound_check(small, 2.0, 4.0, TWO_PI)
 
-
-class TestEnergyReport:
-    def test_json_round_trip(self):
-        rep = EnergyReport(
-            kind="discrete",
-            q=3.0,
-            n=64,
-            value=38.861567,
-            metadata={"grid": 512, "curve": "circle", "seed": 0},
-        )
-        back = json.loads(rep.to_json())
-        assert back["kind"] == "discrete"
-        assert back["value"] == pytest.approx(38.861567)
-        assert back["curve"] == "circle"
-
-    def test_csv_row(self):
-        rep = EnergyReport("continuous", 3.0, 0, 39.4784176044, {"grid": 512, "curve": "circle", "seed": 7})
-        assert rep.to_csv_row() == "continuous,3,0,39.4784176044,512,circle,7"

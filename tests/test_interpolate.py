@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import jittered_circle_config, random_rotation
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biarcs.biarc import PairClass, biarc_parameter, classify_pair
 from biarcs.curve import arclength_reparametrize, make_partition, preset_curve, Partition
@@ -29,6 +32,36 @@ def ellipse_interpolant(n):
     ellipse = arclength_reparametrize(preset_curve("ellipse", [2.0, 1.0]))
     part = make_partition(ellipse.length, n)
     return ellipse, part, build_biarc_curve(ellipse, part)
+
+
+def tilted_stadium(delta, side=8):
+    """Junctions of a stadium with straight sides of length ``side`` and
+    unit caps; the tangents along the straight sides tilt alternately by
+    +delta and -delta, so those pairs are nearly straight S-shapes."""
+    pts, tans = [], []
+    for x0, y, sense, caps in ((0, 0.0, 1, range(-60, 61, 30)), (side, 2.0, -1, range(120, 241, 30))):
+        for i in range(side + 1):
+            tilt = (-1) ** i * delta
+            pts.append((x0 + sense * i, y))
+            tans.append((sense * math.cos(tilt), math.sin(tilt)))
+        for deg in caps:
+            a = math.radians(deg)
+            pts.append((side * (sense > 0) + math.cos(a), 1 + math.sin(a)))
+            tans.append((-math.sin(a), math.cos(a)))
+    return np.array([(x, y, 0.0) for x, y in pts]), np.array([(x, y, 0.0) for x, y in tans])
+
+
+def assert_c1_joins(beta, tol=1e-9):
+    """Position and tangent agree on both sides of every junction and
+    matching point, and the junctions interpolate their data."""
+    s = beta.arc_offsets[:-1]
+    pa, ta = eval_biarc_curve(beta, s - 1e-12)
+    pb, tb = eval_biarc_curve(beta, s + 1e-12)
+    assert np.linalg.norm(pa - pb, axis=-1).max() < tol
+    assert np.linalg.norm(ta - tb, axis=-1).max() < tol
+    pos, tan = eval_biarc_curve(beta, beta.offsets[:-1])
+    assert np.abs(pos - beta.junction_points).max() < tol
+    assert np.abs(tan - beta.junction_tangents).max() < tol
 
 
 class TestBuild:
@@ -115,6 +148,58 @@ class TestBuild:
         with pytest.raises(BiarcCurveBuildError) as err:
             from_junctions(points, tangents)
         assert err.value.segment in (1, 2)
+
+    def test_coincident_junctions_named(self):
+        angles = np.linspace(0, TWO_PI, 6, endpoint=False)
+        points = np.stack([np.cos(angles), np.sin(angles), np.zeros_like(angles)], axis=-1)
+        tangents = np.stack([-np.sin(angles), np.cos(angles), np.zeros_like(angles)], axis=-1)
+        points[1] = points[0]
+        with pytest.raises(BiarcCurveBuildError) as err:
+            from_junctions(points, tangents)
+        assert err.value.segment == 0
+
+    @pytest.mark.parametrize("delta", [1e-8, 3e-8, 1e-7])
+    def test_nearly_straight_stadium_closes(self, delta):
+        # the alternating tilts make the straight sides nearly straight
+        # S-shaped pairs, whose matching points sit ~delta off the chord
+        beta = from_junctions(*tilted_stadium(delta))
+        assert_c1_joins(beta)
+
+
+class TestInvariance:
+    """Segment lengths follow the symmetries of the construction."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 32), log_c=st.floats(-3.0, 3.0))
+    def test_rigid_motion_and_dilation(self, seed, n, log_c):
+        rng = np.random.default_rng(seed)
+        beta = jittered_circle_config(rng, n)
+        c = 10.0**log_c
+        rot = random_rotation(rng)
+        shift = c * rng.normal(size=3)
+        moved = from_junctions(
+            c * beta.junction_points @ rot.T + shift, beta.junction_tangents @ rot.T
+        )
+        np.testing.assert_allclose(moved.segment_lengths, c * beta.segment_lengths, rtol=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 32), data=st.data())
+    def test_cyclic_relabelling(self, seed, n, data):
+        beta = jittered_circle_config(np.random.default_rng(seed), n)
+        k = data.draw(st.integers(1, n - 1))
+        rolled = from_junctions(
+            np.roll(beta.junction_points, k, axis=0), np.roll(beta.junction_tangents, k, axis=0)
+        )
+        assert np.array_equal(rolled.segment_lengths, np.roll(beta.segment_lengths, k))
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 32))
+    def test_reversal(self, seed, n):
+        beta = jittered_circle_config(np.random.default_rng(seed), n)
+        back = from_junctions(beta.junction_points[::-1], -beta.junction_tangents[::-1])
+        # reversed segment k is original segment n - 2 - k
+        want = np.roll(beta.segment_lengths[::-1], -1)
+        np.testing.assert_allclose(back.segment_lengths, want, rtol=1e-12)
 
 
 class TestEval:
