@@ -9,13 +9,15 @@ arrays of shape (..., 3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 DEFAULT_GRID_1D = 2048
+# points per row block when a mollified curve is evaluated
+TRIG_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,6 @@ class Mollifier:
     """
 
     profile: Callable
-    eps: float = 1.0
     dprofile: Optional[Callable] = None
 
     def __post_init__(self):
@@ -118,7 +119,7 @@ def _raw_bump(x):
     return out
 
 
-def standard_mollifier(eps: float = 1.0) -> Mollifier:
+def standard_mollifier() -> Mollifier:
     """The usual smooth bump exp(-1/(1-x^2)), normalized to unit mass."""
     z = _bump_normalization()
 
@@ -134,7 +135,7 @@ def standard_mollifier(eps: float = 1.0) -> Mollifier:
         out[inside] = np.exp(-1.0 / om) * (-2.0 * xi / (om * om)) / z
         return out
 
-    return Mollifier(profile=profile, eps=eps, dprofile=dprofile)
+    return Mollifier(profile=profile, dprofile=dprofile)
 
 
 def _simpson(vals: np.ndarray, h: float) -> float:
@@ -143,31 +144,27 @@ def _simpson(vals: np.ndarray, h: float) -> float:
     return float(h / 3.0 * (vals[0] + vals[-1] + 4 * vals[1:-1:2].sum() + 2 * vals[2:-1:2].sum()))
 
 
-def _cumulative_speed(curve_derivative, period: float, samples: int):
-    """Cumulative arclength on a uniform grid via per-cell Simpson."""
-    x = np.linspace(0.0, period, samples + 1)
-    mid = 0.5 * (x[:-1] + x[1:])
-    speed_x = np.linalg.norm(curve_derivative(x), axis=-1)
-    speed_m = np.linalg.norm(curve_derivative(mid), axis=-1)
+def _cumulative_speed(speed_x: np.ndarray, speed_m: np.ndarray, period: float) -> np.ndarray:
+    """Cumulative arclength on a uniform grid via per-cell Simpson, from the
+    speed at the grid nodes (both ends included) and at the cell midpoints."""
     vmin = min(speed_x.min(), speed_m.min())
     if vmin <= 1e-12 * max(speed_x.max(), 1.0):
         raise ValueError("curve speed vanishes on the sample grid")
-    h = period / samples
+    h = period / speed_m.size
     seg = h / 6.0 * (speed_x[:-1] + 4.0 * speed_m + speed_x[1:])
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    return x, cum
+    return np.concatenate([[0.0], np.cumsum(seg)])
 
 
-def arclength_reparametrize(raw: CurveSpec, samples: int = DEFAULT_GRID_1D) -> CurveSpec:
+def arclength_reparametrize(raw: CurveSpec) -> CurveSpec:
     """Unit-speed reparametrization with the same image and length.
 
-    Built from a cumulative-speed table inverted by monotone cubic
+    Inverts the curve's own parameter-to-arclength table by monotone cubic
     interpolation; tangents are taken from the exact derivative and
     renormalized, so they are unit to machine precision.
     """
     if raw.is_arclength:
         return raw
-    x, cum = _cumulative_speed(raw.derivative, raw.period, samples)
+    x, cum = raw.arclength_table[:, 0], raw.arclength_table[:, 1]
     total = float(cum[-1])
     inverse = PchipInterpolator(cum, x)
 
@@ -194,15 +191,7 @@ def arclength_reparametrize(raw: CurveSpec, samples: int = DEFAULT_GRID_1D) -> C
             return (dd - np.sum(t * dd, axis=-1, keepdims=True) * t) / speed2
 
     table = np.column_stack([cum, cum])
-    return CurveSpec(
-        period=total,
-        position=position,
-        derivative=derivative,
-        second_derivative=second_derivative,
-        arclength_table=table,
-        is_arclength=True,
-        name=raw.name,
-    )
+    return CurveSpec(total, position, derivative, second_derivative, table, True, raw.name)
 
 
 def preset_curve(name: str, params) -> CurveSpec:
@@ -304,17 +293,11 @@ def preset_curve(name: str, params) -> CurveSpec:
 
 
 def _with_length_table(spec: CurveSpec, samples: int = DEFAULT_GRID_1D) -> CurveSpec:
-    x, cum = _cumulative_speed(spec.derivative, spec.period, samples)
-    table = np.column_stack([x, cum])
-    return CurveSpec(
-        spec.period,
-        spec.position,
-        spec.derivative,
-        spec.second_derivative,
-        table,
-        spec.is_arclength,
-        spec.name,
-    )
+    x = np.linspace(0.0, spec.period, samples + 1)
+    mid = 0.5 * (x[:-1] + x[1:])
+    speed_x, speed_m = (np.linalg.norm(spec.derivative(t), axis=-1) for t in (x, mid))
+    table = np.column_stack([x, _cumulative_speed(speed_x, speed_m, spec.period)])
+    return replace(spec, arclength_table=table)
 
 
 def analytic_curve(
@@ -362,6 +345,38 @@ def make_partition(L: float, n: int, mode: str = "uniform", seed: int = 0) -> Pa
     raise ValueError("could not draw a partition within the distribution bounds")
 
 
+def _mode_factors(phase, modes: int):
+    """(high, low) with e^(i m phase[p]) = high[p, a] * low[p, b] for every
+    mode m = a B + b < modes, B about sqrt(modes): about 2 sqrt(modes) exps
+    per phase instead of one per mode."""
+    width = math.isqrt(modes - 1) + 1
+    phase = 1j * np.reshape(phase, (-1, 1))
+    return np.exp(phase * (width * np.arange(-(-modes // width)))), np.exp(phase * np.arange(width))
+
+
+def _trig_polynomial(coeffs: np.ndarray, period: float) -> Callable:
+    """Evaluator of Re sum_m coeffs[m] exp(2 pi i m x / period) for complex
+    coefficients of shape (modes, 3), at points x of any shape. Points go
+    in row blocks, so temporaries stay O(TRIG_BLOCK * sqrt(modes))."""
+    modes = coeffs.shape[0]
+    count, width = (f.shape[1] for f in _mode_factors(0.0, modes))
+    padded = np.pad(coeffs, ((0, count * width - modes), (0, 0)))
+    # row b, column (a, d): coefficient of mode a B + b in coordinate d
+    table = padded.reshape(count, width, 3).transpose(1, 0, 2).reshape(width, count * 3)
+    omega = 2.0 * math.pi / period
+
+    def evaluate(x):
+        x = np.asarray(x, dtype=float)
+        flat, out = x.ravel(), np.empty((x.size, 3))
+        for lo in range(0, flat.size, TRIG_BLOCK):
+            high, low = _mode_factors(omega * flat[lo : lo + TRIG_BLOCK], modes)
+            inner = (low @ table).reshape(-1, count, 3)
+            out[lo : lo + TRIG_BLOCK] = np.einsum("pa,pad->pd", high, inner).real
+        return out.reshape(x.shape + (3,))
+
+    return evaluate
+
+
 def mollify(
     curve: CurveSpec,
     eps: float,
@@ -370,78 +385,58 @@ def mollify(
     samples: int = DEFAULT_GRID_1D,
 ) -> CurveSpec:
     """Smooth the curve by periodic convolution, rescale to the original
-    length, and reparametrize by arclength."""
+    length, and reparametrize by arclength.
+
+    The convolution (trapezoid rule on ``quad_points`` kernel nodes) is
+    applied in frequency space: curve and tangent are sampled once on the
+    2 * ``samples`` nodes and cell midpoints of the length table, and their
+    spectra are multiplied by the quadrature's transfer function. One
+    inverse FFT gives the table; the smoothed curve is the trigonometric
+    polynomial of all modes, and the reparametrization inverts its table.
+    """
     if not curve.is_arclength:
         raise ValueError("mollify expects an arclength-parametrized curve")
     L = curve.length
     if not 0.0 < eps < L / 4.0:
         raise ValueError(f"mollification scale must lie in (0, L/4), got {eps!r}")
     if mollifier is None:
-        mollifier = standard_mollifier(eps)
+        mollifier = standard_mollifier()
     xi = np.linspace(-1.0, 1.0, quad_points)
     trap = np.full(quad_points, 2.0 / (quad_points - 1))
-    trap[0] *= 0.5
-    trap[-1] *= 0.5
+    trap[[0, -1]] *= 0.5
     weights = trap * np.asarray(mollifier.profile(xi), dtype=float)
     # discrete partition of unity: the convolution then fixes constants exactly
-    weights = weights / weights.sum()
-
-    def convolve(f):
-        def smoothed(x):
-            x = np.asarray(x, dtype=float)
-            args = x[..., None] - eps * xi
-            vals = f(args)
-            return np.einsum("...kd,k->...d", vals, weights)
-
-        return smoothed
-
-    position = convolve(curve.position)
-    derivative = convolve(curve.derivative)
-
-    second_derivative = None
+    kernels = [weights / weights.sum()]
     if mollifier.dprofile is not None:
         dweights = trap * np.asarray(mollifier.dprofile(xi), dtype=float) / eps
-        dweights = dweights - dweights.mean()
-        base_derivative = curve.derivative
+        kernels.append(dweights - dweights.mean())
 
-        def second_derivative(x):
-            x = np.asarray(x, dtype=float)
-            args = x[..., None] - eps * xi
-            vals = base_derivative(args)
-            return np.einsum("...kd,k->...d", vals, dweights)
+    grid = np.arange(2 * samples) * (L / (2 * samples))
+    pos_hat = np.fft.rfft(curve.position(grid), axis=0)
+    tan_hat = np.fft.rfft(curve.derivative(grid), axis=0)
+    # transfer function of sum_k w_k f(x - eps xi_k) at each mode, per kernel
+    modes = pos_hat.shape[0]
+    high, low = _mode_factors(-2.0 * math.pi / L * eps * xi, modes)
+    transfer = np.einsum("ka,kb,kj->abj", high, low, np.column_stack(kernels))
+    transfer = transfer.reshape(-1, len(kernels))[:modes]
+    tan_smooth = tan_hat * transfer[:, :1]
 
-    raw = CurveSpec(L, position, derivative, second_derivative, None, False, curve.name)
-    raw = _with_length_table(raw, samples=samples)
-    scale = L / raw.length
-
-    def scaled_position(x):
-        return scale * position(x)
-
-    def scaled_derivative(x):
-        return scale * derivative(x)
-
-    scaled_second = None
-    if second_derivative is not None:
-        raw_second = second_derivative
-
-        def scaled_second(x):
-            return scale * raw_second(x)
-
-    rescaled = CurveSpec(
+    speed = np.linalg.norm(np.fft.irfft(tan_smooth, n=2 * samples, axis=0), axis=-1)
+    cum = _cumulative_speed(np.append(speed[::2], speed[0]), speed[1::2], L)
+    scale = L / cum[-1]
+    # irfft weights: 1/N, doubled for the modes strictly between 0 and Nyquist
+    norm = np.full((modes, 1), 2.0 * scale / (2 * samples))
+    norm[[0, -1]] *= 0.5
+    raw = CurveSpec(
         L,
-        scaled_position,
-        scaled_derivative,
-        scaled_second,
-        np.column_stack([raw.arclength_table[:, 0], scale * raw.arclength_table[:, 1]]),
+        _trig_polynomial(norm * pos_hat * transfer[:, :1], L),
+        _trig_polynomial(norm * tan_smooth, L),
+        _trig_polynomial(norm * tan_hat * transfer[:, 1:], L) if len(kernels) == 2 else None,
+        np.column_stack([np.linspace(0.0, L, samples + 1), scale * cum]),
         False,
         curve.name,
     )
-    out = arclength_reparametrize(rescaled, samples=samples)
-    if abs(out.length - L) > 1e-8 * L:
-        raise RuntimeError(
-            f"mollified curve length {out.length!r} drifted from target {L!r}"
-        )
-    return out
+    return arclength_reparametrize(raw)
 
 
 def periodic_distance(x, y, period: float):

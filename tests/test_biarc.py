@@ -11,6 +11,7 @@ from biarcs.biarc import (
     ImproperPairError,
     IncompatiblePairError,
     PairClass,
+    PairError,
     PointTangent,
     balanced_matching_point,
     biarc_parameter,
@@ -196,6 +197,28 @@ class TestBuild:
         a = PointTangent(q0, tangents[0])
         b = PointTangent(q0 + scale * e, tangents[1])
         check_biarc_invariants(build_balanced_biarc(a, b), a, b, scale=scale)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        log_delta=st.floats(-12.0, -6.0),
+        scale=st.sampled_from([1e-6, 1e6]),
+    )
+    def test_nearly_cocircular_pairs(self, seed, log_delta, scale):
+        # the end point moves off the circle by delta * radius and its
+        # tangent tilts by about delta, both in random directions
+        rng = np.random.default_rng(seed)
+        a, b, _, radius = random_cocircular_pair(rng)
+        delta = 10.0**log_delta
+        moved = b.point + delta * radius * unit(rng.normal(size=3))
+        tilted = unit(b.tangent + delta * unit(rng.normal(size=3)))
+        a = PointTangent(scale * a.point, a.tangent)
+        b = PointTangent(scale * moved, tilted)
+        try:
+            biarc = build_balanced_biarc(a, b)
+        except PairError:
+            return
+        check_biarc_invariants(biarc, a, b, scale=scale)
 
     def test_cocircular_pair_stays_on_circle(self):
         rng = np.random.default_rng(8)

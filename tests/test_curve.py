@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from biarcs.curve import (
     Mollifier,
@@ -21,6 +22,47 @@ TWO_PI = 2 * math.pi
 ELLIPSE_2_1_LENGTH = 9.688448220547677
 # 2 pi * quad of 4 sin^2(u/2)/u^2 over (-pi, pi)
 CIRCLE_TANGENT_SEMINORM = 30.544254699350837
+
+
+def base_curves():
+    return {
+        "circle": preset_curve("circle", [1.0]),
+        "ellipse": arclength_reparametrize(preset_curve("ellipse", [2.0, 1.0])),
+        "torus_knot": arclength_reparametrize(preset_curve("torus_knot", [2, 3, 2.0, 0.5])),
+    }
+
+
+def direct_mollify(curve, eps, s, quad_points=257, samples=2048):
+    """Reference for `mollify` at arclengths s, written out term by term:
+    the convolution sum_k w_k gamma(x - eps xi_k) evaluated at every node,
+    a per-cell Simpson length table, the rescale to the original length,
+    and the monotone cubic inverse of the table. Returns position, unit
+    tangent and second derivative."""
+    m = standard_mollifier()
+    xi = np.linspace(-1.0, 1.0, quad_points)
+    trap = np.full(quad_points, 2.0 / (quad_points - 1))
+    trap[[0, -1]] *= 0.5
+    w = trap * m.profile(xi)
+    w /= w.sum()
+    dw = trap * m.dprofile(xi) / eps
+    dw -= dw.mean()
+
+    def conv(f, weights, x):
+        return np.einsum("...kd,k->...d", f(x[..., None] - eps * xi), weights)
+
+    L = curve.length
+    x = np.linspace(0.0, L, samples + 1)
+    mid = 0.5 * (x[:-1] + x[1:])
+    sx, sm = (np.linalg.norm(conv(curve.derivative, w, t), axis=-1) for t in (x, mid))
+    cum = np.concatenate([[0.0], np.cumsum(L / samples / 6.0 * (sx[:-1] + 4.0 * sm + sx[1:]))])
+    scale = L / cum[-1]
+    u = PchipInterpolator(scale * cum, x)(np.mod(s, L))
+    d = scale * conv(curve.derivative, w, u)
+    dd = scale * conv(curve.derivative, dw, u)
+    speed2 = np.sum(d * d, axis=-1, keepdims=True)
+    t = d / np.sqrt(speed2)
+    second = (dd - np.sum(t * dd, axis=-1, keepdims=True) * t) / speed2
+    return scale * conv(curve.position, w, u), t, second
 
 
 class TestPresets:
@@ -161,6 +203,24 @@ class TestMollify:
             errs.append(err)
         assert errs[1] < errs[0]
 
+    @pytest.mark.parametrize("name", ["circle", "ellipse", "torus_knot"])
+    def test_length_preserved(self, name):
+        curve = base_curves()[name]
+        for eps in (1 / 4, 1 / 32):
+            smooth = mollify(curve, eps)
+            assert abs(smooth.length - curve.length) <= 1e-12 * curve.length
+
+    @pytest.mark.parametrize("name", ["ellipse", "torus_knot"])
+    @pytest.mark.parametrize("eps", [1 / 4, 1 / 32])
+    def test_matches_direct_quadrature(self, name, eps):
+        curve = base_curves()[name]
+        s = np.linspace(0.0, curve.length, 64, endpoint=False) + 0.0123
+        pos, tan, second = direct_mollify(curve, eps, s)
+        smooth = mollify(curve, eps)
+        assert np.abs(smooth.position(s) - pos).max() <= 1e-9
+        assert np.abs(smooth.derivative(s) - tan).max() <= 1e-9
+        assert np.abs(smooth.second_derivative(s) - second).max() <= 1e-7 * np.abs(second).max()
+
     def test_preconditions(self):
         circle = preset_curve("circle", [1.0])
         with pytest.raises(ValueError):
@@ -171,7 +231,7 @@ class TestMollify:
     def test_mollifier_validation(self):
         with pytest.raises(ValueError):
             Mollifier(profile=lambda x: np.ones_like(np.asarray(x)))  # mass 2
-        m = standard_mollifier(0.5)
+        m = standard_mollifier()
         x = np.linspace(-1, 1, 2001)
         assert np.all(np.asarray(m.profile(x)) >= 0)
 

@@ -1,5 +1,6 @@
 """The demos that use the single-pair views (`Biarc.first/second`,
-`BiarcCurve.biarcs`, `biarc_parameter`) run to completion in-process."""
+`BiarcCurve.biarcs`, `biarc_parameter`) and the mollification demo run to
+completion in-process."""
 
 import runpy
 from pathlib import Path
@@ -11,7 +12,11 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 @pytest.mark.parametrize(
     "script, last_heading",
-    [("01_biarcs.py", "--- skew ---"), ("02_interpolation.py", "jittered partitions")],
+    [
+        ("01_biarcs.py", "--- skew ---"),
+        ("02_interpolation.py", "jittered partitions"),
+        ("05_mollification.py", "circle at eps=1/8"),
+    ],
 )
 def test_demo_runs(script, last_heading, capsys):
     runpy.run_path(str(DEMOS / script), run_name="__main__")
