@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 DEFAULT_GRID_1D = 2048
 # points per row block when a mollified curve is evaluated
@@ -158,18 +157,29 @@ def _cumulative_speed(speed_x: np.ndarray, speed_m: np.ndarray, period: float) -
 def arclength_reparametrize(raw: CurveSpec) -> CurveSpec:
     """Unit-speed reparametrization with the same image and length.
 
-    Inverts the curve's own parameter-to-arclength table by monotone cubic
-    interpolation; tangents are taken from the exact derivative and
-    renormalized, so they are unit to machine precision.
+    Inverts the curve's own parameter-to-arclength table by cubic Hermite
+    interpolation with the exact slopes du/ds = 1/|gamma'(u)| at the table
+    nodes, evaluated once here; tangents are taken from the exact
+    derivative and renormalized, so they are unit to machine precision.
     """
     if raw.is_arclength:
         return raw
     x, cum = raw.arclength_table[:, 0], raw.arclength_table[:, 1]
     total = float(cum[-1])
-    inverse = PchipInterpolator(cum, x)
+    slope = 1.0 / np.linalg.norm(raw.derivative(x), axis=-1)
 
     def to_param(s):
-        return inverse(np.mod(s, total))
+        s = np.mod(s, total)
+        k = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, cum.size - 2)
+        h = cum[k + 1] - cum[k]
+        t = (s - cum[k]) / h
+        t2, t3 = t * t, t * t * t
+        return (
+            (2.0 * t3 - 3.0 * t2 + 1.0) * x[k]
+            + (t3 - 2.0 * t2 + t) * h * slope[k]
+            + (3.0 * t2 - 2.0 * t3) * x[k + 1]
+            + (t3 - t2) * h * slope[k + 1]
+        )
 
     def position(s):
         return raw.position(to_param(s))

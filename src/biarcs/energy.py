@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 import numpy as np
-from scipy.optimize import minimize
 
 from .curve import CurveSpec, curvature_values, periodic_distance
 from .interpolate import BiarcCurve, check_Bn
@@ -27,6 +26,10 @@ LOG_SPACE_POWER = 50.0
 # point pairs per row tile of the pair kernel: a tile's temporaries take a
 # few MB and stay cache-resident whatever the number of points
 PAIR_TILE = 1 << 15
+# steps of the thickness refinement before it gives up; the slowest case
+# seen, a mollified torus knot whose maximum lies on a narrow ridge, takes
+# about a thousand
+REFINE_STEPS = 2000
 
 CSV_HEADER = "kind,q,n,value,grid,curve,seed"
 
@@ -174,43 +177,39 @@ def continuous_tp_energy(curve: CurveSpec, q: float, grid: int) -> float:
     return total * h * h
 
 
-def _inverse_tp(curve: CurveSpec, L: float, s: float, t: float) -> float:
+def _inverse_tp(curve: CurveSpec, L: float, s, t) -> np.ndarray:
+    """Inverse tangent-point radius of gamma(t) seen from the tangent line
+    at gamma(s), elementwise over s and t broadcast together. The curve is
+    evaluated on s and t as given, before broadcasting."""
+    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    d = curve.position(t) - curve.position(s)
+    tangent = curve.derivative(s)
+    dist2 = np.sum(d * d, axis=-1)
+    perp = d - np.sum(d * tangent, axis=-1, keepdims=True) * tangent
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 2.0 * np.linalg.norm(perp, axis=-1) / dist2
     # the band |s-t| < 1e-3 L is excluded: there the quotient is a 0/0
     # cancellation whose supremum is the curvature, handled separately
-    if periodic_distance(s, t, L) < 1e-3 * L:
-        return 0.0
-    p = curve.position(np.array([s, t]))
-    tangent = curve.derivative(np.array([s]))[0]
-    d = p[1] - p[0]
-    dist2 = float(np.dot(d, d))
-    if dist2 < (1e-9 * L) ** 2:
-        return 0.0
-    perp = d - np.dot(d, tangent) * tangent
-    return 2.0 * float(np.linalg.norm(perp)) / dist2
+    excluded = (periodic_distance(s, t, L) < 1e-3 * L) | (dist2 < (1e-9 * L) ** 2)
+    return np.where(excluded, 0.0, inv)
 
 
-def thickness_and_ropelength(curve: CurveSpec, grid: int = 64) -> tuple[float, float]:
-    """Thickness (smallest tangent-point radius) and ropelength length/Delta.
-
-    A coarse pair grid seeds local Nelder-Mead refinements of the largest
-    inverse radii; the near-diagonal supremum equals the maximal curvature
-    and is taken into account separately.
-    """
-    if not curve.is_arclength:
-        raise ValueError("thickness expects an arclength-parametrized curve")
-    L = curve.length
-    h = L / grid
-    s = (np.arange(grid) + 0.5) * h
-    pos = curve.position(s)
-    tan = curve.derivative(s)
+def _thickness_seeds(pos: np.ndarray, tan: np.ndarray) -> np.ndarray:
+    """Grid cells (i, j), as rows of an int array, that seed the thickness
+    refinement: the eight largest inverse radii of node j seen from the
+    tangent line at node i, outside the band min(|i-j|, grid-|i-j|) <
+    1e-3 grid, none an immediate grid neighbour of a better one."""
+    grid = len(pos)
+    band = np.arange(1 - math.ceil(1e-3 * grid), math.ceil(1e-3 * grid))
     # the largest inverse radii of the grid, tile by tile: the top cells of
     # each tile include every cell of the global top that lies in it
     k = 8 * 4  # seed candidates, before the neighbour filter keeps eight
     values, cells = [], []
     with np.errstate(divide="ignore", invalid="ignore"):
         for lo, _, x in _pair_tiles(pos, tan):
-            par = periodic_distance(s[lo : lo + len(x), None], s[None, :], L)
-            inv = np.where(par >= 1e-3 * L, x, 0.0).reshape(-1)
+            rows = np.arange(len(x))[:, None]
+            x[rows, (lo + rows + band) % grid] = 0.0
+            inv = x.reshape(-1)
             top = np.argpartition(inv, -k)[-k:] if inv.size > k else np.arange(inv.size)
             # x[r, c] is the inverse radius of node lo + r seen from the
             # tangent line at node c: grid cell (c, lo + r)
@@ -228,22 +227,60 @@ def thickness_and_ropelength(curve: CurveSpec, grid: int = 64) -> tuple[float, f
             seeds.append((i, j))
         if len(seeds) == 8:
             break
-    best = 0.0
-    converged = False
-    for i, j in seeds:
-        res = minimize(
-            lambda z: -_inverse_tp(curve, L, z[0], z[1]),
-            x0=np.array([s[i], s[j]]),
-            method="Nelder-Mead",
-            options={"xatol": 1e-10 * L, "fatol": 1e-12, "maxiter": 400},
-        )
-        if res.success:
-            converged = True
-        best = max(best, -float(res.fun))
-    if not converged and seeds:
-        raise RuntimeError(
-            f"thickness refinement did not converge; best inverse radius {best!r}"
-        )
+    return np.array(seeds, dtype=int).reshape(-1, 2)
+
+
+def _refine_inverse_tp(curve: CurveSpec, L: float, s, t, step: float) -> np.ndarray:
+    """Local maxima of the inverse radius from the seeds (s, t), all at once.
+
+    Each step evaluates the 3 x 3 compass stencil around every seed and
+    around its pattern point, the seed plus twice its last move
+    (Hooke-Jeeves), so a seed can follow a narrow ridge that no stencil
+    direction lies along. The seed moves to the best point when that gains
+    more than 1e-13 relative (less is rounding noise); a seed whose centre
+    wins halves its step. Refinement ends when every step is below
+    1e-10 L. Returns the values.
+    """
+    offsets = np.array([0.0, -1.0, 1.0])  # centre first
+    z = np.column_stack([s, t]).astype(float)
+    move = np.zeros_like(z)
+    h = np.full(len(z), float(step))
+    rows = np.arange(len(z))
+    for _ in range(REFINE_STEPS):
+        # stencil axes (seed, centre, s offset, t offset): 6 + 6 curve points
+        # per seed instead of 18 pairs
+        centres = np.stack([z, z + 2.0 * move], axis=1)
+        hs = h[:, None] * offsets
+        ss = centres[:, :, 0, None, None] + hs[:, None, :, None]
+        tt = centres[:, :, 1, None, None] + hs[:, None, None, :]
+        vals = _inverse_tp(curve, L, ss, tt).reshape(len(z), 18)
+        win = np.argmax(vals, axis=1)
+        win[vals[rows, win] <= vals[:, 0] * (1.0 + 1e-13)] = 0
+        chosen = np.stack(np.broadcast_arrays(ss, tt), axis=-1).reshape(len(z), 18, 2)[rows, win]
+        move = chosen - z
+        z = chosen
+        h = np.where(win == 0, 0.5 * h, h)
+        if np.all(h < 1e-10 * L):
+            return vals[rows, win]
+    raise RuntimeError(
+        f"thickness refinement did not converge; best inverse radius {vals.max()!r}"
+    )
+
+
+def thickness_and_ropelength(curve: CurveSpec, grid: int = 64) -> tuple[float, float]:
+    """Thickness (smallest tangent-point radius) and ropelength length/Delta.
+
+    The largest inverse radii of a coarse pair grid seed one vectorized
+    compass refinement (`_refine_inverse_tp`); the near-diagonal supremum
+    equals the maximal curvature and is taken into account separately.
+    """
+    if not curve.is_arclength:
+        raise ValueError("thickness expects an arclength-parametrized curve")
+    L = curve.length
+    h = L / grid
+    s = (np.arange(grid) + 0.5) * h
+    seeds = _thickness_seeds(curve.position(s), curve.derivative(s))
+    best = float(_refine_inverse_tp(curve, L, s[seeds[:, 0]], s[seeds[:, 1]], h).max())
     curv = float(np.max(curvature_values(curve, s)))
     sup_inv = max(best, curv)
     delta = 1.0 / sup_inv

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -109,6 +113,24 @@ class TestRopelengthCommand:
         )
         assert code == 0
         assert "ignored" in err
+
+
+def test_cli_run_imports_only_numpy_and_the_standard_library():
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import biarcs.cli\n"
+        "argv = ['ropelength', '--curve', 'torus_knot', '--params', '2,3,2,0.5',"
+        " '--n-sweep', '16,32', '--grid', '64']\n"
+        "assert biarcs.cli.main(argv) == 0\n"
+        "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(new - set(sys.stdlib_module_names) - {'numpy', 'biarcs'}))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 class TestMollifyCommand:

@@ -1,8 +1,8 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.interpolate import PchipInterpolator
 
 from biarcs.curve import (
     Mollifier,
@@ -36,8 +36,8 @@ def direct_mollify(curve, eps, s, quad_points=257, samples=2048):
     """Reference for `mollify` at arclengths s, written out term by term:
     the convolution sum_k w_k gamma(x - eps xi_k) evaluated at every node,
     a per-cell Simpson length table, the rescale to the original length,
-    and the monotone cubic inverse of the table. Returns position, unit
-    tangent and second derivative."""
+    and the cubic Hermite inverse of the table with slopes 1/speed at its
+    nodes. Returns position, unit tangent and second derivative."""
     m = standard_mollifier()
     xi = np.linspace(-1.0, 1.0, quad_points)
     trap = np.full(quad_points, 2.0 / (quad_points - 1))
@@ -56,13 +56,43 @@ def direct_mollify(curve, eps, s, quad_points=257, samples=2048):
     sx, sm = (np.linalg.norm(conv(curve.derivative, w, t), axis=-1) for t in (x, mid))
     cum = np.concatenate([[0.0], np.cumsum(L / samples / 6.0 * (sx[:-1] + 4.0 * sm + sx[1:]))])
     scale = L / cum[-1]
-    u = PchipInterpolator(scale * cum, x)(np.mod(s, L))
+    cum, slope = scale * cum, 1.0 / (scale * sx)
+    k = np.clip(np.searchsorted(cum, np.mod(s, L), side="right") - 1, 0, samples - 1)
+    h = cum[k + 1] - cum[k]
+    r = (np.mod(s, L) - cum[k]) / h
+    u = (
+        (1 + 2 * r) * (1 - r) ** 2 * x[k]
+        + r * (1 - r) ** 2 * h * slope[k]
+        + r * r * (3 - 2 * r) * x[k + 1]
+        - r * r * (1 - r) * h * slope[k + 1]
+    )
     d = scale * conv(curve.derivative, w, u)
     dd = scale * conv(curve.derivative, dw, u)
     speed2 = np.sum(d * d, axis=-1, keepdims=True)
     t = d / np.sqrt(speed2)
     second = (dd - np.sum(t * dd, axis=-1, keepdims=True) * t) / speed2
     return scale * conv(curve.position, w, u), t, second
+
+
+def gauss_newton_inverse(raw, s, cells=1024, order=10):
+    """Independent arclength inverse: arclength by composite Gauss-Legendre
+    quadrature on the exact speed, then Newton on s(u) = s from a linear
+    guess."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    h = raw.period / cells
+    edges = np.arange(cells + 1) * h
+
+    def length(a, b):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        speed = np.linalg.norm(raw.derivative(mid[..., None] + half[..., None] * nodes), axis=-1)
+        return half * (speed @ weights)
+
+    cum = np.concatenate([[0.0], np.cumsum(length(edges[:-1], edges[1:]))])
+    u = np.interp(s, cum, edges)
+    for _ in range(8):
+        k = np.clip((u // h).astype(int), 0, cells - 1)
+        u = u - (cum[k] + length(edges[k], u) - s) / np.linalg.norm(raw.derivative(u), axis=-1)
+    return u
 
 
 class TestPresets:
@@ -133,6 +163,18 @@ class TestArclength:
         assert unit.length == pytest.approx(ELLIPSE_2_1_LENGTH, abs=1e-8)
         s = np.linspace(0, unit.length, 500)
         assert np.allclose(np.linalg.norm(unit.derivative(s), axis=-1), 1.0, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "name, params", [("ellipse", [2.0, 1.0]), ("torus_knot", [2, 3, 2.0, 0.5])]
+    )
+    def test_matches_independent_inverse(self, name, params):
+        raw = preset_curve(name, params)
+        seen = []  # the parameters the reparametrized curve asks the raw one for
+        spy = replace(raw, position=lambda u: seen.append(np.asarray(u)) or raw.position(u))
+        unit = arclength_reparametrize(spy)
+        s = (np.arange(1000) + 0.37) * (unit.length / 1000)
+        unit.position(s)
+        assert np.abs(seen[-1] - gauss_newton_inverse(raw, s)).max() <= 1e-10
 
     def test_vanishing_speed_rejected(self):
         def position(u):

@@ -1,6 +1,7 @@
 """The demos that use the single-pair views (`Biarc.first/second`,
-`BiarcCurve.biarcs`, `biarc_parameter`) and the mollification demo run to
-completion in-process."""
+`BiarcCurve.biarcs`, `biarc_parameter`), the energy-rate and ropelength
+demos (the latter runs the thickness refinement) and the mollification
+demo run to completion in-process."""
 
 import runpy
 from pathlib import Path
@@ -15,6 +16,8 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
     [
         ("01_biarcs.py", "--- skew ---"),
         ("02_interpolation.py", "jittered partitions"),
+        ("03_energy_rate.py", "--- ellipse(2.0, 1.0): TP_3"),
+        ("04_ropelength.py", "--- torus_knot(2, 3, 2.0, 0.5) ---"),
         ("05_mollification.py", "circle at eps=1/8"),
     ],
 )

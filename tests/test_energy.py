@@ -10,6 +10,8 @@ from biarcs.curve import (
     arclength_reparametrize,
     curvature_values,
     make_partition,
+    mollify,
+    periodic_distance,
     preset_curve,
 )
 from biarcs import energy
@@ -47,6 +49,36 @@ def random_configuration(rng, n):
     tangents = rng.normal(size=(n, 3))
     tangents /= np.linalg.norm(tangents, axis=-1, keepdims=True)
     return points, tangents, rng.uniform(0.5, 1.5, size=n)
+
+
+@pytest.fixture(scope="module")
+def knot():
+    return arclength_reparametrize(preset_curve("torus_knot", [2, 3, 2.0, 0.5]))
+
+
+def float_band_seeds(pos, tan, s, L):
+    """Reference for the thickness seed scan that masks the near-diagonal
+    band by the float periodic distance |s_i - s_j| >= 1e-3 L of the grid
+    nodes: the top 32 cells of each tile, merged largest first (ties by
+    descending cell), then the eight best that are not grid neighbours of a
+    better one."""
+    grid, k = len(s), 32
+    values, cells = [], []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo, _, x in energy._pair_tiles(pos, tan):
+            par = periodic_distance(s[lo : lo + len(x), None], s[None, :], L)
+            inv = np.where(par >= 1e-3 * L, x, 0.0).reshape(-1)
+            top = np.argpartition(inv, -k)[-k:]
+            r, c = np.divmod(top, grid)
+            values.append(inv[top])
+            cells.append(c * grid + lo + r)
+    values, cells = np.concatenate(values), np.concatenate(cells)
+    seeds = []
+    for f in cells[np.lexsort((cells, values))[::-1][:k]]:
+        i, j = divmod(int(f), grid)
+        if all(max(abs(i - a), abs(j - b)) > 1 for a, b in seeds):
+            seeds.append([i, j])
+    return seeds[:8]
 
 
 def circle_beta(n, radius=1.0):
@@ -271,6 +303,43 @@ class TestThickness:
         d128, _ = thickness_and_ropelength(knot, 128)
         assert d64 > 0
         assert abs(d64 - d128) / d128 < 5e-3
+
+    # Delta from eight Nelder-Mead runs (xatol 1e-10 L, fatol 1e-12) on
+    # the same grid seeds, the refinement used before the compass search
+    @pytest.mark.parametrize("grid, nelder_mead", [(64, 0.4999999999999998), (128, 0.49999999999999967)])
+    def test_torus_knot_matches_nelder_mead(self, knot, grid, nelder_mead):
+        delta, _ = thickness_and_ropelength(knot, grid)
+        assert abs(delta - nelder_mead) <= 1e-9
+
+    @pytest.mark.parametrize("grid", [64, 2048])
+    def test_seed_cells_match_float_band_scan(self, knot, grid):
+        L = knot.length
+        s = (np.arange(grid) + 0.5) * (L / grid)
+        pos, tan = knot.position(s), knot.derivative(s)
+        assert energy._thickness_seeds(pos, tan).tolist() == float_band_seeds(pos, tan, s, L)
+
+    @pytest.mark.parametrize("grid", [64, 128])
+    def test_refinement_never_below_seed_cell(self, knot, grid):
+        L = knot.length
+        s = (np.arange(grid) + 0.5) * (L / grid)
+        seeds = energy._thickness_seeds(knot.position(s), knot.derivative(s))
+        start = energy._inverse_tp(knot, L, s[seeds[:, 0]], s[seeds[:, 1]])
+        refined = energy._refine_inverse_tp(knot, L, s[seeds[:, 0]], s[seeds[:, 1]], L / grid)
+        assert np.all(refined >= start)
+        assert refined.max() > start.max()
+
+    # eps = 1/8 puts the largest inverse radius on a narrow ridge that no
+    # compass direction follows (Nelder-Mead: 0.49985709450785204); at
+    # eps = 1/256 every Nelder-Mead run stopped at its iteration limit
+    @pytest.mark.parametrize("eps, expected, tol", [(1 / 8, 0.49985709450785204, 1e-9), (1 / 256, 0.5, 1e-6)])
+    def test_mollified_torus_knot(self, knot, eps, expected, tol):
+        delta, _ = thickness_and_ropelength(mollify(knot, eps), 64)
+        assert abs(delta - expected) <= tol
+
+    def test_step_budget_exhausted(self, knot, monkeypatch):
+        monkeypatch.setattr(energy, "REFINE_STEPS", 3)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            thickness_and_ropelength(knot, 64)
 
 
 class TestProxy:
