@@ -15,6 +15,7 @@ from .biarc import (
     build_balanced_biarc,
     classify_pair,
     eval_biarc,
+    reflect_about,
 )
 from .curve import (
     CurveDiagnostics,
@@ -32,7 +33,6 @@ from .curve import (
     tangent_modulus,
 )
 from .energy import (
-    EnergyReport,
     HolderCheck,
     PairStats,
     continuous_tp_energy,
@@ -41,13 +41,6 @@ from .energy import (
     pair_stats,
     ropelength_proxy,
     thickness_and_ropelength,
-)
-from .geom import (
-    Line,
-    circumradius,
-    project_onto_direction,
-    reflect_about,
-    tangent_point_radius,
 )
 from .interpolate import (
     BiarcCurve,

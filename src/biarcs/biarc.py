@@ -25,8 +25,8 @@ from enum import Enum
 
 import numpy as np
 
-from .geom import as_vec3, norm, reflect_about, require_unit
-
+# Largest deviation from 1 of the norm of a unit tangent.
+UNIT_TOL = 1e-9
 # Equality tolerance for classification tests on unit vectors.
 CLASSIFY_TOL = 1e-9
 # Largest tangent mismatch, and position mismatch relative to the biarc's
@@ -52,6 +52,27 @@ class IncompatiblePairError(PairError):
     """Cocircular pair with opposing orientations: no balanced matching point."""
 
 
+def _as_vec3(v) -> np.ndarray:
+    a = np.asarray(v, dtype=float)
+    if a.shape != (3,):
+        raise ValueError(f"expected a 3-vector, got shape {a.shape}")
+    return a
+
+
+def _require_unit(v, tol: float = UNIT_TOL) -> np.ndarray:
+    a = _as_vec3(v)
+    if abs(np.linalg.norm(a) - 1.0) > tol:
+        raise ValueError(f"direction is not unit length: |v| = {np.linalg.norm(a)!r}")
+    return a
+
+
+def reflect_about(e, v) -> np.ndarray:
+    """Reflect v at the axis spanned by the unit vector e: (2 e e^T - Id) v."""
+    e = _require_unit(e)
+    v = _as_vec3(v)
+    return 2.0 * np.dot(e, v) * e - v
+
+
 class PairClass(Enum):
     GENERIC = "generic"
     COCIRCULAR_COMPATIBLE = "cocircular_compatible"
@@ -68,8 +89,8 @@ class PointTangent:
     tangent: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "point", as_vec3(self.point))
-        object.__setattr__(self, "tangent", require_unit(self.tangent))
+        object.__setattr__(self, "point", _as_vec3(self.point))
+        object.__setattr__(self, "tangent", _require_unit(self.tangent))
         if not np.all(np.isfinite(self.point)):
             raise ValueError("point has non-finite components")
 
@@ -86,11 +107,11 @@ class Arc:
     length: float
 
     def __post_init__(self):
-        object.__setattr__(self, "start", as_vec3(self.start))
-        object.__setattr__(self, "direction", require_unit(self.direction))
-        object.__setattr__(self, "curvature", as_vec3(self.curvature))
+        object.__setattr__(self, "start", _as_vec3(self.start))
+        object.__setattr__(self, "direction", _require_unit(self.direction))
+        object.__setattr__(self, "curvature", _as_vec3(self.curvature))
         if abs(float(np.dot(self.direction, self.curvature))) > 1e-9 * max(
-            1.0, norm(self.curvature)
+            1.0, np.linalg.norm(self.curvature)
         ):
             raise ValueError("curvature vector must be perpendicular to the direction")
         if not self.length > 0.0:
@@ -98,7 +119,7 @@ class Arc:
 
     def at(self, s):
         """Position and unit tangent at arclength s (scalar or array)."""
-        k = norm(self.curvature)
+        k = float(np.linalg.norm(self.curvature))
         normal = self.curvature / k if k > 0.0 else np.zeros(3)
         return _eval_arcs(self.start, self.direction, normal, k, s)
 
@@ -243,26 +264,21 @@ def classify_pair(a: PointTangent, b: PointTangent) -> PairClass:
     equal-tangent classes describe.
     """
     d = b.point - a.point
-    dist = norm(d)
+    dist = np.linalg.norm(d)
     if dist == 0.0:
         raise ValueError("point-tangent pair has coincident points")
     e = d / dist
     t0, t1 = a.tangent, b.tangent
-    if norm(t0 - t1) <= CLASSIFY_TOL:
+    if np.linalg.norm(t0 - t1) <= CLASSIFY_TOL:
         if abs(float(np.dot(t0, e))) <= CLASSIFY_TOL:
             return PairClass.EQUAL_TANGENTS_PERPENDICULAR
         return PairClass.EQUAL_TANGENTS_TRANSVERSAL
     t1s = reflect_about(e, t1)
-    if norm(t0 - t1s) <= CLASSIFY_TOL:
+    if np.linalg.norm(t0 - t1s) <= CLASSIFY_TOL:
         return PairClass.COCIRCULAR_COMPATIBLE
-    if norm(t0 + t1s) <= CLASSIFY_TOL:
+    if np.linalg.norm(t0 + t1s) <= CLASSIFY_TOL:
         return PairClass.COCIRCULAR_INCOMPATIBLE
     return PairClass.GENERIC
-
-
-def is_proper(a: PointTangent, b: PointTangent) -> bool:
-    d = b.point - a.point
-    return float(np.dot(d, a.tangent)) > 0.0 and float(np.dot(d, b.tangent)) > 0.0
 
 
 def build_balanced_biarc(a: PointTangent, b: PointTangent) -> Biarc:

@@ -25,8 +25,6 @@ from .curve import (
     preset_curve,
 )
 from .energy import (
-    CSV_HEADER,
-    EnergyReport,
     continuous_tp_energy,
     discrete_tp_energy,
     ropelength_proxy,
@@ -156,26 +154,32 @@ def resolve_settings(args: argparse.Namespace) -> dict:
             settings[key] = value
             explicit.add(key)
 
+    def convert(key, kind, default=None):
+        if key not in settings:
+            return default
+        try:
+            return kind(settings[key])
+        except ValueError as exc:
+            raise ConfigError(f"{key}: expected {kind.__name__}, got {settings[key]!r}") from exc
+
     out = {
         "curve": settings.get("curve", "circle"),
         "params": None,
-        "q": float(settings.get("q", 3.0)),
-        "n": int(settings.get("n", 16)),
+        "q": convert("q", float, 3.0),
+        "n": convert("n", int, 16),
         "n_sweep": None,
         "partition": settings.get("partition", "uniform"),
-        "seed": int(settings.get("seed", 0)),
-        "grid": int(settings["grid"]) if "grid" in settings else None,
-        "seminorm_grid": int(settings.get("seminorm_grid", 256)),
+        "seed": convert("seed", int, 0),
+        "grid": convert("grid", int),
+        "seminorm_grid": convert("seminorm_grid", int, 256),
         "out": settings.get("out", "-"),
         "format": settings.get("format", "csv"),
-        "steps": int(settings.get("steps", 20000)),
-        "cooling_rate": float(settings.get("cooling_rate", 0.995)),
-        "initial_temperature": (
-            float(settings["initial_temperature"]) if "initial_temperature" in settings else None
-        ),
-        "sigma_position": float(settings.get("sigma_position", 0.05)),
-        "sigma_tangent": float(settings.get("sigma_tangent", 0.05)),
-        "min_pair_distance": float(settings.get("min_pair_distance", 1e-3)),
+        "steps": convert("steps", int, 20000),
+        "cooling_rate": convert("cooling_rate", float, 0.995),
+        "initial_temperature": convert("initial_temperature", float),
+        "sigma_position": convert("sigma_position", float, 0.05),
+        "sigma_tangent": convert("sigma_tangent", float, 0.05),
+        "min_pair_distance": convert("min_pair_distance", float, 1e-3),
         "initial": settings.get("initial"),
         "explicit": explicit,
     }
@@ -196,8 +200,10 @@ def resolve_settings(args: argparse.Namespace) -> dict:
         g = out[key]
         if g is not None and (g < 2 or g & (g - 1)):
             raise ConfigError(f"{key} must be a power of two, got {g}")
+    if out["seminorm_grid"] < 64:
+        raise ConfigError(f"seminorm_grid must be at least 64, got {out['seminorm_grid']}")
     mode = out["partition"]
-    if mode != "uniform" and not (mode.startswith("jitter:") or mode.startswith("jitter(")):
+    if mode != "uniform" and not mode.startswith("jitter:"):
         raise ConfigError(f"unknown partition mode {mode!r}")
     return out
 
@@ -246,37 +252,22 @@ def cmd_energy(settings: dict) -> int:
     grid = settings["grid"] or GRID_DEFAULTS["energy"]
     part = _partition(curve, n, settings)
     beta = build_biarc_curve(curve, part)
-    meta = {"grid": grid, "curve": settings["curve"], "seed": settings["seed"]}
-    reports = [
-        EnergyReport(
-            "discrete",
-            settings["q"],
-            n,
-            discrete_tp_energy(beta, settings["q"], gated=True, L=curve.length),
-            meta,
-        ),
-        EnergyReport(
-            "continuous",
-            settings["q"],
-            0,
-            continuous_tp_energy(curve, settings["q"], grid),
-            meta,
-        ),
-    ]
-    columns = CSV_HEADER.split(",")
+    meta = {"q": settings["q"], "grid": grid, "curve": settings["curve"], "seed": settings["seed"]}
     rows = [
         {
-            "kind": r.kind,
-            "q": r.q,
-            "n": r.n,
-            "value": r.value,
-            "grid": r.metadata["grid"],
-            "curve": r.metadata["curve"],
-            "seed": r.metadata["seed"],
-        }
-        for r in reports
+            "kind": "discrete",
+            "n": n,
+            "value": discrete_tp_energy(beta, settings["q"], gated=True, L=curve.length),
+            **meta,
+        },
+        {
+            "kind": "continuous",
+            "n": 0,
+            "value": continuous_tp_energy(curve, settings["q"], grid),
+            **meta,
+        },
     ]
-    emit(rows, columns, settings)
+    emit(rows, ["kind", "q", "n", "value", "grid", "curve", "seed"], settings)
     return 0
 
 
@@ -387,18 +378,21 @@ def cmd_anneal(settings: dict) -> int:
         part = _partition(curve, n, settings)
         initial = build_biarc_curve(curve, part)
         L = curve.length
-    cfg = AnnealConfig(
-        q=settings["q"],
-        n=n,
-        L=L,
-        steps=settings["steps"],
-        initial_temperature=settings["initial_temperature"],
-        cooling_rate=settings["cooling_rate"],
-        sigma_position=settings["sigma_position"],
-        sigma_tangent=settings["sigma_tangent"],
-        min_pair_distance=settings["min_pair_distance"],
-        seed=settings["seed"],
-    )
+    try:
+        cfg = AnnealConfig(
+            q=settings["q"],
+            n=n,
+            L=L,
+            steps=settings["steps"],
+            initial_temperature=settings["initial_temperature"],
+            cooling_rate=settings["cooling_rate"],
+            sigma_position=settings["sigma_position"],
+            sigma_tangent=settings["sigma_tangent"],
+            min_pair_distance=settings["min_pair_distance"],
+            seed=settings["seed"],
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     best, trace = anneal_discrete(initial, cfg)
     text = trace_to_csv(trace)
     if settings["out"] == "-":

@@ -17,6 +17,9 @@ import numpy as np
 DEFAULT_GRID_1D = 2048
 # points per row block when a mollified curve is evaluated
 TRIG_BLOCK = 1024
+# point pairs per row tile of every double sum: a tile's temporaries take a
+# few MB and stay cache-resident whatever the number of points
+PAIR_TILE = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -335,8 +338,8 @@ def make_partition(L: float, n: int, mode: str = "uniform", seed: int = 0) -> Pa
         raise ValueError("partition needs n >= 4")
     if mode == "uniform":
         rho = 0.0
-    elif mode.startswith("jitter:") or mode.startswith("jitter("):
-        rho = float(mode.split(":", 1)[1] if ":" in mode else mode[7:].rstrip(")"))
+    elif mode.startswith("jitter:"):
+        rho = float(mode[len("jitter:") :])
     else:
         raise ValueError(f"unknown partition mode {mode!r}")
     if not 0.0 <= rho < 0.4:
@@ -454,6 +457,21 @@ def periodic_distance(x, y, period: float):
     return np.minimum(d, period - d)
 
 
+def _row_tiles(n: int):
+    """Row ranges (lo, hi) covering range(n), each of about PAIR_TILE pairs
+    with all n columns: the tiles that every double sum walks."""
+    rows = max(1, PAIR_TILE // n)
+    for lo in range(0, n, rows):
+        yield lo, min(lo + rows, n)
+
+
+def _separation(lo: int, hi: int, n: int) -> np.ndarray:
+    """Periodic index separation min(|i - j|, n - |i - j|) of the rows
+    i in [lo, hi) from every column j of an n-point uniform grid."""
+    sep = np.abs(np.arange(lo, hi)[:, None] - np.arange(n))
+    return np.minimum(sep, n - sep)
+
+
 def gagliardo_seminorm(
     f: Callable,
     s: float,
@@ -481,19 +499,22 @@ def gagliardo_seminorm(
         vals = vals[:, None]
     if not np.all(np.isfinite(vals)):
         raise ValueError("seminorm integrand has non-finite samples")
-    diff = np.linalg.norm(vals[:, None, :] - vals[None, :, :], axis=-1)
-    dist = periodic_distance(x[:, None], x[None, :], period)
-    idx = np.arange(grid)
-    sep = np.abs(idx[:, None] - idx[None, :])
-    sep = np.minimum(sep, grid - sep)
-    off = sep >= 2
-    integrand = np.zeros_like(diff)
-    integrand[off] = diff[off] ** rho / dist[off] ** (1.0 + s * rho)
-    main = float(integrand.sum()) * h * h
-    # local extrapolation of the excluded band |x-y| < 1.5 h, modelling the
-    # integrand as A(x) |x-y|^beta with the Lipschitz exponent
+    # |x-y|^(1+s rho) by index separation; the excluded band |x-y| < 1.5 h
+    # gets an infinite denominator, which zeroes its integrand
+    denom = (np.arange(grid // 2 + 1) * h) ** (1.0 + s * rho)
+    denom[:2] = np.inf
+    coords = np.ascontiguousarray(vals.T)
+    main = 0.0
+    for lo, hi in _row_tiles(grid):
+        diff = np.sqrt(sum((c[lo:hi, None] - c) ** 2 for c in coords))
+        main += float(np.sum(diff**rho / denom[_separation(lo, hi, grid)]))
+    main *= h * h
+    # local extrapolation of the excluded band, modelling the integrand as
+    # A(x) |x-y|^beta with the Lipschitz exponent; A comes from the nearest
+    # included band, separation 2. One side of each row suffices: the other
+    # side holds the same values two rows on, and only their sum is used
     beta = rho * (1.0 - s) - 1.0
-    band = 0.5 * (integrand[idx, (idx + 2) % grid] + integrand[idx, (idx - 2) % grid])
+    band = np.linalg.norm(vals - np.roll(vals, -2, axis=0), axis=-1) ** rho / denom[2]
     amp = band / (2.0 * h) ** beta
     width = 1.5 * h
     comp = float(amp.sum()) * h * 2.0 * width ** (beta + 1.0) / (beta + 1.0)
@@ -539,16 +560,17 @@ def curve_diagnostics(curve: CurveSpec, grid: int = 512) -> CurveDiagnostics:
         raise ValueError("diagnostics expect an arclength-parametrized curve")
     L = curve.length
     s = np.linspace(0.0, L, grid, endpoint=False)
-    pos = curve.position(s)
-    chord = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
-    par = periodic_distance(s[:, None], s[None, :], L)
-    off = ~np.eye(grid, dtype=bool)
     h = L / grid
-    collapsed = off & (par > 2.5 * h) & (chord < 1e-8 * L)
-    if np.any(collapsed):
-        raise ValueError("curve appears to self-intersect: chord collapse detected")
-    ratios = par[off] / chord[off]
-    c_gamma = float(ratios.max())
+    coords = np.ascontiguousarray(curve.position(s).T)
+    c_gamma = 0.0
+    for lo, hi in _row_tiles(grid):
+        chord = np.sqrt(sum((c[lo:hi, None] - c) ** 2 for c in coords))
+        sep = _separation(lo, hi, grid)
+        if np.any((sep > 2) & (chord < 1e-8 * L)):
+            raise ValueError("curve appears to self-intersect: chord collapse detected")
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on the diagonal
+            ratios = sep * h / chord
+        c_gamma = max(c_gamma, float(np.fmax.reduce(ratios, axis=None)))
     ks = []
     for k in range(1, 9):
         hk = L / 2.0**k

@@ -3,46 +3,32 @@
 Discrete energies live on closed biarc curves and are driven by the
 junction quotients x_ij = 2 dist(l(q_j), q_i) / |q_i - q_j|^2, the inverse
 tangent-point radius of junction i seen from the tangent line l(q_j) at
-junction j. Every double sum over point pairs - the discrete energy, the
+junction j. The double sums of this module - the discrete energy, the
 anneal guards, the continuous quadrature and the thickness seed search -
-goes through one row-blocked kernel, `_pair_tiles`: it walks tiles of
-about PAIR_TILE pairs, so memory stays O(n * block) however large n is.
-`pair_stats` reduces those tiles in a single pass to the energy (high
-powers accumulated as a streaming log-sum-exp), the largest quotient and
-the smallest junction distance.
+go through one row-blocked kernel, `_pair_tiles`. It walks the row tiles
+of `curve._row_tiles`, of about `curve.PAIR_TILE` pairs each, which the
+Gagliardo seminorm and the curve diagnostics walk too, so no double sum
+holds more than one tile however large n is. `pair_stats` reduces the
+tiles in a single pass to the energy (high powers accumulated as a
+streaming log-sum-exp), the largest quotient and the smallest junction
+distance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 
-from .curve import CurveSpec, curvature_values, periodic_distance
+from .curve import CurveSpec, _row_tiles, curvature_values, periodic_distance
 from .interpolate import BiarcCurve, check_Bn
 
 # switch the double sum to log-space accumulation beyond this power
 LOG_SPACE_POWER = 50.0
-# point pairs per row tile of the pair kernel: a tile's temporaries take a
-# few MB and stay cache-resident whatever the number of points
-PAIR_TILE = 1 << 15
 # steps of the thickness refinement before it gives up; the slowest case
 # seen, a mollified torus knot whose maximum lies on a narrow ridge, takes
 # about a thousand
 REFINE_STEPS = 2000
-
-CSV_HEADER = "kind,q,n,value,grid,curve,seed"
-
-
-@dataclass(frozen=True)
-class EnergyReport:
-    """A named energy value with its discretization metadata."""
-
-    kind: str
-    q: float
-    n: int
-    value: float
-    metadata: dict = field(default_factory=dict)
 
 
 def _pair_tiles(points: np.ndarray, tangents: np.ndarray):
@@ -57,11 +43,9 @@ def _pair_tiles(points: np.ndarray, tangents: np.ndarray):
     the loop under np.errstate: coincident points give NaN quotients.
     """
     n = len(points)
-    rows = max(1, PAIR_TILE // n)
     px, py, pz = np.ascontiguousarray(np.asarray(points, dtype=float).T)
     tx, ty, tz = np.ascontiguousarray(np.asarray(tangents, dtype=float).T)
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
+    for lo, hi in _row_tiles(n):
         # p_i - p_j, one (rows, n) array per coordinate
         dx, dy, dz = px[lo:hi, None] - px, py[lo:hi, None] - py, pz[lo:hi, None] - pz
         dist2 = dx * dx + dy * dy + dz * dz

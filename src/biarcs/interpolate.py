@@ -9,9 +9,8 @@ from typing import Optional
 
 import numpy as np
 
-from .biarc import PairError, PointTangent, _balanced_arcs, _biarc_view, _eval_arcs
+from .biarc import UNIT_TOL, PairError, PointTangent, _balanced_arcs, _biarc_view, _eval_arcs
 from .curve import CurveSpec, Partition, tangent_modulus
-from .geom import UNIT_TOL
 
 
 class BiarcCurveBuildError(ValueError):

@@ -36,6 +36,8 @@ class AnnealConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.steps < 0:
+            raise ValueError("steps must be >= 0")
         if not 0.0 < self.cooling_rate < 1.0:
             raise ValueError("cooling rate must lie in (0, 1)")
         if self.sigma_position <= 0 or self.sigma_tangent <= 0:

@@ -1,6 +1,6 @@
 import numpy as np
 
-from biarcs.biarc import IncompatiblePairError, PointTangent, is_proper
+from biarcs.biarc import IncompatiblePairError, PointTangent
 
 
 def unit(v):
@@ -12,6 +12,12 @@ def random_rotation(rng):
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return q
+
+
+def is_proper(a, b):
+    """Both tangents make a positive inner product with the chord."""
+    d = b.point - a.point
+    return float(np.dot(d, a.tangent)) > 0.0 and float(np.dot(d, b.tangent)) > 0.0
 
 
 def random_proper_pair(rng, scale=1.0, spread=0.6):

@@ -18,10 +18,87 @@ from biarcs.biarc import (
     build_balanced_biarc,
     classify_pair,
     eval_biarc,
+    reflect_about,
 )
-from biarcs.geom import tangent_point_radius
 
 S2 = math.sqrt(2.0) / 2.0
+
+
+def tangent_point_radius(p, t, q) -> float:
+    """Reference: radius of the circle through p and q that is tangent to
+    the unit vector t at p; inf when q lies on the tangent line through p."""
+    d = np.asarray(q, dtype=float) - np.asarray(p, dtype=float)
+    t = np.asarray(t, dtype=float)
+    dist2 = float(np.dot(d, d))
+    if dist2 == 0.0:
+        raise ValueError("tangent-point radius needs two distinct points")
+    h = float(np.linalg.norm(d - np.dot(d, t) * t))
+    if h == 0.0:
+        return math.inf
+    return dist2 / (2.0 * h)
+
+
+def random_unit(rng):
+    v = rng.normal(size=3)
+    return v / np.linalg.norm(v)
+
+
+class TestReflect:
+    def test_flips_orthogonal_part(self):
+        assert np.allclose(reflect_about([1, 0, 0], [0, 1, 0]), [0, -1, 0])
+
+    def test_axis_is_fixed(self):
+        assert np.allclose(reflect_about([1, 0, 0], [1, 0, 0]), [1, 0, 0])
+
+    def test_direct_evaluation(self):
+        # 2<e,v>e - v with e = e_z, v = (1/sqrt2, 0, 1/sqrt2)
+        got = reflect_about([0, 0, 1], [S2, 0, S2])
+        assert np.allclose(got, [-S2, 0, S2], atol=1e-15)
+
+    def test_involution_and_isometry(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            e = random_unit(rng)
+            v = rng.normal(scale=3.0, size=3)
+            w = reflect_about(e, v)
+            assert np.linalg.norm(reflect_about(e, w) - v) < 1e-10
+            assert abs(np.linalg.norm(w) - np.linalg.norm(v)) < 1e-10
+
+    def test_non_unit_axis_rejected(self):
+        with pytest.raises(ValueError):
+            reflect_about([1, 1, 0], [1, 0, 0])
+
+
+class TestTangentPointRadius:
+    def test_circle_point_pair(self):
+        # both points on the unit circle, tangent taken at the first
+        theta = math.pi / 3
+        r = tangent_point_radius([1, 0, 0], [0, 1, 0], [math.cos(theta), math.sin(theta), 0])
+        assert r == pytest.approx(1.0)
+
+    def test_direct_evaluation(self):
+        # |p-q|^2 = 2, distance from q to the tangent line is 1
+        assert tangent_point_radius([0, 0, 0], [1, 0, 0], [1, 1, 0]) == pytest.approx(1.0)
+
+    def test_point_on_tangent_line(self):
+        assert tangent_point_radius([0, 0, 0], [1, 0, 0], [2, 0, 0]) == math.inf
+
+    def test_recovers_circle_radius(self):
+        # random pairs of points on a circle of radius R: result is R
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            rad = rng.uniform(0.1, 10.0)
+            a, b = rng.uniform(0.0, 2 * math.pi, size=2)
+            if abs(math.sin((a - b) / 2)) < 1e-6:
+                continue
+            p = rad * np.array([math.cos(a), math.sin(a), 0.0])
+            q = rad * np.array([math.cos(b), math.sin(b), 0.0])
+            t = np.array([-math.sin(a), math.cos(a), 0.0])
+            assert tangent_point_radius(p, t, q) == pytest.approx(rad, rel=1e-9)
+
+    def test_coincident_points_rejected(self):
+        with pytest.raises(ValueError):
+            tangent_point_radius([1, 2, 3], [1, 0, 0], [1, 2, 3])
 
 
 def straight_pair():
@@ -105,8 +182,6 @@ class TestMatchingPoint:
     def test_matching_point_on_locus_circle(self):
         # m lies on the circle through both points tangent to t0 + t1* at q0
         rng = np.random.default_rng(17)
-        from biarcs.geom import reflect_about
-
         for _ in range(200):
             a, b = random_proper_pair(rng)
             d = b.point - a.point

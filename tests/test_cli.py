@@ -55,10 +55,28 @@ class TestConfigErrors:
             (["energy", "--curve", "circle", "--partition", "jitter:0.5"], "jitter amplitude"),
             (["converge", "--curve", "circle", "--n-sweep", "3,8"], "n >= 4"),
             (["mollify", "--curve", "circle", "--n-sweep", "0,4"], "positive"),
+            (["anneal", "--curve", "circle", "--steps", "-5"], "steps must be >= 0"),
+            (["energy", "--curve", "circle", "--partition", "jitter(0.1)"], "partition mode"),
         ],
     )
     def test_bad_sizes_exit_2(self, capsys, argv, message):
         code, _, err = run(capsys, argv)
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize(
+        "command, line, message",
+        [
+            ("energy", "q = abc", "q: expected float, got 'abc'"),
+            ("energy", "n = 3.5", "n: expected int, got '3.5'"),
+            ("anneal", "cooling_rate = 2", "cooling rate"),
+            ("mollify", "seminorm_grid = 32", "seminorm_grid must be at least 64"),
+        ],
+    )
+    def test_bad_config_values_exit_2(self, tmp_path, capsys, command, line, message):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(line + "\n")
+        code, _, err = run(capsys, [command, "--config", str(cfg), "--n-sweep", "8,16"])
         assert code == 2
         assert err.startswith("error: ") and message in err
 

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from biarcs import curve as curve_module
 from biarcs.curve import (
     Mollifier,
     analytic_curve,
@@ -22,6 +24,45 @@ TWO_PI = 2 * math.pi
 ELLIPSE_2_1_LENGTH = 9.688448220547677
 # 2 pi * quad of 4 sin^2(u/2)/u^2 over (-pi, pi)
 CIRCLE_TANGENT_SEMINORM = 30.544254699350837
+
+
+def dense_seminorm(f, s, rho, grid, period):
+    """Reference for `gagliardo_seminorm`: the whole (grid, grid) integrand
+    at once, parameter distances as float periodic distances, and the band
+    correction read off the matrix."""
+    h = period / grid
+    x = (np.arange(grid) + 0.5) * h
+    vals = np.asarray(f(x), dtype=float)
+    if vals.ndim == 1:
+        vals = vals[:, None]
+    diff = np.linalg.norm(vals[:, None, :] - vals[None, :, :], axis=-1)
+    dist = np.abs(x[:, None] - x[None, :]) % period
+    dist = np.minimum(dist, period - dist)
+    idx = np.arange(grid)
+    sep = np.abs(idx[:, None] - idx[None, :])
+    off = np.minimum(sep, grid - sep) >= 2
+    integrand = np.zeros_like(diff)
+    integrand[off] = diff[off] ** rho / dist[off] ** (1.0 + s * rho)
+    main = float(integrand.sum()) * h * h
+    beta = rho * (1.0 - s) - 1.0
+    band = 0.5 * (integrand[idx, (idx + 2) % grid] + integrand[idx, (idx - 2) % grid])
+    amp = band / (2.0 * h) ** beta
+    width = 1.5 * h
+    return main + float(amp.sum()) * h * 2.0 * width ** (beta + 1.0) / (beta + 1.0)
+
+
+def dense_bilipschitz(curve, grid):
+    """Reference for `curve_diagnostics(...).bilipschitz_constant`: the
+    largest ratio of float periodic parameter distance to chord over the
+    whole (grid, grid) matrix."""
+    L = curve.length
+    s = np.linspace(0.0, L, grid, endpoint=False)
+    pos = curve.position(s)
+    chord = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
+    par = np.abs(s[:, None] - s[None, :]) % L
+    par = np.minimum(par, L - par)
+    off = ~np.eye(grid, dtype=bool)
+    return float((par[off] / chord[off]).max())
 
 
 def base_curves():
@@ -328,3 +369,52 @@ class TestDiagnostics:
         eight = arclength_reparametrize(analytic_curve(position, derivative))
         with pytest.raises(ValueError):
             curve_diagnostics(eight, grid=512)
+
+
+@pytest.fixture(scope="module")
+def smoothed_knot():
+    knot = arclength_reparametrize(preset_curve("torus_knot", [2, 3, 2.0, 0.5]))
+    return knot, mollify(knot, 1.0 / 8.0)
+
+
+class TestTiledGridSums:
+    """The seminorm and the diagnostics walk row tiles of the grid; they
+    match the dense quadrature and stay small in memory."""
+
+    @pytest.mark.parametrize("integrand", ["tangent_difference", "scalar"])
+    def test_seminorm_matches_dense(self, smoothed_knot, monkeypatch, integrand):
+        knot, smooth = smoothed_knot
+        if integrand == "scalar":
+            f = lambda x: np.cos(3.0 * x) + 0.1 * np.sin(7.0 * x)
+        else:
+            f = lambda x: smooth.derivative(x) - knot.derivative(x)
+        expected = dense_seminorm(f, 2.0 / 3.0, 3.0, 256, knot.length)
+        # three rows per tile, and a last tile of one row
+        monkeypatch.setattr(curve_module, "PAIR_TILE", 3 * 256 + 1)
+        assert len(list(curve_module._row_tiles(256))) == 86
+        got = gagliardo_seminorm(f, 2.0 / 3.0, 3.0, 256, knot.length)
+        assert got == pytest.approx(expected, rel=1e-13)
+
+    def test_bilipschitz_matches_dense(self, smoothed_knot, monkeypatch):
+        _, smooth = smoothed_knot
+        expected = dense_bilipschitz(smooth, 256)
+        monkeypatch.setattr(curve_module, "PAIR_TILE", 3 * 256 + 1)
+        got = curve_diagnostics(smooth, grid=256).bilipschitz_constant
+        assert got == pytest.approx(expected, rel=1e-13)
+
+    def test_memory_bounded_at_grid_2048(self, smoothed_knot):
+        # the dense (grid, grid, 3) temporaries need ~270 MB here
+        knot, smooth = smoothed_knot
+        for run in (
+            lambda: gagliardo_seminorm(
+                lambda x: smooth.derivative(x) - knot.derivative(x), 2.0 / 3.0, 3.0, 2048, knot.length
+            ),
+            lambda: curve_diagnostics(smooth, grid=2048),
+        ):
+            tracemalloc.start()
+            try:
+                run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 32 * 2**20

@@ -1,9 +1,12 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import jittered_circle_config
+from conftest import jittered_circle_config, random_rotation
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biarcs.curve import (
     CurveSpec,
@@ -14,7 +17,7 @@ from biarcs.curve import (
     periodic_distance,
     preset_curve,
 )
-from biarcs import energy
+from biarcs import curve, energy
 from biarcs.energy import (
     continuous_tp_energy,
     discrete_tp_energy,
@@ -141,8 +144,8 @@ class TestPairKernel:
     )
     def test_matches_dense_reference(self, n, tile, monkeypatch):
         if tile is not None:
-            monkeypatch.setattr(energy, "PAIR_TILE", tile)
-        rows = energy.PAIR_TILE // n
+            monkeypatch.setattr(curve, "PAIR_TILE", tile)
+        rows = curve.PAIR_TILE // n
         if n == 64:
             assert rows >= n
         elif n > 3:
@@ -194,10 +197,47 @@ class TestPairKernel:
     def test_tiling_leaves_grid_results_unchanged(self, monkeypatch):
         knot = arclength_reparametrize(preset_curve("torus_knot", [2, 3, 2.0, 0.5]))
         one_tile = (continuous_tp_energy(knot, 3.0, 64), thickness_and_ropelength(knot, 64))
-        monkeypatch.setattr(energy, "PAIR_TILE", 100)  # one grid row per tile
+        monkeypatch.setattr(curve, "PAIR_TILE", 100)  # one grid row per tile
         e, (delta, rope) = continuous_tp_energy(knot, 3.0, 64), thickness_and_ropelength(knot, 64)
         assert e == pytest.approx(one_tile[0], rel=1e-13)
         assert (delta, rope) == one_tile[1]
+
+
+class TestPairInvariance:
+    """pair_stats sums over the set of junction pairs: rigid motion, cyclic
+    relabelling and reversal (reversed order, negated tangents) leave its
+    results unchanged. A few rows per tile make the configuration span
+    several tiles, the last one often partial."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(5, 40),
+        rows=st.integers(1, 4),
+        shift=st.integers(1, 39),
+        q=st.sampled_from([3.0, 80.0]),
+    )
+    def test_invariances(self, seed, n, rows, shift, q):
+        rng = np.random.default_rng(seed)
+        points, tangents, lam = random_configuration(rng, n)
+        rot = random_rotation(rng)
+        moved = (points @ rot.T + rng.normal(scale=10.0, size=3), tangents @ rot.T, lam)
+        rolled = tuple(np.roll(a, shift, axis=0) for a in (points, tangents, lam))
+        flipped = (points[::-1], -tangents[::-1], lam[::-1])
+        with mock.patch.object(curve, "PAIR_TILE", rows * n):
+            base = pair_stats(points, tangents, lam, q)
+            for config in (moved, rolled, flipped):
+                got = pair_stats(*config, q)
+                assert got.log_energy == pytest.approx(base.log_energy, rel=1e-12, abs=1e-12)
+                assert got.energy == pytest.approx(base.energy, rel=1e-12)
+                assert got.max_quotient == pytest.approx(base.max_quotient, rel=1e-12)
+                assert got.min_distance == pytest.approx(base.min_distance, rel=1e-12)
+            # relabelling computes every quotient from the same operands:
+            # only the order of the sum changes
+            for config in (rolled, flipped):
+                got = pair_stats(*config, q)
+                assert got.max_quotient == base.max_quotient
+                assert got.min_distance == base.min_distance
 
 
 class TestContinuous:
