@@ -169,7 +169,10 @@ def _dot(a, b):
 
 def _interleave(a, b):
     """Rows a_0, b_0, a_1, b_1, ... of two arrays of one shape."""
-    return np.stack([a, b], axis=1).reshape((-1,) + a.shape[1:])
+    out = np.empty((2 * len(a),) + a.shape[1:], dtype=np.result_type(a, b))
+    out[0::2] = a
+    out[1::2] = b
+    return out
 
 
 def _arcs_to(starts, dirs, ends):

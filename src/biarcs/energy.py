@@ -3,9 +3,10 @@
 Discrete energies live on closed biarc curves and are driven by the
 junction quotients x_ij = 2 dist(l(q_j), q_i) / |q_i - q_j|^2, the inverse
 tangent-point radius of junction i seen from the tangent line l(q_j) at
-junction j. The double sums of this module - the discrete energy, the
-anneal guards, the continuous quadrature and the thickness seed search -
-go through one row-blocked kernel, `_pair_tiles`. It walks the row tiles
+junction j, all computed by one formula, `_quotients`. The double sums of
+this module - the discrete energy, the continuous quadrature and the
+thickness seed search - and the anneal's pair table go through one
+row-blocked kernel, `_pair_tiles`. It walks the row tiles
 of `curve._row_tiles`, of about `curve.PAIR_TILE` pairs each, which the
 Gagliardo seminorm and the curve diagnostics walk too, so no double sum
 holds more than one tile however large n is. `pair_stats` reduces the
@@ -31,32 +32,54 @@ LOG_SPACE_POWER = 50.0
 REFINE_STEPS = 2000
 
 
+def _quotients(rows, cols, tangents):
+    """Squared distances and pair quotients of row points against column
+    points with their unit tangents, each given as a coordinate triple
+    (x, y, z) of arrays that broadcast to the shape of the result:
+
+        dist2 = |p_row - p_col|^2,
+        x = 2 |(p_row - p_col) - ((p_row - p_col) . t_col) t_col| / dist2,
+
+    the inverse tangent-point radius of the row point seen from the tangent
+    line at the column point. Coincident points give NaN quotients, so the
+    caller runs it under np.errstate. Every pair quotient of the package,
+    whole tiles or one row and one column, comes from this formula.
+    """
+    (rx, ry, rz), (px, py, pz), (tx, ty, tz) = rows, cols, tangents
+    dx, dy, dz = rx - px, ry - py, rz - pz
+    # the sums below, evaluated left to right into two work arrays: a tile
+    # is large, and fresh temporaries for every product cost page faults
+    dist2, tmp = dx * dx, dy * dy
+    dist2 += tmp
+    dist2 += np.multiply(dz, dz, out=tmp)
+    along = dx * tx
+    along += np.multiply(dy, ty, out=tmp)
+    along += np.multiply(dz, tz, out=tmp)
+    dx -= np.multiply(along, tx, out=tmp)
+    dy -= np.multiply(along, ty, out=tmp)
+    dz -= np.multiply(along, tz, out=tmp)
+    h = np.multiply(dx, dx, out=along)
+    h += np.multiply(dy, dy, out=tmp)
+    h += np.multiply(dz, dz, out=tmp)
+    x = np.sqrt(h, out=h)
+    x *= 2.0
+    x /= dist2
+    return dist2, x
+
+
 def _pair_tiles(points: np.ndarray, tangents: np.ndarray):
     """Row tiles of the pair quotient. Yields (lo, dist2, x) where, for
-    i = lo + r and every j,
-
-        dist2[r, j] = |p_i - p_j|^2,
-        x[r, j] = 2 |(p_i - p_j) - ((p_i - p_j) . t_j) t_j| / dist2[r, j],
-
-    the inverse tangent-point radius of p_i seen from the tangent line at
-    p_j. On the diagonal i = j, dist2 is NaN and x is 0. The caller runs
-    the loop under np.errstate: coincident points give NaN quotients.
+    i = lo + r and every j, dist2[r, j] and x[r, j] are the `_quotients`
+    of p_i against p_j with tangent t_j. On the diagonal i = j, dist2 is
+    NaN and x is 0. The caller runs the loop under np.errstate.
     """
     n = len(points)
-    px, py, pz = np.ascontiguousarray(np.asarray(points, dtype=float).T)
-    tx, ty, tz = np.ascontiguousarray(np.asarray(tangents, dtype=float).T)
+    p = np.ascontiguousarray(np.asarray(points, dtype=float).T)
+    t = np.ascontiguousarray(np.asarray(tangents, dtype=float).T)
     for lo, hi in _row_tiles(n):
-        # p_i - p_j, one (rows, n) array per coordinate
-        dx, dy, dz = px[lo:hi, None] - px, py[lo:hi, None] - py, pz[lo:hi, None] - pz
-        dist2 = dx * dx + dy * dy + dz * dz
-        along = dx * tx + dy * ty + dz * tz
-        dx -= along * tx
-        dy -= along * ty
-        dz -= along * tz
-        h = np.sqrt(dx * dx + dy * dy + dz * dz)
+        dist2, x = _quotients(p[:, lo:hi, None], p, t)
         # flat index of (r, lo + r) is lo + r (n + 1)
         dist2.reshape(-1)[lo :: n + 1] = np.nan
-        x = 2.0 * h / dist2
         x.reshape(-1)[lo :: n + 1] = 0.0
         yield lo, dist2, x
 

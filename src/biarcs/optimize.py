@@ -6,19 +6,25 @@ biarcs; a move is rejected outright when a rebuilt pair is not
 constructible, the length gate fails, junctions get too close, or the
 configuration's polygonal thickness proxy drops below half its initial
 value (a crude guard against leaving the knot class).
+
+The run keeps every pair term x_ij^q in an (n, n) table, 8 n^2 bytes,
+filled once by the pair kernel. A move rewrites one row and one column of
+it, so a step costs O(n) plus a matrix-vector product for the energy
+instead of a full pair-kernel pass; at n <= 181 the energies are the ones
+`pair_stats` gives, bit for bit.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .biarc import PairError, _balanced_arcs
-from .energy import pair_stats
+from .energy import _pair_tiles, _quotients, pair_stats
 from .interpolate import BiarcCurve, from_junctions
 
 
@@ -38,6 +44,9 @@ class AnnealConfig:
     def __post_init__(self):
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
+        t0 = self.initial_temperature
+        if t0 is not None and not (math.isfinite(t0) and t0 > 0.0):
+            raise ValueError("initial temperature must be finite and positive")
         if not 0.0 < self.cooling_rate < 1.0:
             raise ValueError("cooling rate must lie in (0, 1)")
         if self.sigma_position <= 0 or self.sigma_tangent <= 0:
@@ -48,46 +57,124 @@ class AnnealConfig:
             raise ValueError("energy power q must be >= 2")
 
 
+# why a move is rejected, in the order the guards run
+REJECTION_REASONS = ("not_constructible", "gate", "min_distance", "thickness_floor", "metropolis")
+
+
 @dataclass
 class AnnealTrace:
     """Per-step records (step, energy, temperature, accepted) where energy
     is the chain energy after the accept/reject decision, plus the best
-    configuration seen."""
+    configuration seen. ``rejections`` counts the rejected moves by the
+    first guard they failed, keyed by REJECTION_REASONS; with the accepted
+    moves they add up to the step count."""
 
     records: np.ndarray
     best_energy: float
     best_points: np.ndarray
     best_tangents: np.ndarray
+    rejections: dict = field(default_factory=lambda: dict.fromkeys(REJECTION_REASONS, 0))
 
     @property
     def accepted(self) -> np.ndarray:
         return self.records[self.records[:, 3] > 0.5]
 
 
-def _candidate_energy(points, tangents, lam, cfg: AnnealConfig, quotient_ceiling: float):
-    """Energy of a candidate configuration from one pair-kernel pass, or
-    None when the move is rejected: junctions closer than
-    ``cfg.min_pair_distance`` (coincident ones included) or a thickness
-    proxy below half its initial value, i.e. a largest junction quotient
-    above ``quotient_ceiling``."""
-    try:
-        stats = pair_stats(points, tangents, lam, cfg.q)
-    except ValueError:  # coincident junction points
-        return None
-    if stats.min_distance < cfg.min_pair_distance or stats.max_quotient > quotient_ceiling:
-        return None
-    return stats.energy
+class _PairTable:
+    """The state of one anneal run: junction points and tangents, biarc
+    lengths lam, and the table Y[i, k] = x_ik^q of every pair quotient,
+    filled once by the pair kernel.
 
+    A move of junction j changes only row j and column j of Y and lam[j - 1]
+    and lam[j]. `propose` checks the move's guards on those new entries
+    alone - every other pair already passed them - and writes it into Y and
+    lam; the energy is then lam @ (Y @ lam), the expression `pair_stats`
+    reduces, so with a single row tile (n <= 181) both agree bit for bit.
+    `commit` keeps a proposed move, `undo` restores the saved row, column
+    and lengths. A step costs O(n) plus one (n, n) matrix-vector product,
+    and Y holds 8 n^2 bytes.
+    """
 
-def _rebuild_segments(points, tangents, j, n):
-    """Lengths of the two biarcs adjacent to junction j, or None when a
-    pair is not constructible."""
-    starts = [(j - 1) % n, j]
-    ends = [j, (j + 1) % n]
-    try:
-        return _balanced_arcs(points[starts], tangents[starts], points[ends], tangents[ends])[-1]
-    except PairError:
+    def __init__(self, initial: BiarcCurve, cfg: AnnealConfig):
+        n = initial.n_segments
+        self.q = cfg.q
+        self.min_distance = cfg.min_pair_distance
+        self.lo, self.hi = cfg.L / (2 * n), 2 * cfg.L / n
+        self.lam = initial.segment_lengths.copy()
+        if self.lam.min() < self.lo or self.lam.max() > self.hi:
+            raise ValueError("initial configuration fails the length gate")
+        self.points = initial.junction_points.copy()
+        self.tangents = initial.junction_tangents.copy()
+        stats = pair_stats(self.points, self.tangents, self.lam, cfg.q)
+        if stats.min_distance < cfg.min_pair_distance:
+            raise ValueError("initial junctions are closer than min_pair_distance")
+        # the thickness proxy is the inverse of the largest junction quotient
+        self.ceiling = 2.0 * stats.max_quotient
+        # coordinate rows of the quotient operands of a move at j: the moved
+        # point against every junction (row j of Y), then every junction
+        # against the moved point and tangent (column j); the halves that
+        # hold the moved junction are written by each `propose`
+        p, t = self.points.T, self.tangents.T
+        self._rows = np.concatenate([p, p], axis=1)
+        self._cols = np.concatenate([p, p], axis=1)
+        self._tans = np.concatenate([t, t], axis=1)
+        self.Y = np.empty((n, n))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for lo, _, x in _pair_tiles(self.points, self.tangents):
+                self.Y[lo : lo + len(x)] = x**self.q
+        self.energy = self.candidate = float(self.lam @ (self.Y @ self.lam))
+        self._move = None
+
+    def propose(self, j: int, point: np.ndarray, tangent: np.ndarray) -> Optional[str]:
+        """Try moving junction j to (point, tangent). Returns the reason the
+        move is rejected, leaving the table as it was, or None after writing
+        the move into Y and lam and its energy into ``candidate``."""
+        n = len(self.lam)
+        jm, jp = (j - 1) % n, (j + 1) % n
+        pts, tans = self.points[[jm, j, jp]], self.tangents[[jm, j, jp]]
+        pts[1], tans[1] = point, tangent
+        try:
+            lengths = _balanced_arcs(pts[:2], tans[:2], pts[1:], tans[1:])[-1]
+        except PairError:
+            return "not_constructible"
+        if lengths.min() < self.lo or lengths.max() > self.hi:
+            return "gate"
+        self._rows[:, :n] = point[:, None]
+        self._cols[:, n:] = point[:, None]
+        self._tans[:, n:] = tangent[:, None]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            dist2, x = _quotients(self._rows, self._cols, self._tans)
+            # entries j and n + j pair the moved junction with itself
+            dist2[j] = dist2[n + j] = math.inf
+            if math.sqrt(dist2.min()) < self.min_distance:
+                return "min_distance"
+            x[j] = x[n + j] = 0.0
+            if x.max() > self.ceiling:
+                return "thickness_floor"
+            y = x**self.q
+        self._move = (j, point, tangent, self.Y[j].copy(), self.Y[:, j].copy(), *self.lam[[jm, j]])
+        self.Y[j] = y[:n]
+        self.Y[:, j] = y[n:]
+        self.lam[jm], self.lam[j] = lengths
+        self.candidate = float(self.lam @ (self.Y @ self.lam))
         return None
+
+    def commit(self) -> None:
+        """Keep the proposed move."""
+        j, point, tangent = self._move[:3]
+        n = len(self.lam)
+        self.points[j] = self._rows[:, n + j] = self._cols[:, j] = point
+        self.tangents[j] = self._tans[:, j] = tangent
+        self.energy = self.candidate
+        self._move = None
+
+    def undo(self) -> None:
+        """Drop the proposed move: restore row and column j and the lengths."""
+        j, _, _, row, col, lam_prev, lam_j = self._move
+        self.Y[j] = row
+        self.Y[:, j] = col
+        self.lam[j - 1], self.lam[j] = lam_prev, lam_j
+        self._move = None
 
 
 def anneal_discrete(initial: BiarcCurve, cfg: AnnealConfig) -> tuple[BiarcCurve, AnnealTrace]:
@@ -100,61 +187,47 @@ def anneal_discrete(initial: BiarcCurve, cfg: AnnealConfig) -> tuple[BiarcCurve,
     n = initial.n_segments
     if cfg.n != n:
         raise ValueError(f"config expects n={cfg.n} but the curve has {n} segments")
-    lam = initial.segment_lengths.copy()
-    lo, hi = cfg.L / (2 * n), 2 * cfg.L / n
-    if lam.min() < lo or lam.max() > hi:
-        raise ValueError("initial configuration fails the length gate")
-    points = initial.junction_points.copy()
-    tangents = initial.junction_tangents.copy()
-    stats = pair_stats(points, tangents, lam, cfg.q)
-    if stats.min_distance < cfg.min_pair_distance:
-        raise ValueError("initial junctions are closer than min_pair_distance")
+    table = _PairTable(initial, cfg)
 
     rng = np.random.default_rng(cfg.seed)
-    energy = stats.energy
     temperature = (
-        cfg.initial_temperature if cfg.initial_temperature is not None else 0.1 * energy
+        cfg.initial_temperature if cfg.initial_temperature is not None else 0.1 * table.energy
     )
-    # the thickness proxy is the inverse of the largest junction quotient
-    quotient_ceiling = 2.0 * stats.max_quotient
     sigma_q = cfg.sigma_position * cfg.L / n
 
-    best_energy = energy
-    best_points = points.copy()
-    best_tangents = tangents.copy()
+    best_energy = table.energy
+    best_points = table.points.copy()
+    best_tangents = table.tangents.copy()
     records = np.empty((cfg.steps, 4))
+    rejections = dict.fromkeys(REJECTION_REASONS, 0)
 
     for step in range(cfg.steps):
         j = int(rng.integers(n))
-        cand_points = points.copy()
-        cand_tangents = tangents.copy()
-        cand_points[j] = points[j] + rng.normal(scale=sigma_q, size=3)
-        t = tangents[j]
+        point = table.points[j] + rng.normal(scale=sigma_q, size=3)
+        t = table.tangents[j]
         kick = rng.normal(scale=cfg.sigma_tangent, size=3)
         kick -= np.dot(kick, t) * t
-        cand_tangents[j] = (t + kick) / np.linalg.norm(t + kick)
+        tangent = (t + kick) / np.linalg.norm(t + kick)
 
-        accepted = False
-        rebuilt = _rebuild_segments(cand_points, cand_tangents, j, n)
-        if rebuilt is not None:
-            cand_lam = lam.copy()
-            cand_lam[(j - 1) % n], cand_lam[j] = rebuilt
-            cand_energy = None
-            if cand_lam.min() >= lo and cand_lam.max() <= hi:
-                cand_energy = _candidate_energy(
-                    cand_points, cand_tangents, cand_lam, cfg, quotient_ceiling
-                )
-            if cand_energy is not None:
-                delta = cand_energy - energy
-                if delta <= 0.0 or rng.random() < math.exp(-delta / temperature):
-                    points, tangents, lam = cand_points, cand_tangents, cand_lam
-                    energy = cand_energy
-                    accepted = True
-                    if energy < best_energy:
-                        best_energy = energy
-                        best_points = points.copy()
-                        best_tangents = tangents.copy()
-        records[step] = (step, energy, temperature, float(accepted))
+        rejected = table.propose(j, point, tangent)
+        if rejected is None:
+            delta = table.candidate - table.energy
+            # at temperature 0 (geometric cooling underflows) only downhill
+            # moves pass
+            if delta <= 0.0 or (
+                temperature > 0.0 and rng.random() < math.exp(-delta / temperature)
+            ):
+                table.commit()
+                if table.energy < best_energy:
+                    best_energy = table.energy
+                    best_points = table.points.copy()
+                    best_tangents = table.tangents.copy()
+            else:
+                table.undo()
+                rejected = "metropolis"
+        if rejected is not None:
+            rejections[rejected] += 1
+        records[step] = (step, table.energy, temperature, float(rejected is None))
         temperature *= cfg.cooling_rate
 
     best = from_junctions(best_points, best_tangents)
@@ -163,6 +236,7 @@ def anneal_discrete(initial: BiarcCurve, cfg: AnnealConfig) -> tuple[BiarcCurve,
         best_energy=best_energy,
         best_points=best_points,
         best_tangents=best_tangents,
+        rejections=rejections,
     )
     return best, trace
 

@@ -70,6 +70,8 @@ class TestConfigErrors:
             ("energy", "q = abc", "q: expected float, got 'abc'"),
             ("energy", "n = 3.5", "n: expected int, got '3.5'"),
             ("anneal", "cooling_rate = 2", "cooling rate"),
+            ("anneal", "initial_temperature = 0", "initial temperature"),
+            ("anneal", "initial_temperature = -1", "initial temperature"),
             ("mollify", "seminorm_grid = 32", "seminorm_grid must be at least 64"),
         ],
     )

@@ -2,14 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from conftest import unit
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biarcs.curve import make_partition, preset_curve
-from biarcs.energy import discrete_tp_energy
-from biarcs.interpolate import build_biarc_curve, check_Bn, from_junctions
+from biarcs.energy import _pair_tiles, discrete_tp_energy, pair_stats
+from biarcs.interpolate import (
+    BiarcCurveBuildError,
+    build_biarc_curve,
+    check_Bn,
+    from_junctions,
+)
 from biarcs.optimize import (
+    REJECTION_REASONS,
     AnnealConfig,
     AnnealTrace,
-    _candidate_energy,
+    _PairTable,
     anneal_discrete,
     trace_to_csv,
 )
@@ -20,6 +29,29 @@ TWO_PI = 2 * math.pi
 def circle_config(n=16):
     circle = preset_curve("circle", [1.0])
     return build_biarc_curve(circle, make_partition(circle.length, n))
+
+
+def stadium(n, jitter, rng):
+    """Junctions and length L of a stadium: two straight strands of length
+    2, L / n apart, joined by semicircles. Junction i sits at arclength
+    (i + jitter u_i) L / n with u_i uniform in [-1, 1]. A junction moved
+    onto one across the gap keeps its biarcs in the length gate."""
+    r = 2.0 / (n - math.pi)  # 2 r = L / n with L = 4 + 2 pi r
+    L = 4.0 + 2.0 * math.pi * r
+    # arclength from the lower end of the right cap
+    cells = np.arange(n) + (jitter * rng.uniform(-1.0, 1.0, n) if jitter else 0.0)
+    u = np.mod(cells * L / n + math.pi * r / 2, L)
+    top, left, bottom = math.pi * r, math.pi * r + 2.0, 2.0 * math.pi * r + 2.0
+    cap = (u < top) | ((u >= left) & (u < bottom))
+    theta = np.where(u < top, u / r - math.pi / 2, (u - left) / r + math.pi / 2)
+    centre = np.where(u < top, 1.0, -1.0)
+    straight_x = np.where(u < left, 1.0 - (u - top), u - bottom - 1.0)
+    x = np.where(cap, centre + r * np.cos(theta), straight_x)
+    y = np.where(cap, r * np.sin(theta), np.where(u < left, r, -r))
+    tx = np.where(cap, -np.sin(theta), np.where(u < left, -1.0, 1.0))
+    ty = np.where(cap, np.cos(theta), 0.0)
+    zeros = np.zeros(n)
+    return np.stack([x, y, zeros], axis=-1), np.stack([tx, ty, zeros], axis=-1), L
 
 
 def perturbed_circle(n, noise, seed):
@@ -76,6 +108,27 @@ class TestAnneal:
         _, t3 = anneal_discrete(init, cfg_other)
         assert not np.array_equal(t1.records, t3.records)
 
+    def test_rejections_add_up(self):
+        init = perturbed_circle(12, 0.04, seed=9)
+        cfg = AnnealConfig(q=3.0, n=12, L=TWO_PI, steps=1500, sigma_position=0.5, seed=42)
+        _, trace = anneal_discrete(init, cfg)
+        assert tuple(trace.rejections) == REJECTION_REASONS
+        assert len(trace.accepted) + sum(trace.rejections.values()) == cfg.steps
+        assert trace.rejections["metropolis"] > 0 and trace.rejections["gate"] > 0
+
+    def test_temperature_underflow_accepts_only_downhill(self):
+        # geometric cooling at rate 1/2 reaches exactly 0 after ~1080 steps;
+        # there the Metropolis test must not divide by the temperature
+        init = perturbed_circle(12, 0.04, seed=9)
+        cfg = AnnealConfig(q=4.0, n=12, L=TWO_PI, steps=1500, cooling_rate=0.5, seed=4)
+        _, trace = anneal_discrete(init, cfg)
+        cold = trace.records[trace.records[:, 2] == 0.0]
+        assert len(cold) > 300
+        # at temperature 0 the energy never rises, so no uphill move passed
+        energies = np.concatenate([trace.records[trace.records[:, 2] > 0.0][-1:, 1], cold[:, 1]])
+        assert np.all(np.diff(energies) <= 0.0)
+        assert trace.rejections["metropolis"] > 0
+
 
 class TestGuards:
     def test_min_distance_precondition(self):
@@ -98,17 +151,22 @@ class TestGuards:
             anneal_discrete(small, cfg)
 
     def test_close_junctions_reject_the_move(self):
-        beta = circle_config(16)
-        cfg = AnnealConfig(q=4.0, n=16, L=TWO_PI, min_pair_distance=1e-3)
-        rest = (beta.junction_tangents, beta.segment_lengths, cfg, math.inf)
-        e = _candidate_energy(beta.junction_points, *rest)
-        assert e == pytest.approx(discrete_tp_energy(beta, 4.0, gated=False, L=TWO_PI))
+        # junction 3 on the upper strand faces junction 9 on the lower one,
+        # and a move of 3 onto 9 keeps both rebuilt biarcs constructible
+        points, tangents, L = stadium(12, 0.0, None)
+        beta = from_junctions(points, tangents)
+        cfg = AnnealConfig(q=4.0, n=12, L=L, min_pair_distance=1e-3)
+        table = _PairTable(beta, cfg)
+        assert table.energy == discrete_tp_energy(beta, 4.0, gated=False, L=L)
+        before = (table.Y.copy(), table.lam.copy(), table.energy)
         # closer than min_pair_distance, and coincident (where the pair
-        # kernel itself raises): rejected, not raised
-        for gap in (1e-6, 0.0):
-            points = beta.junction_points.copy()
-            points[5] = points[2] + gap
-            assert _candidate_energy(points, *rest) is None
+        # kernel itself raises): rejected, not raised, and nothing written
+        cases = ((1e-6, "min_distance"), (0.0, "min_distance"), (1e-2, "thickness_floor"))
+        for gap, reason in cases:
+            point = beta.junction_points[9] + np.array([0.0, gap, 0.0])
+            assert table.propose(3, point, beta.junction_tangents[3]) == reason
+            assert np.array_equal(table.Y, before[0]) and np.all(np.isfinite(table.Y))
+            assert np.array_equal(table.lam, before[1]) and table.energy == before[2]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -117,6 +175,123 @@ class TestGuards:
             AnnealConfig(q=4.0, n=8, L=TWO_PI, sigma_position=-1.0)
         with pytest.raises(ValueError):
             AnnealConfig(q=1.0, n=8, L=TWO_PI)
+
+    @pytest.mark.parametrize("t0", [0.0, -1.0, math.nan, math.inf])
+    def test_initial_temperature_must_be_finite_and_positive(self, t0):
+        with pytest.raises(ValueError, match="initial temperature"):
+            AnnealConfig(q=4.0, n=8, L=TWO_PI, initial_temperature=t0)
+
+
+class TestPairTable:
+    """The cached pair table against a fresh pair-kernel pass."""
+
+    @staticmethod
+    def fresh(points, tangents, cfg, ceiling):
+        """The guard that rejects a configuration, or None, and its energy,
+        from a full chain rebuild and one `pair_stats` pass."""
+        try:
+            lam = from_junctions(points, tangents).segment_lengths
+        except BiarcCurveBuildError:
+            return "not_constructible", None
+        n = len(points)
+        if lam.min() < cfg.L / (2 * n) or lam.max() > 2 * cfg.L / n:
+            return "gate", None
+        try:
+            stats = pair_stats(points, tangents, lam, cfg.q)
+        except ValueError:  # coincident junctions
+            return "min_distance", None
+        if stats.min_distance < cfg.min_pair_distance:
+            return "min_distance", None
+        if stats.max_quotient > ceiling:
+            return "thickness_floor", None
+        return None, stats.energy
+
+    def test_thickness_floor_from_the_column(self):
+        # pushing a circle junction outward moves its tangent line away from
+        # the neighbours: column j grows past the ceiling while row j shrinks
+        beta = circle_config(16)
+        cfg = AnnealConfig(q=4.0, n=16, L=TWO_PI)
+        table = _PairTable(beta, cfg)
+        ceiling = 2.0 * pair_stats(
+            beta.junction_points, beta.junction_tangents, beta.segment_lengths, 4.0
+        ).max_quotient
+        reasons = set()
+        for push in np.linspace(1.05, 1.15, 201):
+            points = beta.junction_points.copy()
+            points[3] *= push
+            reason, expected = self.fresh(points, beta.junction_tangents, cfg, ceiling)
+            assert table.propose(3, points[3], beta.junction_tangents[3]) == reason
+            if reason is None:
+                assert table.candidate == expected
+                table.undo()
+            reasons.add(reason)
+        assert reasons == {None, "thickness_floor"}
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(8, 128),
+        q=st.sampled_from([3.0, 4.0, 64.0]),
+        seed=st.integers(0, 2**32 - 1),
+        moves=st.lists(
+            st.tuples(
+                st.integers(0, 2**16),
+                # a kick of this many L / n, or a gap to the closest junction
+                # that is not a neighbour
+                st.sampled_from(
+                    [("kick", 1e-4), ("kick", 0.05), ("kick", 0.5)]
+                    + [("gap", g) for g in (0.0, 1e-9, 1e-6, 1e-3, 0.05)]
+                ),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_moves_match_a_fresh_pass(self, n, q, seed, moves):
+        rng = np.random.default_rng(seed)
+        points, tangents, L = stadium(n, 0.1, rng)
+        beta = from_junctions(points, tangents)
+        cfg = AnnealConfig(q=q, n=n, L=L, min_pair_distance=1e-3)
+        table = _PairTable(beta, cfg)
+        ceiling = 2.0 * pair_stats(points, tangents, beta.segment_lengths, q).max_quotient
+
+        def agrees(cached, fresh):
+            if q <= 50.0:  # one row tile sums in the table's order
+                return cached == fresh
+            return cached == pytest.approx(fresh, rel=1e-12)
+
+        assert agrees(table.energy, self.fresh(table.points, table.tangents, cfg, ceiling)[1])
+        for pick, (kind, size), keep in moves:
+            j = pick % n
+            tangent = unit(table.tangents[j] + rng.normal(scale=0.05, size=3))
+            if kind == "kick":
+                point = table.points[j] + rng.normal(scale=size * L / n, size=3)
+            else:
+                others = [k for k in range(n) if min(abs(k - j), n - abs(k - j)) > 1]
+                k = min(others, key=lambda k: np.linalg.norm(table.points[k] - table.points[j]))
+                point = table.points[k] + size * unit(rng.normal(size=3))
+            points, tangents = table.points.copy(), table.tangents.copy()
+            points[j], tangents[j] = point, tangent
+            energy = table.energy
+            reason, expected = self.fresh(points, tangents, cfg, ceiling)
+            assert table.propose(j, point, tangent) == reason
+            assert np.all(np.isfinite(table.Y))
+            if reason is None:
+                assert agrees(table.candidate, expected)
+                if keep:
+                    table.commit()
+                else:
+                    table.undo()
+            assert table.energy == (table.candidate if reason is None and keep else energy)
+        # after any sequence of moves the table is the one a fresh fill gives
+        with np.errstate(divide="ignore", invalid="ignore"):
+            Y = np.concatenate([x**q for _, _, x in _pair_tiles(table.points, table.tangents)])
+        assert np.array_equal(table.Y, Y)
+        lam = from_junctions(table.points, table.tangents).segment_lengths
+        assert np.array_equal(table.lam, lam)
+        assert np.array_equal(table._rows[:, n:], table.points.T)
+        assert np.array_equal(table._cols[:, :n], table.points.T)
+        assert np.array_equal(table._tans[:, :n], table.tangents.T)
 
 
 class TestTraceCsv:
