@@ -20,7 +20,6 @@ from .biarc import (
 from .curve import (
     CurveDiagnostics,
     CurveSpec,
-    Mollifier,
     Partition,
     analytic_curve,
     arclength_reparametrize,
@@ -29,7 +28,6 @@ from .curve import (
     make_partition,
     mollify,
     preset_curve,
-    standard_mollifier,
     tangent_modulus,
 )
 from .energy import (

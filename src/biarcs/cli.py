@@ -64,7 +64,16 @@ KNOWN_KEYS = {
     "initial",
 }
 
-GRID_DEFAULTS = {"energy": 512, "converge": 1024, "ropelength": 64, "mollify": 512, "anneal": 64}
+GRID_DEFAULTS = {"energy": 512, "converge": 1024, "ropelength": 64, "mollify": 512}
+# annealing settings whose defaults are those of AnnealConfig
+ANNEAL_KEYS = (
+    "steps",
+    "initial_temperature",
+    "cooling_rate",
+    "sigma_position",
+    "sigma_tangent",
+    "min_pair_distance",
+)
 
 
 def fmt(value) -> str:
@@ -132,12 +141,13 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--n-sweep", dest="n_sweep", help="comma-separated sweep values")
         cmd.add_argument("--partition", help="uniform or jitter:RHO")
         cmd.add_argument("--seed", type=int, help="random seed")
-        cmd.add_argument("--grid", type=int, help="quadrature / search grid")
         cmd.add_argument("--out", help="output path ('-' for stdout)")
-        cmd.add_argument("--format", choices=["csv", "json"], help="output format")
         if name == "anneal":
             cmd.add_argument("--steps", type=int, help="annealing steps")
             cmd.add_argument("--initial", help="junction text file to start from")
+        else:
+            cmd.add_argument("--grid", type=int, help="quadrature / search grid")
+            cmd.add_argument("--format", choices=["csv", "json"], help="output format")
     return parser
 
 
@@ -174,12 +184,12 @@ def resolve_settings(args: argparse.Namespace) -> dict:
         "seminorm_grid": convert("seminorm_grid", int, 256),
         "out": settings.get("out", "-"),
         "format": settings.get("format", "csv"),
-        "steps": convert("steps", int, 20000),
-        "cooling_rate": convert("cooling_rate", float, 0.995),
+        "steps": convert("steps", int),
+        "cooling_rate": convert("cooling_rate", float),
         "initial_temperature": convert("initial_temperature", float),
-        "sigma_position": convert("sigma_position", float, 0.05),
-        "sigma_tangent": convert("sigma_tangent", float, 0.05),
-        "min_pair_distance": convert("min_pair_distance", float, 1e-3),
+        "sigma_position": convert("sigma_position", float),
+        "sigma_tangent": convert("sigma_tangent", float),
+        "min_pair_distance": convert("min_pair_distance", float),
         "initial": settings.get("initial"),
         "explicit": explicit,
     }
@@ -371,26 +381,21 @@ def cmd_anneal(settings: dict) -> int:
     curve = resolved_curve(settings)
     n = settings["n"]
     if settings["initial"]:
-        initial = junctions_from_text(Path(settings["initial"]).read_text())
+        try:
+            initial = junctions_from_text(Path(settings["initial"]).read_text())
+        except BiarcCurveBuildError:
+            raise
+        except ValueError as exc:  # a malformed file, not a failed chain build
+            raise ConfigError(f"{settings['initial']}: {exc}") from exc
         n = initial.n_segments
         L = initial.total_length
     else:
         part = _partition(curve, n, settings)
         initial = build_biarc_curve(curve, part)
         L = curve.length
+    tuning = {key: settings[key] for key in ANNEAL_KEYS if settings[key] is not None}
     try:
-        cfg = AnnealConfig(
-            q=settings["q"],
-            n=n,
-            L=L,
-            steps=settings["steps"],
-            initial_temperature=settings["initial_temperature"],
-            cooling_rate=settings["cooling_rate"],
-            sigma_position=settings["sigma_position"],
-            sigma_tangent=settings["sigma_tangent"],
-            min_pair_distance=settings["min_pair_distance"],
-            seed=settings["seed"],
-        )
+        cfg = AnnealConfig(q=settings["q"], n=n, L=L, seed=settings["seed"], **tuning)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     best, trace = anneal_discrete(initial, cfg)
@@ -421,10 +426,11 @@ def main(argv=None) -> int:
     try:
         settings = resolve_settings(args)
         return COMMANDS[args.command](settings)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
+        # every OSError comes from a file named in the settings
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -17,6 +17,11 @@ import numpy as np
 DEFAULT_GRID_1D = 2048
 # points per row block when a mollified curve is evaluated
 TRIG_BLOCK = 1024
+# trapezoid nodes of the mollifier's convolution on [-1, 1]
+MOLLIFY_NODES = 257
+# mass of the bump exp(-1/(1-x^2)) on (-1, 1) as composite Simpson on 65536
+# cells gives it, one unit in the last place above the exact value
+BUMP_MASS = 0.4439938161680795
 # point pairs per row tile of every double sum: a tile's temporaries take a
 # few MB and stay cache-resident whatever the number of points
 PAIR_TILE = 1 << 15
@@ -78,72 +83,6 @@ class Partition:
     @property
     def min_gap(self) -> float:
         return float(self.gaps.min())
-
-
-@dataclass(frozen=True)
-class Mollifier:
-    """Non-negative averaging profile on [-1, 1] with unit integral.
-
-    ``dprofile`` is the profile's derivative; when provided, mollified
-    curves expose a second derivative.
-    """
-
-    profile: Callable
-    dprofile: Optional[Callable] = None
-
-    def __post_init__(self):
-        x = np.linspace(-1.0, 1.0, 4097)
-        vals = np.asarray(self.profile(x), dtype=float)
-        if np.any(vals < -1e-14):
-            raise ValueError("mollifier profile must be non-negative")
-        mass = _simpson(vals, x[1] - x[0])
-        if abs(mass - 1.0) > 1e-10:
-            raise ValueError(f"mollifier profile must integrate to 1, got {mass!r}")
-
-
-_BUMP_NORM = None
-
-
-def _bump_normalization() -> float:
-    global _BUMP_NORM
-    if _BUMP_NORM is None:
-        x = np.linspace(-1.0, 1.0, 65537)
-        _BUMP_NORM = _simpson(_raw_bump(x), x[1] - x[0])
-    return _BUMP_NORM
-
-
-def _raw_bump(x):
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    inside = np.abs(x) < 1.0
-    xi = x[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - xi * xi))
-    return out
-
-
-def standard_mollifier() -> Mollifier:
-    """The usual smooth bump exp(-1/(1-x^2)), normalized to unit mass."""
-    z = _bump_normalization()
-
-    def profile(x):
-        return _raw_bump(x) / z
-
-    def dprofile(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        inside = np.abs(x) < 1.0
-        xi = x[inside]
-        om = 1.0 - xi * xi
-        out[inside] = np.exp(-1.0 / om) * (-2.0 * xi / (om * om)) / z
-        return out
-
-    return Mollifier(profile=profile, dprofile=dprofile)
-
-
-def _simpson(vals: np.ndarray, h: float) -> float:
-    if vals.size % 2 == 0:
-        raise ValueError("simpson needs an odd number of samples")
-    return float(h / 3.0 * (vals[0] + vals[-1] + 4 * vals[1:-1:2].sum() + 2 * vals[2:-1:2].sum()))
 
 
 def _cumulative_speed(speed_x: np.ndarray, speed_m: np.ndarray, period: float) -> np.ndarray:
@@ -305,8 +244,8 @@ def preset_curve(name: str, params) -> CurveSpec:
     raise ValueError(f"unknown curve preset {name!r}")
 
 
-def _with_length_table(spec: CurveSpec, samples: int = DEFAULT_GRID_1D) -> CurveSpec:
-    x = np.linspace(0.0, spec.period, samples + 1)
+def _with_length_table(spec: CurveSpec) -> CurveSpec:
+    x = np.linspace(0.0, spec.period, DEFAULT_GRID_1D + 1)
     mid = 0.5 * (x[:-1] + x[1:])
     speed_x, speed_m = (np.linalg.norm(spec.derivative(t), axis=-1) for t in (x, mid))
     table = np.column_stack([x, _cumulative_speed(speed_x, speed_m, spec.period)])
@@ -319,12 +258,11 @@ def analytic_curve(
     second_derivative: Optional[Callable] = None,
     period: float = 2 * math.pi,
     name: str = "custom",
-    samples: int = DEFAULT_GRID_1D,
 ) -> CurveSpec:
     """Wrap analytic position/derivative callables into a CurveSpec with a
     computed arclength table."""
     spec = CurveSpec(period, position, derivative, second_derivative, None, False, name)
-    return _with_length_table(spec, samples)
+    return _with_length_table(spec)
 
 
 def make_partition(L: float, n: int, mode: str = "uniform", seed: int = 0) -> Partition:
@@ -390,48 +328,46 @@ def _trig_polynomial(coeffs: np.ndarray, period: float) -> Callable:
     return evaluate
 
 
-def mollify(
-    curve: CurveSpec,
-    eps: float,
-    mollifier: Optional[Mollifier] = None,
-    quad_points: int = 257,
-    samples: int = DEFAULT_GRID_1D,
-) -> CurveSpec:
-    """Smooth the curve by periodic convolution, rescale to the original
-    length, and reparametrize by arclength.
+def mollify(curve: CurveSpec, eps: float) -> CurveSpec:
+    """Smooth the curve by periodic convolution with the bump
+    exp(-1/(1-x^2)) scaled to [-eps, eps], rescale to the original length,
+    and reparametrize by arclength.
 
-    The convolution (trapezoid rule on ``quad_points`` kernel nodes) is
+    The convolution (trapezoid rule on MOLLIFY_NODES kernel nodes) is
     applied in frequency space: curve and tangent are sampled once on the
-    2 * ``samples`` nodes and cell midpoints of the length table, and their
-    spectra are multiplied by the quadrature's transfer function. One
+    2 * DEFAULT_GRID_1D nodes and cell midpoints of the length table, and
+    their spectra are multiplied by the quadrature's transfer function. One
     inverse FFT gives the table; the smoothed curve is the trigonometric
-    polynomial of all modes, and the reparametrization inverts its table.
+    polynomial of all modes, with the second derivative from the bump's
+    derivative, and the reparametrization inverts its table.
     """
     if not curve.is_arclength:
         raise ValueError("mollify expects an arclength-parametrized curve")
     L = curve.length
     if not 0.0 < eps < L / 4.0:
         raise ValueError(f"mollification scale must lie in (0, L/4), got {eps!r}")
-    if mollifier is None:
-        mollifier = standard_mollifier()
-    xi = np.linspace(-1.0, 1.0, quad_points)
-    trap = np.full(quad_points, 2.0 / (quad_points - 1))
+    xi = np.linspace(-1.0, 1.0, MOLLIFY_NODES)
+    trap = np.full(MOLLIFY_NODES, 2.0 / (MOLLIFY_NODES - 1))
     trap[[0, -1]] *= 0.5
-    weights = trap * np.asarray(mollifier.profile(xi), dtype=float)
+    # the bump and its derivative, unit mass; both vanish at the end nodes
+    inner = xi[1:-1]
+    om = 1.0 - inner * inner
+    bump, dbump = np.zeros((2, MOLLIFY_NODES))
+    bump[1:-1] = np.exp(-1.0 / om) / BUMP_MASS
+    dbump[1:-1] = np.exp(-1.0 / om) * (-2.0 * inner / (om * om)) / BUMP_MASS
+    weights = trap * bump
+    dweights = trap * dbump / eps
     # discrete partition of unity: the convolution then fixes constants exactly
-    kernels = [weights / weights.sum()]
-    if mollifier.dprofile is not None:
-        dweights = trap * np.asarray(mollifier.dprofile(xi), dtype=float) / eps
-        kernels.append(dweights - dweights.mean())
+    kernels = np.column_stack([weights / weights.sum(), dweights - dweights.mean()])
 
+    samples = DEFAULT_GRID_1D
     grid = np.arange(2 * samples) * (L / (2 * samples))
     pos_hat = np.fft.rfft(curve.position(grid), axis=0)
     tan_hat = np.fft.rfft(curve.derivative(grid), axis=0)
     # transfer function of sum_k w_k f(x - eps xi_k) at each mode, per kernel
     modes = pos_hat.shape[0]
     high, low = _mode_factors(-2.0 * math.pi / L * eps * xi, modes)
-    transfer = np.einsum("ka,kb,kj->abj", high, low, np.column_stack(kernels))
-    transfer = transfer.reshape(-1, len(kernels))[:modes]
+    transfer = np.einsum("ka,kb,kj->abj", high, low, kernels).reshape(-1, 2)[:modes]
     tan_smooth = tan_hat * transfer[:, :1]
 
     speed = np.linalg.norm(np.fft.irfft(tan_smooth, n=2 * samples, axis=0), axis=-1)
@@ -444,7 +380,7 @@ def mollify(
         L,
         _trig_polynomial(norm * pos_hat * transfer[:, :1], L),
         _trig_polynomial(norm * tan_smooth, L),
-        _trig_polynomial(norm * tan_hat * transfer[:, 1:], L) if len(kernels) == 2 else None,
+        _trig_polynomial(norm * tan_hat * transfer[:, 1:], L),
         np.column_stack([np.linspace(0.0, L, samples + 1), scale * cum]),
         False,
         curve.name,

@@ -3,7 +3,8 @@
 Discrete energies live on closed biarc curves and are driven by the
 junction quotients x_ij = 2 dist(l(q_j), q_i) / |q_i - q_j|^2, the inverse
 tangent-point radius of junction i seen from the tangent line l(q_j) at
-junction j, all computed by one formula, `_quotients`. The double sums of
+junction j, all computed by one formula, `_quotients`, which also gives
+the inverse radii of the thickness refinement. The double sums of
 this module - the discrete energy, the continuous quadrature and the
 thickness seed search - and the anneal's pair table go through one
 row-blocked kernel, `_pair_tiles`. It walks the row tiles
@@ -43,7 +44,8 @@ def _quotients(rows, cols, tangents):
     the inverse tangent-point radius of the row point seen from the tangent
     line at the column point. Coincident points give NaN quotients, so the
     caller runs it under np.errstate. Every pair quotient of the package,
-    whole tiles or one row and one column, comes from this formula.
+    whole tiles, one row and one column, or the thickness refinement's
+    stencils, comes from this formula.
     """
     (rx, ry, rz), (px, py, pz), (tx, ty, tz) = rows, cols, tangents
     dx, dy, dz = rx - px, ry - py, rz - pz
@@ -123,7 +125,8 @@ def pair_stats(points, tangents, lam, q: float) -> PairStats:
                 if shift > -math.inf:
                     total += float(np.exp(terms - shift).sum())
             else:
-                total += float(lam_rows @ (x**q @ lam))
+                x **= q
+                total += float(lam_rows @ (x @ lam))
         if min_d2 <= (1e-12 * math.sqrt(max_d2)) ** 2:
             raise ValueError("coincident junction points")
         if log_space:
@@ -180,7 +183,8 @@ def continuous_tp_energy(curve: CurveSpec, q: float, grid: int) -> float:
             sep = np.abs(i + lo - j)
             if np.any(np.minimum(sep, grid - sep) > 2):
                 raise ValueError("curve is not embedded: distinct parameters collide")
-            total += float(np.sum(x**q))
+            x **= q
+            total += float(np.sum(x))
     return total * h * h
 
 
@@ -189,12 +193,10 @@ def _inverse_tp(curve: CurveSpec, L: float, s, t) -> np.ndarray:
     at gamma(s), elementwise over s and t broadcast together. The curve is
     evaluated on s and t as given, before broadcasting."""
     s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
-    d = curve.position(t) - curve.position(s)
-    tangent = curve.derivative(s)
-    dist2 = np.sum(d * d, axis=-1)
-    perp = d - np.sum(d * tangent, axis=-1, keepdims=True) * tangent
+    # gamma(t) is the row point, gamma(s) with its tangent the column point
+    operands = (curve.position(t), curve.position(s), curve.derivative(s))
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 2.0 * np.linalg.norm(perp, axis=-1) / dist2
+        dist2, inv = _quotients(*(np.moveaxis(a, -1, 0) for a in operands))
     # the band |s-t| < 1e-3 L is excluded: there the quotient is a 0/0
     # cancellation whose supremum is the curvature, handled separately
     excluded = (periodic_distance(s, t, L) < 1e-3 * L) | (dist2 < (1e-9 * L) ** 2)

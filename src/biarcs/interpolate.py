@@ -4,13 +4,14 @@ length-gate membership, and C^1 distance to the interpolated curve."""
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .biarc import UNIT_TOL, PairError, PointTangent, _balanced_arcs, _biarc_view, _eval_arcs
-from .curve import CurveSpec, Partition, tangent_modulus
+from .curve import CurveSpec, Partition
 
 
 class BiarcCurveBuildError(ValueError):
@@ -109,19 +110,12 @@ def from_junctions(points, tangents) -> BiarcCurve:
     )
 
 
-def build_biarc_curve(
-    curve: CurveSpec,
-    partition: Partition,
-    modulus_bound: Optional[float] = None,
-) -> BiarcCurve:
+def build_biarc_curve(curve: CurveSpec, partition: Partition) -> BiarcCurve:
     """Interpolate an arclength-parametrized closed curve by balanced
     biarcs over the partition.
 
     The chain exists whenever every point-tangent pair is proper and not
-    incompatibly cocircular, which is checked segment by segment. Passing
-    ``modulus_bound`` additionally enforces the sampled tangent modulus of
-    continuity at the largest gap to stay below the bound (1/2 is the
-    regime in which the construction is guaranteed a priori).
+    incompatibly cocircular, which is checked segment by segment.
     """
     if not curve.is_arclength:
         raise BiarcCurveBuildError("source curve must be arclength-parametrized")
@@ -132,13 +126,6 @@ def build_biarc_curve(
         )
     if partition.max_gap > L / 2 + 1e-12:
         raise BiarcCurveBuildError("partition gap exceeds half the curve length")
-    if modulus_bound is not None:
-        omega = tangent_modulus(curve, partition.max_gap)
-        if omega >= modulus_bound:
-            raise BiarcCurveBuildError(
-                f"tangent modulus {omega:.4f} at gap {partition.max_gap:.4g} "
-                f"exceeds the bound {modulus_bound}"
-            )
     s = partition.samples[:-1]
     points = curve.position(s)
     tangents = curve.derivative(s)
@@ -216,6 +203,8 @@ def junctions_from_text(text: str) -> BiarcCurve:
 
     Tangents are renormalized (the format rounds to nine decimals); the
     stored segment lengths are informational and recomputed by the rebuild.
+    A malformed line raises ValueError, a chain that cannot be built
+    BiarcCurveBuildError.
     """
     points, tangents = [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -226,6 +215,11 @@ def junctions_from_text(text: str) -> BiarcCurve:
         if len(parts) != 7:
             raise ValueError(f"junction line {lineno}: expected 7 fields, got {len(parts)}")
         vals = [float(p) for p in parts]
+        norm = np.linalg.norm(vals[3:6])
+        if not 0.0 < norm < math.inf:
+            raise ValueError(f"junction line {lineno}: tangent must be nonzero and finite")
         points.append(vals[0:3])
-        tangents.append(np.asarray(vals[3:6]) / np.linalg.norm(vals[3:6]))
+        tangents.append(np.asarray(vals[3:6]) / norm)
+    if len(points) < 3:
+        raise ValueError(f"expected at least three junction lines, got {len(points)}")
     return from_junctions(np.array(points), np.array(tangents))

@@ -121,7 +121,8 @@ class _PairTable:
         self.Y = np.empty((n, n))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for lo, _, x in _pair_tiles(self.points, self.tangents):
-                self.Y[lo : lo + len(x)] = x**self.q
+                x **= self.q
+                self.Y[lo : lo + len(x)] = x
         self.energy = self.candidate = float(self.lam @ (self.Y @ self.lam))
         self._move = None
 

@@ -82,6 +82,31 @@ class TestConfigErrors:
         assert code == 2
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize(
+        "argv, initial, message",
+        [
+            (["energy", "--config", "{dir}/none.cfg"], None, "No such file"),
+            (["anneal", "--initial", "{dir}/none.txt"], None, "No such file"),
+            (["anneal", "--initial", "{dir}/start.txt"], "1 0 0 0 1\n", "expected 7 fields, got 5"),
+            (["anneal", "--initial", "{dir}/start.txt"], "1 0 0 0 0 0 1\n", "tangent must be nonzero"),
+            (["anneal", "--initial", "{dir}/start.txt"], "# no junctions\n", "three junction lines"),
+            (["energy", "--out", "{dir}/none/e.csv"], None, "No such file"),
+        ],
+    )
+    def test_bad_files_exit_2(self, tmp_path, capsys, argv, initial, message):
+        if initial is not None:
+            (tmp_path / "start.txt").write_text(initial)
+        code, _, err = run(capsys, [arg.format(dir=tmp_path) for arg in argv])
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("flag", [["--format", "json"], ["--grid", "64"]])
+    def test_anneal_rejects_flags_it_does_not_read(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["anneal", "--curve", "circle", "--n", "8", "--steps", "10", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestConvergeCommand:
     def test_circle_slope(self, capsys):

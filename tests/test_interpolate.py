@@ -66,14 +66,16 @@ def assert_c1_joins(beta, tol=1e-9):
 
 class TestBuild:
     def test_circle_uniform(self):
-        _, _, beta = circle_interpolant(8)
-        assert beta.n_segments == 8
-        assert beta.total_length == pytest.approx(TWO_PI, abs=1e-9)
-        s = np.linspace(0, beta.total_length, 200)
-        pos, _ = eval_biarc_curve(beta, s)
-        assert np.abs(np.linalg.norm(pos, axis=-1) - 1.0).max() < 1e-9
-        for b in beta.biarcs:
-            assert classify_pair(*b.pair) is PairClass.COCIRCULAR_COMPATIBLE
+        # n = 4: quarter-circle pairs build too
+        for n in (4, 8):
+            _, _, beta = circle_interpolant(n)
+            assert beta.n_segments == n
+            assert beta.total_length == pytest.approx(TWO_PI, abs=1e-9)
+            s = np.linspace(0, beta.total_length, 200)
+            pos, _ = eval_biarc_curve(beta, s)
+            assert np.abs(np.linalg.norm(pos, axis=-1) - 1.0).max() < 1e-9
+            for b in beta.biarcs:
+                assert classify_pair(*b.pair) is PairClass.COCIRCULAR_COMPATIBLE
 
     def test_junction_interpolation(self):
         curve, part, beta = ellipse_interpolant(32)
@@ -118,15 +120,6 @@ class TestBuild:
             d = np.roll(q, -1, axis=0) - q
             assert np.all(np.einsum("ij,ij->i", d, t) > 0)
             assert np.all(np.einsum("ij,ij->i", d, np.roll(t, -1, axis=0)) > 0)
-
-    def test_modulus_bound_enforced(self):
-        circle = preset_curve("circle", [1.0])
-        part = make_partition(circle.length, 4)
-        with pytest.raises(BiarcCurveBuildError, match="modulus"):
-            build_biarc_curve(circle, part, modulus_bound=0.5)
-        # without the optional bound the quarter-circle pairs build fine
-        beta = build_biarc_curve(circle, part)
-        assert beta.n_segments == 4
 
     def test_wide_gap_rejected(self):
         circle = preset_curve("circle", [1.0])
