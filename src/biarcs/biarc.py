@@ -13,13 +13,18 @@ to p1. It lies on the bisector of the chord at the sagitta of that subarc,
 a closed form without branches; 1 + u.e > 1 for every proper pair.
 
 `_balanced_arcs` builds the biarcs of n pairs in one batched pass over
-(n, 3) arrays into flat arc arrays, and `_eval_arcs` is the one evaluator
-of arcs. `PointTangent`, `Arc` and `Biarc` are single-pair views of those
-arrays.
+(n, 3) arrays into flat arc arrays; every chain and every single biarc is
+built by it, and `_eval_arcs` evaluates their arcs. `PointTangent`, `Arc`
+and `Biarc` are single-pair views of those arrays. The one other builder is
+`_move_lengths`, the annealer's rebuild of the two biarcs next to a moved
+junction: the same operations on Python floats, giving the same lengths
+bit for bit and failing on the same pairs, because at two pairs numpy's
+per-call cost outweighs the arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -164,6 +169,11 @@ def _eval_arcs(starts, dirs, normals, k, local):
 
 
 def _dot(a, b):
+    # On 3-vector rows this sums as (a0 b0 + a2 b2) + a1 b1, not left to
+    # right: measured on numpy 2.4 for x86-64, whose einsum keeps two-lane
+    # partial sums (it matched 100k random rows, left to right only 70%).
+    # The scalar rebuild `_move_lengths` writes its dot products in this
+    # order to give the bits of `_balanced_arcs`.
     return np.einsum("ij,ij->i", a, b)
 
 
@@ -249,6 +259,117 @@ def _balanced_arcs(p0, t0, p1, t1):
             i,
         )
     return starts, dirs, normals, k, lengths, total
+
+
+# The scalar rebuild below repeats `_balanced_arcs` operation by operation on
+# Python floats: IEEE arithmetic as numpy's elementwise ufuncs, math.sqrt,
+# sin and cos rounding as numpy's do, and every dot product written out in
+# `_dot`'s order (x x' + z z') + y y'. The arc angles come from np.arctan2,
+# which math.atan2 does not match. A division by zero or a math domain error
+# happens only where the batched pass gets an inf or NaN and fails a check.
+
+
+def _matching(p0, t0, p1, t1, index):
+    """Matching point m and its tangent t_m of the pair, as `_balanced_arcs`
+    computes them, after its properness and `wlen` checks; a failed check
+    raises with the given pair ``index``."""
+    (x0, y0, z0), (a0, b0, c0), (x1, y1, z1), (a1, b1, c1) = p0, t0, p1, t1
+    dx, dy, dz = x1 - x0, y1 - y0, z1 - z0
+    if not ((dx * a0 + dz * c0) + dy * b0 > 0.0 and (dx * a1 + dz * c1) + dy * b1 > 0.0):
+        raise ImproperPairError("pair is not proper", index)
+    dist = math.sqrt((dx * dx + dz * dz) + dy * dy)
+    ex, ey, ez = dx / dist, dy / dist, dz / dist
+    s = 2.0 * ((ex * a1 + ez * c1) + ey * b1)
+    wx, wy, wz = (a0 + s * ex) - a1, (b0 + s * ey) - b1, (c0 + s * ez) - c1
+    wlen = math.sqrt((wx * wx + wz * wz) + wy * wy)
+    if not wlen > CLASSIFY_TOL:
+        raise IncompatiblePairError("cocircular pair with incompatible orientations", index)
+    ux, uy, uz = wx / wlen, wy / wlen, wz / wlen
+    ue = (ux * ex + uz * ez) + uy * ey
+    r = 0.5 * dist / (1.0 + ue)
+    mx = 0.5 * (x0 + x1) + r * (ux - ue * ex)
+    my = 0.5 * (y0 + y1) + r * (uy - ue * ey)
+    mz = 0.5 * (z0 + z1) + r * (uz - ue * ez)
+    cx, cy, cz = x1 - mx, y1 - my, z1 - mz
+    g = 2.0 * (((cx * a1 + cz * c1) + cy * b1) / ((cx * cx + cz * cz) + cy * cy))
+    return (mx, my, mz), (g * cx - a1, g * cy - b1, g * cz - c1)
+
+
+def _arc_frame(start, direction, end):
+    """chord^2, along, h, unit normal and curvature of the arc from start
+    along direction to end, as `_arcs_to` computes them."""
+    (sx, sy, sz), (dx, dy, dz), (ex, ey, ez) = start, direction, end
+    cx, cy, cz = ex - sx, ey - sy, ez - sz
+    chord2 = (cx * cx + cz * cz) + cy * cy
+    along = (cx * dx + cz * dz) + cy * dy
+    px, py, pz = cx - along * dx, cy - along * dy, cz - along * dz
+    back = (px * dx + pz * dz) + py * dy
+    px, py, pz = px - back * dx, py - back * dy, pz - back * dz
+    h = math.sqrt((px * px + pz * pz) + py * py)
+    hn = h if h > 0.0 else 1.0
+    return chord2, along, h, (px / hn, py / hn, pz / hn), 2.0 * h / chord2
+
+
+def _arc_closes(start, direction, normal, k, length, end, end_tangent, gap_tol):
+    """Whether the arc ends within gap_tol of end and JOIN_TOL of
+    end_tangent, evaluated as `_eval_arcs` does."""
+    (sx, sy, sz), (dx, dy, dz), (nx, ny, nz) = start, direction, normal
+    phi = length * k
+    sinp = math.sin(phi)
+    straight = k == 0.0
+    rk = 1.0 / (1.0 if straight else k)
+    along = length if straight else rk * sinp
+    half = math.sin(0.5 * phi)
+    bend = 2.0 * rk * (half * half)
+    cosp = math.cos(phi)
+    gx = ((sx + along * dx) + bend * nx) - end[0]
+    gy = ((sy + along * dy) + bend * ny) - end[1]
+    gz = ((sz + along * dz) + bend * nz) - end[2]
+    mx = (cosp * dx + sinp * nx) - end_tangent[0]
+    my = (cosp * dy + sinp * ny) - end_tangent[1]
+    mz = (cosp * dz + sinp * nz) - end_tangent[2]
+    return (
+        math.sqrt((gx * gx + gz * gz) + gy * gy) <= gap_tol
+        and math.sqrt((mx * mx + mz * mz) + my * my) <= JOIN_TOL
+    )
+
+
+def _move_lengths(points, tangents):
+    """Lengths of the balanced biarcs from junction 0 to 1 and from 1 to 2
+    of three consecutive junctions, given as sequences of three points and
+    three unit tangents, each a sequence of 3 floats.
+
+    Bit for bit the biarc lengths `_balanced_arcs` gives for these two
+    pairs, from Python floats and one np.arctan2 call; it raises a
+    PairError on exactly the pairs where `_balanced_arcs` raises, with
+    ``index`` at a failing pair (the first one it checks, not always the
+    lower one). Only an anneal move calls it; chains go through
+    `_balanced_arcs`.
+    """
+    (p0, p1, p2), (t0, t1, t2) = points, tangents
+    try:
+        m0, s0 = _matching(p0, t0, p1, t1, 0)
+        m1, s1 = _matching(p1, t1, p2, t2, 1)
+        # start, direction, end and end tangent of the four arcs in order
+        arcs = ((p0, t0, m0, s0), (m0, s0, p1, t1), (p1, t1, m1, s1), (m1, s1, p2, t2))
+        frames = [_arc_frame(start, direction, end) for start, direction, end, _ in arcs]
+        angles = np.arctan2([f[2] for f in frames], [f[1] for f in frames]).tolist()
+        lengths = [
+            chord2 * angle / h if h > 0.0 else along
+            for (chord2, along, h, _, _), angle in zip(frames, angles)
+        ]
+        totals = (lengths[0] + lengths[1], lengths[2] + lengths[3])
+        for i in range(4):
+            start, direction, end, end_tangent = arcs[i]
+            normal, k = frames[i][3:]
+            gap_tol = JOIN_TOL * totals[i // 2]
+            if not _arc_closes(start, direction, normal, k, lengths[i], end, end_tangent, gap_tol):
+                raise PairError("biarc join failed to close", i // 2)
+    except PairError:
+        raise
+    except (ZeroDivisionError, ValueError) as exc:  # ValueError: math domain error
+        raise PairError(f"biarc is not finite: {exc}") from exc
+    return totals
 
 
 def _biarc_view(starts, dirs, normals, k, lengths, pair) -> Biarc:

@@ -11,7 +11,9 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -43,27 +45,6 @@ class ConfigError(Exception):
     pass
 
 
-KNOWN_KEYS = {
-    "curve",
-    "params",
-    "q",
-    "n",
-    "n_sweep",
-    "partition",
-    "seed",
-    "grid",
-    "seminorm_grid",
-    "out",
-    "format",
-    "steps",
-    "cooling_rate",
-    "initial_temperature",
-    "sigma_position",
-    "sigma_tangent",
-    "min_pair_distance",
-    "initial",
-}
-
 GRID_DEFAULTS = {"energy": 512, "converge": 1024, "ropelength": 64, "mollify": 512}
 # annealing settings whose defaults are those of AnnealConfig
 ANNEAL_KEYS = (
@@ -74,6 +55,8 @@ ANNEAL_KEYS = (
     "sigma_tangent",
     "min_pair_distance",
 )
+# config file keys a command reads besides those of its flags
+FILE_ONLY_KEYS = {"mollify": ("seminorm_grid",), "anneal": ANNEAL_KEYS}
 
 
 def fmt(value) -> str:
@@ -82,7 +65,9 @@ def fmt(value) -> str:
     return str(value)
 
 
-def load_config_file(path: str) -> dict:
+def load_config_file(path: str, command: str, keys) -> dict:
+    """The settings of a flat key = value file; a key outside ``keys``,
+    those the command reads, is an error."""
     settings = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
@@ -92,8 +77,8 @@ def load_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in KNOWN_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key not in keys:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r} for {command}")
         settings[key] = value
     return settings
 
@@ -154,12 +139,15 @@ def build_parser() -> argparse.ArgumentParser:
 def resolve_settings(args: argparse.Namespace) -> dict:
     settings: dict = {}
     explicit = set()
+    # the command's flags, as its subparser registered them
+    flags = set(vars(args)) - {"command", "config"}
     if args.config:
-        file_settings = load_config_file(args.config)
+        keys = flags.union(FILE_ONLY_KEYS.get(args.command, ()))
+        file_settings = load_config_file(args.config, args.command, keys)
         settings.update(file_settings)
         explicit.update(file_settings)
-    for key in KNOWN_KEYS:
-        value = getattr(args, key, None)
+    for key in flags:
+        value = getattr(args, key)
         if value is not None:
             settings[key] = value
             explicit.add(key)
@@ -233,6 +221,23 @@ def _partition(curve, n: int, settings: dict):
         return make_partition(curve.length, n, settings["partition"], settings["seed"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def check_output(settings: dict) -> None:
+    """Raise the OSError that writing the output would raise, for a missing
+    or unwritable directory or an output path that is a directory, before
+    any compute is spent. Nothing is created; an anneal's sidecar goes into
+    the same directory."""
+    if settings["out"] == "-":
+        return
+    out = Path(settings["out"])
+    directory = out.parent
+    if not directory.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(directory))
+    if out.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out))
+    if not os.access(directory, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(directory))
 
 
 def emit(rows: list[dict], columns: list[str], settings: dict) -> None:
@@ -425,6 +430,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         settings = resolve_settings(args)
+        check_output(settings)
         return COMMANDS[args.command](settings)
     except (ConfigError, OSError) as exc:
         # every OSError comes from a file named in the settings

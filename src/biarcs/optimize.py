@@ -2,10 +2,11 @@
 biarc configurations.
 
 Moves perturb one junction at a time and rebuild only the two adjacent
-biarcs; a move is rejected outright when a rebuilt pair is not
-constructible, the length gate fails, junctions get too close, or the
-configuration's polygonal thickness proxy drops below half its initial
-value (a crude guard against leaving the knot class).
+biarcs, in scalar arithmetic (`biarc._move_lengths`, bit for bit the
+lengths of the batched chain build); a move is rejected outright when a
+rebuilt pair is not constructible, the length gate fails, junctions get
+too close, or the configuration's polygonal thickness proxy drops below
+half its initial value (a crude guard against leaving the knot class).
 
 The run keeps every pair term x_ij^q in an (n, n) table, 8 n^2 bytes,
 filled once by the pair kernel. A move rewrites one row and one column of
@@ -23,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .biarc import PairError, _balanced_arcs
+from .biarc import PairError, _move_lengths
 from .energy import _pair_tiles, _quotients, pair_stats
 from .interpolate import BiarcCurve, from_junctions
 
@@ -86,13 +87,14 @@ class _PairTable:
     filled once by the pair kernel.
 
     A move of junction j changes only row j and column j of Y and lam[j - 1]
-    and lam[j]. `propose` checks the move's guards on those new entries
-    alone - every other pair already passed them - and writes it into Y and
-    lam; the energy is then lam @ (Y @ lam), the expression `pair_stats`
-    reduces, so with a single row tile (n <= 181) both agree bit for bit.
-    `commit` keeps a proposed move, `undo` restores the saved row, column
-    and lengths. A step costs O(n) plus one (n, n) matrix-vector product,
-    and Y holds 8 n^2 bytes.
+    and lam[j]; the two lengths come from `_move_lengths`, which gives the
+    bits `from_junctions` would. `propose` checks the move's guards on those
+    new entries alone - every other pair already passed them - and writes
+    it into Y and lam; the energy is then lam @ (Y @ lam), the expression
+    `pair_stats` reduces, so with a single row tile (n <= 181) both agree
+    bit for bit. `commit` keeps a proposed move, `undo` restores the saved
+    row, column and lengths. A step costs O(n) plus one (n, n)
+    matrix-vector product, and Y holds 8 n^2 bytes.
     """
 
     def __init__(self, initial: BiarcCurve, cfg: AnnealConfig):
@@ -132,13 +134,13 @@ class _PairTable:
         the move into Y and lam and its energy into ``candidate``."""
         n = len(self.lam)
         jm, jp = (j - 1) % n, (j + 1) % n
-        pts, tans = self.points[[jm, j, jp]], self.tangents[[jm, j, jp]]
-        pts[1], tans[1] = point, tangent
+        pts = (self.points[jm].tolist(), point.tolist(), self.points[jp].tolist())
+        tans = (self.tangents[jm].tolist(), tangent.tolist(), self.tangents[jp].tolist())
         try:
-            lengths = _balanced_arcs(pts[:2], tans[:2], pts[1:], tans[1:])[-1]
+            lam_prev, lam_j = _move_lengths(pts, tans)
         except PairError:
             return "not_constructible"
-        if lengths.min() < self.lo or lengths.max() > self.hi:
+        if min(lam_prev, lam_j) < self.lo or max(lam_prev, lam_j) > self.hi:
             return "gate"
         self._rows[:, :n] = point[:, None]
         self._cols[:, n:] = point[:, None]
@@ -153,10 +155,11 @@ class _PairTable:
             if x.max() > self.ceiling:
                 return "thickness_floor"
             y = x**self.q
-        self._move = (j, point, tangent, self.Y[j].copy(), self.Y[:, j].copy(), *self.lam[[jm, j]])
+        row, col = self.Y[j].copy(), self.Y[:, j].copy()
+        self._move = (j, point, tangent, row, col, self.lam[jm], self.lam[j])
         self.Y[j] = y[:n]
         self.Y[:, j] = y[n:]
-        self.lam[jm], self.lam[j] = lengths
+        self.lam[jm], self.lam[j] = lam_prev, lam_j
         self.candidate = float(self.lam @ (self.Y @ self.lam))
         return None
 
@@ -208,7 +211,9 @@ def anneal_discrete(initial: BiarcCurve, cfg: AnnealConfig) -> tuple[BiarcCurve,
         t = table.tangents[j]
         kick = rng.normal(scale=cfg.sigma_tangent, size=3)
         kick -= np.dot(kick, t) * t
-        tangent = (t + kick) / np.linalg.norm(t + kick)
+        kicked = t + kick
+        # the norm np.linalg.norm takes, without its per-call checks
+        tangent = kicked / math.sqrt(kicked.dot(kicked))
 
         rejected = table.propose(j, point, tangent)
         if rejected is None:

@@ -13,6 +13,8 @@ from biarcs.biarc import (
     PairClass,
     PairError,
     PointTangent,
+    _balanced_arcs,
+    _move_lengths,
     balanced_matching_point,
     biarc_parameter,
     build_balanced_biarc,
@@ -221,6 +223,34 @@ def check_biarc_invariants(biarc, a, b, tol=1e-10, scale=1.0):
     assert biarc.total_length == pytest.approx(biarc.first.length + biarc.second.length)
 
 
+def assert_move_matches_batch(a, b):
+    """Chained into junction triples that hold it as the first and as the
+    second pair, the pair gets bit for bit the biarc lengths of
+    `_balanced_arcs` from the scalar move rebuild, or both raise PairError.
+    The other pair of each triple has the same chord and the tangents
+    swapped, so it is proper when the pair is."""
+    d = b.point - a.point
+    triples = (
+        ([a.point, b.point, b.point + d], [a.tangent, b.tangent, a.tangent]),
+        ([a.point - d, a.point, b.point], [b.tangent, a.tangent, b.tangent]),
+    )
+    outcomes = []
+    for points, tangents in triples:
+        points, tangents = np.array(points), np.array(tangents)
+        try:
+            arcs = _balanced_arcs(points[:2], tangents[:2], points[1:], tangents[1:])
+            batch = [length.hex() for length in arcs[-1].tolist()]
+        except PairError:
+            batch = PairError
+        try:
+            scalar = [length.hex() for length in _move_lengths(points.tolist(), tangents.tolist())]
+        except PairError:
+            scalar = PairError
+        assert scalar == batch
+        outcomes.append(batch)
+    return outcomes
+
+
 class TestBuild:
     def test_straight_pair(self):
         biarc = build_balanced_biarc(*straight_pair())
@@ -251,6 +281,28 @@ class TestBuild:
             a, b = random_proper_pair(rng)
             biarc = build_balanced_biarc(a, b)
             check_biarc_invariants(biarc, a, b)
+            assert PairError not in assert_move_matches_batch(a, b)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            # coincident points
+            (PointTangent([1, 2, 3], [1, 0, 0]), PointTangent([1, 2, 3], [0, 1, 0])),
+            # improper: the first tangent points back along the chord
+            (PointTangent([0, 0, 0], [-1, 0, 0]), PointTangent([1, 0, 0], [1, 0, 0])),
+            # cocircular with opposing orientations
+            (PointTangent([0, 0, 0], [0, 1, 0]), PointTangent([1, 0, 0], [0, -1, 0])),
+            # both tangents 2e-8 and 3e-8 off the chord's normal: the balanced
+            # point is found only to ~1e-9, and the arcs miss the C1 join
+            (
+                PointTangent([0, 0, 0], [math.sin(2e-8), math.cos(2e-8), 0]),
+                PointTangent([1, 0, 0], [math.sin(3e-8), math.cos(3e-8), 0]),
+            ),
+        ],
+        ids=["coincident", "improper", "incompatible_cocircular", "join_not_closing"],
+    )
+    def test_move_rebuild_fails_where_the_batch_fails(self, a, b):
+        assert assert_move_matches_batch(a, b) == [PairError, PairError]
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -272,6 +324,7 @@ class TestBuild:
         a = PointTangent(q0, tangents[0])
         b = PointTangent(q0 + scale * e, tangents[1])
         check_biarc_invariants(build_balanced_biarc(a, b), a, b, scale=scale)
+        assert_move_matches_batch(a, b)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -289,6 +342,7 @@ class TestBuild:
         tilted = unit(b.tangent + delta * unit(rng.normal(size=3)))
         a = PointTangent(scale * a.point, a.tangent)
         b = PointTangent(scale * moved, tilted)
+        assert_move_matches_batch(a, b)
         try:
             biarc = build_balanced_biarc(a, b)
         except PairError:

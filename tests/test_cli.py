@@ -107,6 +107,59 @@ class TestConfigErrors:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, lines",
+        [
+            (["anneal", "--curve", "circle", "--n", "8", "--steps", "3"], "format = json\ngrid = 64\n"),
+            (["anneal", "--curve", "circle", "--n", "8", "--steps", "3"], "grid = 64\n"),
+            (["energy", "--curve", "circle", "--n", "8"], "steps = 10\n"),
+            (["energy", "--curve", "circle", "--n", "8"], "seminorm_grid = 128\n"),
+            (["converge", "--curve", "circle", "--n-sweep", "8,16"], "initial = start.txt\n"),
+            (["mollify", "--curve", "circle", "--n-sweep", "4,8"], "cooling_rate = 0.9\n"),
+        ],
+    )
+    def test_config_keys_the_command_does_not_read_exit_2(self, tmp_path, capsys, argv, lines):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(lines)
+        code, out, err = run(capsys, [*argv, "--config", str(cfg)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "unknown key" in err and argv[0] in err
+
+    @pytest.mark.parametrize(
+        "argv, lines",
+        [
+            (["anneal", "--curve", "circle", "--n", "8", "--steps", "3"], "sigma_tangent = 0.1\nsteps = 2\n"),
+            (["mollify", "--curve", "circle", "--n-sweep", "4,8", "--grid", "64"], "seminorm_grid = 64\nseed = 3\n"),
+            (["converge", "--curve", "circle", "--grid", "64"], "n_sweep = 8,16\nformat = json\n"),
+        ],
+    )
+    def test_config_keys_of_the_command_are_read(self, tmp_path, capsys, argv, lines):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(lines)
+        code, _, err = run(capsys, [*argv, "--config", str(cfg)])
+        assert code == 0, err
+
+    @pytest.mark.parametrize(
+        "argv, compute",
+        [
+            (["converge", "--curve", "ellipse", "--n-sweep", "64,128"], "continuous_tp_energy"),
+            (["anneal", "--curve", "circle", "--n", "8", "--steps", "3"], "anneal_discrete"),
+            (["mollify", "--curve", "circle", "--n-sweep", "4,8"], "mollify"),
+        ],
+    )
+    def test_unwritable_out_exits_2_before_the_compute(self, tmp_path, capsys, monkeypatch, argv, compute):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the compute ran")
+
+        monkeypatch.setattr(f"biarcs.cli.{compute}", unreachable)
+        (tmp_path / "taken").mkdir()
+        for out, message in (("none/x.csv", "No such file"), ("taken", "Is a directory")):
+            code, _, err = run(capsys, [*argv, "--out", str(tmp_path / out)])
+            assert code == 2
+            assert err.startswith("error: ") and message in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+        assert not any((tmp_path / "taken").iterdir())
+
 
 class TestConvergeCommand:
     def test_circle_slope(self, capsys):

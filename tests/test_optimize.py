@@ -6,13 +6,16 @@ from conftest import unit
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biarcs.curve import make_partition, preset_curve
+from biarcs import optimize
+from biarcs.biarc import PairError, _balanced_arcs, _move_lengths
+from biarcs.curve import arclength_reparametrize, make_partition, preset_curve
 from biarcs.energy import _pair_tiles, discrete_tp_energy, pair_stats
 from biarcs.interpolate import (
     BiarcCurveBuildError,
     build_biarc_curve,
     check_Bn,
     from_junctions,
+    junctions_to_text,
 )
 from biarcs.optimize import (
     REJECTION_REASONS,
@@ -292,6 +295,53 @@ class TestPairTable:
         assert np.array_equal(table._rows[:, n:], table.points.T)
         assert np.array_equal(table._cols[:, :n], table.points.T)
         assert np.array_equal(table._tans[:, :n], table.tangents.T)
+
+
+class TestMoveRebuild:
+    """A run on the scalar rebuild of a move's two biarcs against the same
+    run on the batched `_balanced_arcs`."""
+
+    @pytest.mark.parametrize("sigma_position, sigma_tangent", [(0.05, 0.05), (0.3, 0.5)])
+    def test_run_matches_the_batched_rebuild(self, monkeypatch, sigma_position, sigma_tangent):
+        curve = arclength_reparametrize(preset_curve("torus_knot", [2, 3, 2, 0.5]))
+        beta = build_biarc_curve(curve, make_partition(curve.length, 24))
+        cfg = AnnealConfig(
+            q=4.0,
+            n=24,
+            L=curve.length,
+            steps=400,
+            sigma_position=sigma_position,
+            sigma_tangent=sigma_tangent,
+            seed=6,
+        )
+
+        def run(rebuild):
+            """Trace CSV, best junctions, raw records and the bits of every
+            rebuilt length (None where the rebuild raised)."""
+            lengths = []
+
+            def recorded(points, tangents):
+                try:
+                    lam = rebuild(points, tangents)
+                except PairError:
+                    lengths.append(None)
+                    raise
+                lengths.append([float(x).hex() for x in lam])
+                return lam
+
+            monkeypatch.setattr(optimize, "_move_lengths", recorded)
+            best, trace = anneal_discrete(beta, cfg)
+            return trace_to_csv(trace), junctions_to_text(best), trace.records.tobytes(), lengths
+
+        def batched(points, tangents):
+            points, tangents = np.array(points), np.array(tangents)
+            return _balanced_arcs(points[:2], tangents[:2], points[1:], tangents[1:])[-1]
+
+        shipped = run(_move_lengths)
+        assert shipped == run(batched)
+        assert len(shipped[3]) == cfg.steps
+        if sigma_position > 0.05:
+            assert None in shipped[3]
 
 
 class TestTraceCsv:
