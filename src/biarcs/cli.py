@@ -289,6 +289,8 @@ def cmd_energy(settings: dict) -> int:
 def cmd_converge(settings: dict) -> int:
     if settings["n_sweep"] is None:
         raise ConfigError("converge needs an n-sweep")
+    if len(settings["n_sweep"]) < 2:
+        raise ConfigError("converge fits a slope and needs at least two sweep values")
     curve = resolved_curve(settings)
     grid = settings["grid"] or GRID_DEFAULTS["converge"]
     q = settings["q"]

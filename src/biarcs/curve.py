@@ -101,14 +101,22 @@ def arclength_reparametrize(raw: CurveSpec) -> CurveSpec:
 
     Inverts the curve's own parameter-to-arclength table by cubic Hermite
     interpolation with the exact slopes du/ds = 1/|gamma'(u)| at the table
-    nodes, evaluated once here; tangents are taken from the exact
-    derivative and renormalized, so they are unit to machine precision.
+    nodes, evaluated once here and handed to `_hermite_inverse`, which
+    `mollify` calls directly with the slopes its inverse FFT gives;
+    tangents are taken from the exact derivative and renormalized, so they
+    are unit to machine precision.
     """
     if raw.is_arclength:
         return raw
+    slope = 1.0 / np.linalg.norm(raw.derivative(raw.arclength_table[:, 0]), axis=-1)
+    return _hermite_inverse(raw, slope)
+
+
+def _hermite_inverse(raw: CurveSpec, slope: np.ndarray) -> CurveSpec:
+    """The unit-speed curve of `arclength_reparametrize`, given the slopes
+    du/ds = 1/|gamma'(u)| at the nodes of the raw curve's length table."""
     x, cum = raw.arclength_table[:, 0], raw.arclength_table[:, 1]
     total = float(cum[-1])
-    slope = 1.0 / np.linalg.norm(raw.derivative(x), axis=-1)
 
     def to_param(s):
         s = np.mod(s, total)
@@ -308,7 +316,9 @@ def _mode_factors(phase, modes: int):
 def _trig_polynomial(coeffs: np.ndarray, period: float) -> Callable:
     """Evaluator of Re sum_m coeffs[m] exp(2 pi i m x / period) for complex
     coefficients of shape (modes, 3), at points x of any shape. Points go
-    in row blocks, so temporaries stay O(TRIG_BLOCK * sqrt(modes))."""
+    in row blocks, so temporaries stay O(TRIG_BLOCK * sqrt(modes)); in a
+    block, the low factors meet the coefficient table in one matmul and
+    each point's high factors meet its row in a batched one."""
     modes = coeffs.shape[0]
     count, width = (f.shape[1] for f in _mode_factors(0.0, modes))
     padded = np.pad(coeffs, ((0, count * width - modes), (0, 0)))
@@ -322,7 +332,7 @@ def _trig_polynomial(coeffs: np.ndarray, period: float) -> Callable:
         for lo in range(0, flat.size, TRIG_BLOCK):
             high, low = _mode_factors(omega * flat[lo : lo + TRIG_BLOCK], modes)
             inner = (low @ table).reshape(-1, count, 3)
-            out[lo : lo + TRIG_BLOCK] = np.einsum("pa,pad->pd", high, inner).real
+            out[lo : lo + TRIG_BLOCK] = np.matmul(high[:, None, :], inner)[:, 0].real
         return out.reshape(x.shape + (3,))
 
     return evaluate
@@ -330,16 +340,18 @@ def _trig_polynomial(coeffs: np.ndarray, period: float) -> Callable:
 
 def mollify(curve: CurveSpec, eps: float) -> CurveSpec:
     """Smooth the curve by periodic convolution with the bump
-    exp(-1/(1-x^2)) scaled to [-eps, eps], rescale to the original length,
-    and reparametrize by arclength.
+    exp(-1/(1-x^2)) scaled to [-eps, eps], rescale to the original length
+    about the centroid, and reparametrize by arclength.
 
     The convolution (trapezoid rule on MOLLIFY_NODES kernel nodes) is
     applied in frequency space: curve and tangent are sampled once on the
     2 * DEFAULT_GRID_1D nodes and cell midpoints of the length table, and
-    their spectra are multiplied by the quadrature's transfer function. One
-    inverse FFT gives the table; the smoothed curve is the trigonometric
-    polynomial of all modes, with the second derivative from the bump's
-    derivative, and the reparametrization inverts its table.
+    their spectra are multiplied by the quadrature's transfer function, one
+    complex matmul per kernel. One inverse FFT gives the speed on the table
+    nodes and midpoints, hence the table and the reparametrization's node
+    slopes; the smoothed curve is the trigonometric polynomial of all
+    modes, with the second derivative from the bump's derivative, and the
+    reparametrization inverts its table.
     """
     if not curve.is_arclength:
         raise ValueError("mollify expects an arclength-parametrized curve")
@@ -367,25 +379,35 @@ def mollify(curve: CurveSpec, eps: float) -> CurveSpec:
     # transfer function of sum_k w_k f(x - eps xi_k) at each mode, per kernel
     modes = pos_hat.shape[0]
     high, low = _mode_factors(-2.0 * math.pi / L * eps * xi, modes)
-    transfer = np.einsum("ka,kb,kj->abj", high, low, kernels).reshape(-1, 2)[:modes]
+    # transfer[a B + b, j] = sum_k high[k, a] low[k, b] kernels[k, j]: one
+    # complex matmul per kernel, (A, K) @ (K, B), read in (a, b, j) order
+    weighted = (high[:, :, None] * kernels[:, None, :]).transpose(2, 1, 0)
+    transfer = (weighted @ low).transpose(1, 2, 0).reshape(-1, 2)[:modes]
     tan_smooth = tan_hat * transfer[:, :1]
 
     speed = np.linalg.norm(np.fft.irfft(tan_smooth, n=2 * samples, axis=0), axis=-1)
-    cum = _cumulative_speed(np.append(speed[::2], speed[0]), speed[1::2], L)
+    speed_x = np.append(speed[::2], speed[0])
+    cum = _cumulative_speed(speed_x, speed[1::2], L)
     scale = L / cum[-1]
     # irfft weights: 1/N, doubled for the modes strictly between 0 and Nyquist
     norm = np.full((modes, 1), 2.0 * scale / (2 * samples))
     norm[[0, -1]] *= 0.5
+    pos_coeffs = norm * pos_hat * transfer[:, :1]
+    # rescale about the centroid, the zero mode the convolution keeps, so
+    # that a translated curve gives the translated result
+    pos_coeffs[0] /= scale
     raw = CurveSpec(
         L,
-        _trig_polynomial(norm * pos_hat * transfer[:, :1], L),
+        _trig_polynomial(pos_coeffs, L),
         _trig_polynomial(norm * tan_smooth, L),
         _trig_polynomial(norm * tan_hat * transfer[:, 1:], L),
         np.column_stack([np.linspace(0.0, L, samples + 1), scale * cum]),
         False,
         curve.name,
     )
-    return arclength_reparametrize(raw)
+    # the raw curve's speed at the table nodes is scale * speed_x: the
+    # polynomial's values there are what the inverse FFT already gave
+    return _hermite_inverse(raw, 1.0 / (scale * speed_x))
 
 
 def periodic_distance(x, y, period: float):

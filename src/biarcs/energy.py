@@ -174,15 +174,19 @@ def continuous_tp_energy(curve: CurveSpec, q: float, grid: int) -> float:
     pos = curve.position(s)
     tan = curve.derivative(s)
     total = float(np.sum(curvature_values(curve, s) ** q))
+    collapsed = (1e-9 * L) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         for lo, dist2, x in _pair_tiles(pos, tan):
-            i, j = np.nonzero(dist2 < (1e-9 * L) ** 2)
-            # nodes of the midpoint grid are h apart: a collapsed chord
-            # between nodes more than 2.5 h apart along the curve means
-            # two distinct parameters collide
-            sep = np.abs(i + lo - j)
-            if np.any(np.minimum(sep, grid - sep) > 2):
-                raise ValueError("curve is not embedded: distinct parameters collide")
+            # the tile minimum skips the NaN diagonal; only a tile that holds
+            # a collapsed chord needs its pairs located
+            if np.fmin.reduce(dist2, axis=None) < collapsed:
+                i, j = np.nonzero(dist2 < collapsed)
+                # nodes of the midpoint grid are h apart: a collapsed chord
+                # between nodes more than 2.5 h apart along the curve means
+                # two distinct parameters collide
+                sep = np.abs(i + lo - j)
+                if np.any(np.minimum(sep, grid - sep) > 2):
+                    raise ValueError("curve is not embedded: distinct parameters collide")
             x **= q
             total += float(np.sum(x))
     return total * h * h

@@ -57,6 +57,9 @@ class TestConfigErrors:
             (["mollify", "--curve", "circle", "--n-sweep", "0,4"], "positive"),
             (["anneal", "--curve", "circle", "--steps", "-5"], "steps must be >= 0"),
             (["energy", "--curve", "circle", "--partition", "jitter(0.1)"], "partition mode"),
+            # a slope needs two points
+            (["converge", "--curve", "ellipse", "--params", "2,1", "--n-sweep", "64", "--grid", "256"],
+             "at least two sweep values"),
         ],
     )
     def test_bad_sizes_exit_2(self, capsys, argv, message):
@@ -159,6 +162,19 @@ class TestConfigErrors:
             assert err.startswith("error: ") and message in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
         assert not any((tmp_path / "taken").iterdir())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ropelength", "--curve", "circle", "--n-sweep", "16", "--grid", "64"],
+            ["mollify", "--curve", "circle", "--n-sweep", "4", "--grid", "64"],
+        ],
+        ids=["ropelength", "mollify"],
+    )
+    def test_one_sweep_value_is_accepted_where_nothing_is_fitted(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 0, err
+        assert len(parse_csv(out)[1]) == 1
 
 
 class TestConvergeCommand:

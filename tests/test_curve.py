@@ -4,6 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import random_rotation
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biarcs import curve as curve_module
 from biarcs.curve import (
@@ -74,9 +77,10 @@ def base_curves():
 def direct_mollify(curve, eps, s, quad_points=257, samples=2048):
     """Reference for `mollify` at arclengths s, written out term by term:
     the convolution sum_k w_k gamma(x - eps xi_k) evaluated at every node,
-    a per-cell Simpson length table, the rescale to the original length,
-    and the cubic Hermite inverse of the table with slopes 1/speed at its
-    nodes. Returns position, unit tangent and second derivative."""
+    a per-cell Simpson length table, the rescale to the original length
+    about the centroid, and the cubic Hermite inverse of the table with
+    slopes 1/(scale * speed) from the convolved speed at its nodes. Returns
+    position, unit tangent and second derivative."""
     xi = np.linspace(-1.0, 1.0, quad_points)
     trap = np.full(quad_points, 2.0 / (quad_points - 1))
     trap[[0, -1]] *= 0.5
@@ -117,7 +121,9 @@ def direct_mollify(curve, eps, s, quad_points=257, samples=2048):
     speed2 = np.sum(d * d, axis=-1, keepdims=True)
     t = d / np.sqrt(speed2)
     second = (dd - np.sum(t * dd, axis=-1, keepdims=True) * t) / speed2
-    return scale * conv(curve.position, w, u), t, second
+    # the mean over a uniform grid of 2 * samples nodes: the centroid
+    center = curve.position(np.arange(2 * samples) * (L / (2 * samples))).mean(axis=0)
+    return center + scale * (conv(curve.position, w, u) - center), t, second
 
 
 def gauss_newton_inverse(raw, s, cells=1024, order=10):
@@ -373,6 +379,41 @@ class TestDiagnostics:
 def smoothed_knot():
     knot = arclength_reparametrize(preset_curve("torus_knot", [2, 3, 2.0, 0.5]))
     return knot, mollify(knot, 1.0 / 8.0)
+
+
+class TestMollifyInvariance:
+    """Mollification commutes with rigid motions and dilations: the
+    convolution and the length rescale are linear, and the length table's
+    grid and the kernel nodes scale with the curve."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shift=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+        factor=st.floats(0.5, 2.0),
+    )
+    def test_rigid_motion_and_dilation(self, smoothed_knot, seed, shift, factor):
+        knot, smooth = smoothed_knot
+        raw = preset_curve("torus_knot", [2, 3, 2.0, 0.5])
+        rot, shift = random_rotation(np.random.default_rng(seed)), np.array(shift)
+        moved = arclength_reparametrize(
+            analytic_curve(
+                lambda u: raw.position(u) @ rot.T + shift, lambda u: raw.derivative(u) @ rot.T
+            )
+        )
+        scaled = arclength_reparametrize(
+            analytic_curve(lambda u: factor * raw.position(u), lambda u: factor * raw.derivative(u))
+        )
+        s = np.linspace(0.0, knot.length, 64, endpoint=False) + 0.0123
+        pos, tan = smooth.position(s), smooth.derivative(s)
+
+        smooth_moved = mollify(moved, 1.0 / 8.0)
+        assert np.abs(smooth_moved.position(s) - (pos @ rot.T + shift)).max() <= 1e-9
+        assert np.abs(smooth_moved.derivative(s) - tan @ rot.T).max() <= 1e-9
+
+        smooth_scaled = mollify(scaled, factor / 8.0)
+        assert np.abs(smooth_scaled.position(factor * s) - factor * pos).max() <= 1e-9
+        assert np.abs(smooth_scaled.derivative(factor * s) - tan).max() <= 1e-9
 
 
 class TestTiledGridSums:

@@ -241,6 +241,47 @@ class TestPairInvariance:
                 assert got.min_distance == base.min_distance
 
 
+class TestCloseJunctions:
+    """Two junctions that are not neighbours along the chain, brought within
+    a tiny gap of each other: pair_stats either rejects them as coincident
+    or sums the pairs correctly, whatever the gap."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(5, 40),
+        i=st.integers(0, 39),
+        offset=st.integers(0, 40),
+        log_gap=st.floats(-15.0, -2.0),
+        q=st.sampled_from([3.0, 80.0]),
+    )
+    def test_correct_or_typed_error(self, seed, n, i, offset, log_gap, q):
+        i = i % n
+        # j is at least two places from i in both directions around the chain
+        j = (i + 2 + offset % (n - 3)) % n
+        rng = np.random.default_rng(seed)
+        points, tangents, lam = random_configuration(rng, n)
+        diameter = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1).max()
+        direction = rng.normal(size=3)
+        gap = 10.0**log_gap * diameter
+        points[j] = points[i] + gap * direction / np.linalg.norm(direction)
+        try:
+            got = pair_stats(points, tangents, lam, q)
+        except ValueError as exc:
+            assert str(exc) == "coincident junction points"
+            return
+        x, dist2, off = dense_pair_quotients(points, tangents)
+        terms = q * np.log(x[off]) + np.log(np.outer(lam, lam)[off])
+        top = terms.max()
+        expected = top + np.log(np.sum(np.exp(terms - top)))
+        assert got.log_energy / q == pytest.approx(expected / q, abs=1e-12)
+        assert got.min_distance == pytest.approx(np.sqrt(dist2[off].min()), rel=1e-12)
+        # the gap as stored; the closest pair unless two random junctions are closer
+        stored = np.sqrt(dist2[i, j])
+        assert stored == pytest.approx(gap, rel=1e-3)
+        assert got.min_distance <= stored * (1.0 + 1e-12)
+
+
 class TestContinuous:
     def test_unit_circle(self):
         circle = preset_curve("circle", [1.0])
@@ -325,6 +366,24 @@ class TestContinuous:
         )
         with pytest.raises(ValueError):
             continuous_tp_energy(shifted, 3.0, grid)
+
+    def test_doubly_traversed_circle_is_not_embedded(self):
+        from biarcs.curve import analytic_curve
+
+        def position(u):
+            u = np.asarray(u, dtype=float)
+            return np.stack([np.cos(2 * u), np.sin(2 * u), np.zeros_like(u)], axis=-1)
+
+        def derivative(u):
+            u = np.asarray(u, dtype=float)
+            return np.stack([-2 * np.sin(2 * u), 2 * np.cos(2 * u), np.zeros_like(u)], axis=-1)
+
+        twice = arclength_reparametrize(analytic_curve(position, derivative))
+        # node i and node i + grid/2 lie on the same point in every row tile
+        grid = 512
+        assert len(list(curve._row_tiles(grid))) == 8
+        with pytest.raises(ValueError, match="not embedded"):
+            continuous_tp_energy(twice, 3.0, grid)
 
 
 class TestThickness:
