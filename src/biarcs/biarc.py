@@ -169,12 +169,11 @@ def _eval_arcs(starts, dirs, normals, k, local):
 
 
 def _dot(a, b):
-    # On 3-vector rows this sums as (a0 b0 + a2 b2) + a1 b1, not left to
-    # right: measured on numpy 2.4 for x86-64, whose einsum keeps two-lane
-    # partial sums (it matched 100k random rows, left to right only 70%).
-    # The scalar rebuild `_move_lengths` writes its dot products in this
-    # order to give the bits of `_balanced_arcs`.
-    return np.einsum("ij,ij->i", a, b)
+    # Row dot products of 3-vectors, summed as (a0 b0 + a2 b2) + a1 b1: the
+    # order einsum used before (two-lane partial sums on x86-64), so chains
+    # keep their bits. The scalar rebuild `_move_lengths` writes its dot
+    # products in the same order to give the bits of `_balanced_arcs`.
+    return (a[:, 0] * b[:, 0] + a[:, 2] * b[:, 2]) + a[:, 1] * b[:, 1]
 
 
 def _interleave(a, b):

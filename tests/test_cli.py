@@ -220,6 +220,18 @@ class TestRopelengthCommand:
         assert gaps[2] < gaps[1] < gaps[0]
         assert float(rows[0]["reference"]) == pytest.approx(2 * math.pi, abs=1e-3)
 
+    def test_not_embedded_exits_3_before_the_sweep(self, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a sweep row was computed")
+
+        monkeypatch.setattr("biarcs.cli.build_biarc_curve", unreachable)
+        # torus_knot(2, 4) is the (1, 2) torus knot traversed twice
+        argv = ["ropelength", "--curve", "torus_knot", "--params", "2,4,2,0.5", "--n-sweep", "16,32"]
+        code, out, err = run(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert err == "numerical failure: curve is not embedded: distinct parameters collide\n"
+
     def test_q_warning(self, capsys):
         code, _, err = run(
             capsys,

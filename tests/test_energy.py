@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from biarcs.curve import (
     CurveSpec,
+    analytic_curve,
     arclength_reparametrize,
     curvature_values,
     make_partition,
@@ -57,6 +59,56 @@ def random_configuration(rng, n):
 @pytest.fixture(scope="module")
 def knot():
     return arclength_reparametrize(preset_curve("torus_knot", [2, 3, 2.0, 0.5]))
+
+
+@pytest.fixture(scope="module")
+def seed_curves(knot):
+    """The curves of the seed scan tests: on the circle every inverse radius
+    is 1 up to rounding, so ties decide the order."""
+    return {
+        "circle": preset_curve("circle", [1.0]),
+        "ellipse": arclength_reparametrize(preset_curve("ellipse", [2.0, 1.0])),
+        "knot23": knot,
+        "knot35": arclength_reparametrize(preset_curve("torus_knot", [3, 5, 2.0, 0.5])),
+        "mollified": mollify(knot, 1 / 8),
+    }
+
+
+def doubly_traversed_circle():
+    def position(u):
+        u = np.asarray(u, dtype=float)
+        return np.stack([np.cos(2 * u), np.sin(2 * u), np.zeros_like(u)], axis=-1)
+
+    def derivative(u):
+        u = np.asarray(u, dtype=float)
+        return np.stack([-2 * np.sin(2 * u), 2 * np.cos(2 * u), np.zeros_like(u)], axis=-1)
+
+    return arclength_reparametrize(analytic_curve(position, derivative))
+
+
+def grid_nodes(spec, grid):
+    s = (np.arange(grid) + 0.5) * (spec.length / grid)
+    return s, spec.position(s), spec.derivative(s)
+
+
+def moved(spec, rot, shift, scale, reverse):
+    """The arclength-parametrized curve s -> scale rot gamma(s / scale) +
+    shift, traversed backwards when ``reverse``."""
+    L = spec.length
+    sign = -1.0 if reverse else 1.0
+
+    def param(s):
+        s = np.asarray(s, dtype=float) / scale
+        return L - s if reverse else s
+
+    return replace(
+        spec,
+        period=scale * L,
+        position=lambda s: scale * spec.position(param(s)) @ rot.T + shift,
+        derivative=lambda s: sign * spec.derivative(param(s)) @ rot.T,
+        second_derivative=lambda s: spec.second_derivative(param(s)) @ rot.T / scale,
+        arclength_table=scale * spec.arclength_table,
+    )
 
 
 def float_band_seeds(pos, tan, s, L):
@@ -340,8 +392,6 @@ class TestContinuous:
         assert big >= 0.95 * grid_max
 
     def test_embedding_guard(self):
-        from biarcs.curve import analytic_curve
-
         def position(u):
             u = np.asarray(u, dtype=float)
             return np.stack([np.sin(2 * u), np.sin(u), np.zeros_like(u)], axis=-1)
@@ -368,22 +418,11 @@ class TestContinuous:
             continuous_tp_energy(shifted, 3.0, grid)
 
     def test_doubly_traversed_circle_is_not_embedded(self):
-        from biarcs.curve import analytic_curve
-
-        def position(u):
-            u = np.asarray(u, dtype=float)
-            return np.stack([np.cos(2 * u), np.sin(2 * u), np.zeros_like(u)], axis=-1)
-
-        def derivative(u):
-            u = np.asarray(u, dtype=float)
-            return np.stack([-2 * np.sin(2 * u), 2 * np.cos(2 * u), np.zeros_like(u)], axis=-1)
-
-        twice = arclength_reparametrize(analytic_curve(position, derivative))
         # node i and node i + grid/2 lie on the same point in every row tile
         grid = 512
         assert len(list(curve._row_tiles(grid))) == 8
         with pytest.raises(ValueError, match="not embedded"):
-            continuous_tp_energy(twice, 3.0, grid)
+            continuous_tp_energy(doubly_traversed_circle(), 3.0, grid)
 
 
 class TestThickness:
@@ -411,18 +450,79 @@ class TestThickness:
         delta, _ = thickness_and_ropelength(knot, grid)
         assert abs(delta - nelder_mead) <= 1e-9
 
+    @pytest.mark.parametrize("grid", [64, 512, 2048])
+    @pytest.mark.parametrize("name", ["circle", "ellipse", "knot23", "knot35", "mollified"])
+    def test_seed_cells_match_float_band_scan(self, seed_curves, name, grid):
+        spec = seed_curves[name]
+        s, pos, tan = grid_nodes(spec, grid)
+        seeds = energy._thickness_seeds(pos, tan, spec.length)
+        assert seeds.tolist() == float_band_seeds(pos, tan, s, spec.length)
+
+    def test_seed_scan_skips_the_far_field(self, seed_curves, monkeypatch):
+        grid = 2048
+        evaluated = []
+
+        def counting(rows, cols, tangents):
+            dist2, x = quotients(rows, cols, tangents)
+            evaluated.append(x.size)
+            return dist2, x
+
+        quotients = energy._quotients
+        monkeypatch.setattr(energy, "_quotients", counting)
+        _, pos, tan = grid_nodes(seed_curves["knot23"], grid)
+        energy._thickness_seeds(pos, tan, seed_curves["knot23"].length)
+        assert sum(evaluated) < grid * grid / 3
+        # on the circle every pair lies within 2 / tau: pass 2 evaluates
+        # all grid^2 pairs after the strided rows of pass 1
+        evaluated.clear()
+        _, pos, tan = grid_nodes(seed_curves["circle"], grid)
+        energy._thickness_seeds(pos, tan, seed_curves["circle"].length)
+        strided = len(range(0, grid, energy.SEED_STRIDE))
+        assert sum(evaluated) == (strided + grid) * grid
+        assert max(evaluated) <= curve.PAIR_TILE
+
+    def test_seed_scan_memory_bounded(self, knot):
+        # the (grid, grid) quotients alone take 32 MB here
+        _, pos, tan = grid_nodes(knot, 2048)
+        tracemalloc.start()
+        try:
+            energy._thickness_seeds(pos, tan, knot.length)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 8 * curve.PAIR_TILE
+
     @pytest.mark.parametrize("grid", [64, 2048])
-    def test_seed_cells_match_float_band_scan(self, knot, grid):
-        L = knot.length
-        s = (np.arange(grid) + 0.5) * (L / grid)
-        pos, tan = knot.position(s), knot.derivative(s)
-        assert energy._thickness_seeds(pos, tan).tolist() == float_band_seeds(pos, tan, s, L)
+    def test_not_embedded(self, grid):
+        # torus_knot(2, 4) is the (1, 2) torus knot traversed twice
+        for spec in (
+            doubly_traversed_circle(),
+            arclength_reparametrize(preset_curve("torus_knot", [2, 4, 2.0, 0.5])),
+        ):
+            with pytest.raises(ValueError, match="not embedded"):
+                thickness_and_ropelength(spec, grid)
+
+    @settings(max_examples=4, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(0.125, 8.0),
+        reverse=st.booleans(),
+    )
+    def test_rigid_motion_reversal_and_dilation(self, knot, seed, scale, reverse):
+        # the pruning boxes are axis-aligned, so they change with the pose
+        base = thickness_and_ropelength(knot, 2048)
+        rng = np.random.default_rng(seed)
+        shift = rng.normal(scale=10.0, size=3)
+        spec = moved(knot, random_rotation(rng), shift, scale, reverse)
+        delta, rope = thickness_and_ropelength(spec, 2048)
+        assert delta == pytest.approx(scale * base[0], rel=1e-12)
+        assert rope == pytest.approx(base[1], rel=1e-12)
 
     @pytest.mark.parametrize("grid", [64, 128])
     def test_refinement_never_below_seed_cell(self, knot, grid):
         L = knot.length
         s = (np.arange(grid) + 0.5) * (L / grid)
-        seeds = energy._thickness_seeds(knot.position(s), knot.derivative(s))
+        seeds = energy._thickness_seeds(knot.position(s), knot.derivative(s), L)
         start = energy._inverse_tp(knot, L, s[seeds[:, 0]], s[seeds[:, 1]])
         refined = energy._refine_inverse_tp(knot, L, s[seeds[:, 0]], s[seeds[:, 1]], L / grid)
         assert np.all(refined >= start)
