@@ -27,7 +27,7 @@ for n in (16, 32, 64, 128, 256):
     ratio = np.abs(beta.segment_lengths / part.gaps - 1.0).max()
     lenerr = abs(beta.total_length / ellipse.length - 1.0)
     c1 = c1_distance(ellipse, beta, 2048)
-    gate = check_Bn(beta, ellipse.length, n)
+    gate = check_Bn(beta, ellipse.length)
     print(f"{n:>4} {ratio:>15.3e} {lenerr:>16.3e} {c1:>12.3e} {str(gate):>5}")
 
 print()

@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,20 +44,6 @@ from .optimize import AnnealConfig, anneal_discrete, trace_to_csv
 
 class ConfigError(Exception):
     pass
-
-
-GRID_DEFAULTS = {"energy": 512, "converge": 1024, "ropelength": 64, "mollify": 512}
-# annealing settings whose defaults are those of AnnealConfig
-ANNEAL_KEYS = (
-    "steps",
-    "initial_temperature",
-    "cooling_rate",
-    "sigma_position",
-    "sigma_tangent",
-    "min_pair_distance",
-)
-# config file keys a command reads besides those of its flags
-FILE_ONLY_KEYS = {"mollify": ("seminorm_grid",), "anneal": ANNEAL_KEYS}
 
 
 def fmt(value) -> str:
@@ -104,111 +91,106 @@ def parse_float_list(text: str):
         raise ConfigError(f"bad number list {text!r}") from exc
 
 
+class Setting(NamedTuple):
+    """How a command reads one setting: ``kind`` converts the text of its
+    flag or config key, ``default`` stands when neither gives it, and
+    ``help`` is the help of its flag; without help it is a config key only."""
+
+    kind: Callable
+    default: object
+    help: str | None = None
+
+
+# settings every command reads; mollify draws nothing at random but takes a
+# seed, so that one argv tail seeds any command
+COMMON = {
+    "curve": Setting(str, "circle", "preset name: circle, ellipse, torus_knot"),
+    "params": Setting(parse_float_list, None, "comma-separated preset parameters"),
+    "seed": Setting(int, 0, "random seed"),
+    "out": Setting(str, "-", "output path ('-' for stdout)"),
+}
+Q = Setting(float, 3.0, "energy power")
+N = Setting(int, 16, "number of biarcs")
+N_SWEEP = Setting(parse_int_list, None, "comma-separated sweep values of n")
+PARTITION = Setting(str, "uniform", "uniform or jitter:RHO")
+FORMAT = Setting(str, "csv", "output format: csv or json")
+# annealing settings of config files only, with the defaults of AnnealConfig
+TUNING = {
+    key: Setting(float, getattr(AnnealConfig, key))
+    for key in ("initial_temperature", "cooling_rate", "sigma_position", "sigma_tangent",
+                "min_pair_distance")
+}
+# The settings of each command, each read from its flag --key-name, else from
+# the config key key_name, else from its default.
+SETTINGS = {
+    "energy": {
+        **COMMON, "q": Q, "n": N, "partition": PARTITION, "format": FORMAT,
+        "grid": Setting(int, 512, "continuous quadrature grid"),
+    },
+    "converge": {
+        **COMMON, "q": Q, "n_sweep": N_SWEEP, "partition": PARTITION, "format": FORMAT,
+        "grid": Setting(int, 1024, "reference quadrature grid"),
+    },
+    "ropelength": {
+        **COMMON, "n_sweep": N_SWEEP, "partition": PARTITION, "format": FORMAT,
+        "grid": Setting(int, 64, "thickness search grid"),
+    },
+    "anneal": {
+        **COMMON, "q": Q, "n": N, "partition": PARTITION, **TUNING,
+        "steps": Setting(int, AnnealConfig.steps, "annealing steps"),
+        "initial": Setting(str, None, "junction text file to start from"),
+    },
+    "mollify": {
+        **COMMON, "q": Q, "format": FORMAT, "seminorm_grid": Setting(int, 256),
+        "n_sweep": Setting(parse_int_list, None, "comma-separated k of the scales eps = 1/k"),
+        "grid": Setting(int, 512, "sample grid of the C1 distance"),
+    },
+}
+PRESET_PARAMS = {"circle": [1.0], "ellipse": [2.0, 1.0], "torus_knot": [2, 3, 2.0, 0.5]}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="biarcs",
         description="Biarc interpolation and tangent-point energy experiments",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("energy", "discrete and continuous tangent-point energy of one configuration"),
-        ("converge", "energy error sweep against the continuous reference"),
-        ("ropelength", "ropelength proxy sweep against the thickness reference"),
-        ("anneal", "simulated annealing on a junction configuration"),
-        ("mollify", "smoothing sweep: C1 distance and tangent seminorm"),
-    ]:
-        cmd = sub.add_parser(name, help=helptext)
+    for name, run in COMMANDS.items():
+        cmd = sub.add_parser(name, help=run.__doc__, allow_abbrev=False)
         cmd.add_argument("--config", help="flat key = value settings file")
-        cmd.add_argument("--curve", help="preset name: circle, ellipse, torus_knot")
-        cmd.add_argument("--params", help="comma-separated preset parameters")
-        cmd.add_argument("--q", type=float, help="energy power")
-        cmd.add_argument("--n", type=int, help="number of biarcs")
-        cmd.add_argument("--n-sweep", dest="n_sweep", help="comma-separated sweep values")
-        cmd.add_argument("--partition", help="uniform or jitter:RHO")
-        cmd.add_argument("--seed", type=int, help="random seed")
-        cmd.add_argument("--out", help="output path ('-' for stdout)")
-        if name == "anneal":
-            cmd.add_argument("--steps", type=int, help="annealing steps")
-            cmd.add_argument("--initial", help="junction text file to start from")
-        else:
-            cmd.add_argument("--grid", type=int, help="quadrature / search grid")
-            cmd.add_argument("--format", choices=["csv", "json"], help="output format")
+        for key, setting in SETTINGS[name].items():
+            if setting.help:
+                cmd.add_argument("--" + key.replace("_", "-"), dest=key, help=setting.help)
     return parser
 
 
 def resolve_settings(args: argparse.Namespace) -> dict:
-    settings: dict = {}
-    explicit = set()
-    # the command's flags, as its subparser registered them
-    flags = set(vars(args)) - {"command", "config"}
-    if args.config:
-        keys = flags.union(FILE_ONLY_KEYS.get(args.command, ()))
-        file_settings = load_config_file(args.config, args.command, keys)
-        settings.update(file_settings)
-        explicit.update(file_settings)
-    for key in flags:
-        value = getattr(args, key)
-        if value is not None:
-            settings[key] = value
-            explicit.add(key)
-
-    def convert(key, kind, default=None):
-        if key not in settings:
-            return default
+    """Every setting of the command, from its flag, else the config file,
+    else its default."""
+    table = SETTINGS[args.command]
+    given = load_config_file(args.config, args.command, table) if args.config else {}
+    given.update((key, getattr(args, key)) for key in table if getattr(args, key, None) is not None)
+    settings = {key: setting.default for key, setting in table.items()}
+    for key, text in given.items():
+        kind = table[key].kind
         try:
-            return kind(settings[key])
+            settings[key] = kind(text)
         except ValueError as exc:
-            raise ConfigError(f"{key}: expected {kind.__name__}, got {settings[key]!r}") from exc
-
-    out = {
-        "curve": settings.get("curve", "circle"),
-        "params": None,
-        "q": convert("q", float, 3.0),
-        "n": convert("n", int, 16),
-        "n_sweep": None,
-        "partition": settings.get("partition", "uniform"),
-        "seed": convert("seed", int, 0),
-        "grid": convert("grid", int),
-        "seminorm_grid": convert("seminorm_grid", int, 256),
-        "out": settings.get("out", "-"),
-        "format": settings.get("format", "csv"),
-        "steps": convert("steps", int),
-        "cooling_rate": convert("cooling_rate", float),
-        "initial_temperature": convert("initial_temperature", float),
-        "sigma_position": convert("sigma_position", float),
-        "sigma_tangent": convert("sigma_tangent", float),
-        "min_pair_distance": convert("min_pair_distance", float),
-        "initial": settings.get("initial"),
-        "explicit": explicit,
-    }
-    if out["format"] not in ("csv", "json"):
-        raise ConfigError(f"unknown format {out['format']!r}")
-    params = settings.get("params")
-    if params is None:
-        defaults = {"circle": [1.0], "ellipse": [2.0, 1.0], "torus_knot": [2, 3, 2.0, 0.5]}
-        if out["curve"] not in defaults:
-            raise ConfigError(f"unknown curve preset {out['curve']!r}")
-        out["params"] = defaults[out["curve"]]
-    else:
-        out["params"] = parse_float_list(params) if isinstance(params, str) else params
-    if settings.get("n_sweep") is not None:
-        sweep = settings["n_sweep"]
-        out["n_sweep"] = parse_int_list(sweep) if isinstance(sweep, str) else sweep
-    for key in ("grid", "seminorm_grid"):
-        g = out[key]
-        if g is not None and (g < 2 or g & (g - 1)):
-            raise ConfigError(f"{key} must be a power of two, got {g}")
-    if out["seminorm_grid"] < 64:
-        raise ConfigError(f"seminorm_grid must be at least 64, got {out['seminorm_grid']}")
-    mode = out["partition"]
-    if mode != "uniform" and not mode.startswith("jitter:"):
-        raise ConfigError(f"unknown partition mode {mode!r}")
-    return out
+            raise ConfigError(f"{key}: expected {kind.__name__}, got {text!r}") from exc
+    if settings.get("format", "csv") not in ("csv", "json"):
+        raise ConfigError(f"unknown format {settings['format']!r}")
+    for key, least in (("grid", 2), ("seminorm_grid", 64)):
+        g = settings.get(key, least)
+        if g < least or g & (g - 1):
+            raise ConfigError(f"{key} must be at least {least} and a power of two, got {g}")
+    return settings
 
 
 def resolved_curve(settings: dict):
+    name, params = settings["curve"], settings["params"]
     try:
-        raw = preset_curve(settings["curve"], settings["params"])
+        raw = preset_curve(name, PRESET_PARAMS.get(name, []) if params is None else params)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return arclength_reparametrize(raw)
@@ -262,9 +244,10 @@ def emit(rows: list[dict], columns: list[str], settings: dict) -> None:
 
 
 def cmd_energy(settings: dict) -> int:
+    """discrete and continuous tangent-point energy of one configuration"""
     curve = resolved_curve(settings)
     n = settings["n"]
-    grid = settings["grid"] or GRID_DEFAULTS["energy"]
+    grid = settings["grid"]
     part = _partition(curve, n, settings)
     beta = build_biarc_curve(curve, part)
     meta = {"q": settings["q"], "grid": grid, "curve": settings["curve"], "seed": settings["seed"]}
@@ -287,17 +270,17 @@ def cmd_energy(settings: dict) -> int:
 
 
 def cmd_converge(settings: dict) -> int:
+    """energy error sweep against the continuous reference"""
     if settings["n_sweep"] is None:
         raise ConfigError("converge needs an n-sweep")
     if len(settings["n_sweep"]) < 2:
         raise ConfigError("converge fits a slope and needs at least two sweep values")
     curve = resolved_curve(settings)
-    grid = settings["grid"] or GRID_DEFAULTS["converge"]
+    parts = [_partition(curve, n, settings) for n in settings["n_sweep"]]
     q = settings["q"]
-    reference = continuous_tp_energy(curve, q, grid)
+    reference = continuous_tp_energy(curve, q, settings["grid"])
     rows = []
-    for i, n in enumerate(settings["n_sweep"]):
-        part = _partition(curve, n, settings)
+    for i, (n, part) in enumerate(zip(settings["n_sweep"], parts)):
         try:
             beta = build_biarc_curve(curve, part)
         except BiarcCurveBuildError as exc:
@@ -326,16 +309,14 @@ def cmd_converge(settings: dict) -> int:
 
 
 def cmd_ropelength(settings: dict) -> int:
+    """ropelength proxy sweep against the thickness reference"""
     if settings["n_sweep"] is None:
         raise ConfigError("ropelength needs an n-sweep")
-    if "q" in settings["explicit"]:
-        print("warning: the ropelength proxy forces q = n; --q is ignored", file=sys.stderr)
     curve = resolved_curve(settings)
-    grid = settings["grid"] or GRID_DEFAULTS["ropelength"]
-    _, reference = thickness_and_ropelength(curve, grid)
+    parts = [_partition(curve, n, settings) for n in settings["n_sweep"]]
+    _, reference = thickness_and_ropelength(curve, settings["grid"])
     rows = []
-    for n in settings["n_sweep"]:
-        part = _partition(curve, n, settings)
+    for n, part in zip(settings["n_sweep"], parts):
         beta = build_biarc_curve(curve, part)
         proxy = ropelength_proxy(beta, curve.length)
         rows.append({"n": n, "proxy": proxy, "reference": reference, "gap": abs(proxy - reference)})
@@ -344,13 +325,14 @@ def cmd_ropelength(settings: dict) -> int:
 
 
 def cmd_mollify(settings: dict) -> int:
+    """smoothing sweep: C1 distance and tangent seminorm"""
     sweep = settings["n_sweep"]
     if sweep is None:
         raise ConfigError("mollify needs an n-sweep of scale denominators k (eps = 1/k)")
     curve = resolved_curve(settings)
     L = curve.length
     q = settings["q"]
-    grid = settings["grid"] or GRID_DEFAULTS["mollify"]
+    grid = settings["grid"]
     for k in sweep:
         if 1.0 / k >= L / 4.0:
             raise ConfigError(f"eps = 1/{k} is not below a quarter of the length {L:.6g}")
@@ -385,6 +367,7 @@ def cmd_mollify(settings: dict) -> int:
 
 
 def cmd_anneal(settings: dict) -> int:
+    """simulated annealing on a junction configuration"""
     curve = resolved_curve(settings)
     n = settings["n"]
     if settings["initial"]:
@@ -400,9 +383,11 @@ def cmd_anneal(settings: dict) -> int:
         part = _partition(curve, n, settings)
         initial = build_biarc_curve(curve, part)
         L = curve.length
-    tuning = {key: settings[key] for key in ANNEAL_KEYS if settings[key] is not None}
+    tuning = {key: settings[key] for key in TUNING}
     try:
-        cfg = AnnealConfig(q=settings["q"], n=n, L=L, seed=settings["seed"], **tuning)
+        cfg = AnnealConfig(
+            q=settings["q"], n=n, L=L, seed=settings["seed"], steps=settings["steps"], **tuning
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     best, trace = anneal_discrete(initial, cfg)

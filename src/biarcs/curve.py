@@ -294,14 +294,8 @@ def make_partition(L: float, n: int, mode: str = "uniform", seed: int = 0) -> Pa
     if rho == 0.0:
         return Partition(base)
     rng = np.random.default_rng(seed)
-    lo, hi = (1.0 - 2.0 * rho) * L / n, (1.0 + 2.0 * rho) * L / n
-    for _ in range(64):
-        nodes = base.copy()
-        nodes[1:-1] += rng.uniform(-rho, rho, size=n - 1) * (L / n)
-        gaps = np.diff(nodes)
-        if gaps.min() >= lo - 1e-12 and gaps.max() <= hi + 1e-12 and gaps.max() <= L / 2:
-            return Partition(nodes)
-    raise ValueError("could not draw a partition within the distribution bounds")
+    base[1:-1] += rng.uniform(-rho, rho, size=n - 1) * (L / n)
+    return Partition(base)
 
 
 def _mode_factors(phase, modes: int):
@@ -430,6 +424,20 @@ def _separation(lo: int, hi: int, n: int) -> np.ndarray:
     return np.minimum(sep, n - sep)
 
 
+def _check_embedded(dist2: np.ndarray, rows, cols, grid: int, L: float) -> None:
+    """Raise ValueError when a chord of a pair tile of a uniform grid
+    (squared chords dist2[r, c] of nodes rows[r] and cols[c], NaN on the
+    diagonal) is below 1e-9 L between nodes more than 2 cells apart."""
+    collapsed = (1e-9 * L) ** 2
+    # the tile minimum skips the NaN diagonal; only a tile that holds a
+    # collapsed chord needs its pairs located
+    if np.fmin.reduce(dist2, axis=None) < collapsed:
+        i, j = np.nonzero(dist2 < collapsed)
+        sep = np.abs(rows[i] - cols[j])
+        if np.any(np.minimum(sep, grid - sep) > 2):
+            raise ValueError("curve is not embedded: distinct parameters collide")
+
+
 def gagliardo_seminorm(
     f: Callable,
     s: float,
@@ -520,14 +528,14 @@ def curve_diagnostics(curve: CurveSpec, grid: int = 512) -> CurveDiagnostics:
     s = np.linspace(0.0, L, grid, endpoint=False)
     h = L / grid
     coords = np.ascontiguousarray(curve.position(s).T)
+    every = np.arange(grid)
     c_gamma = 0.0
     for lo, hi in _row_tiles(grid):
-        chord = np.sqrt(sum((c[lo:hi, None] - c) ** 2 for c in coords))
-        sep = _separation(lo, hi, grid)
-        if np.any((sep > 2) & (chord < 1e-8 * L)):
-            raise ValueError("curve appears to self-intersect: chord collapse detected")
-        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on the diagonal
-            ratios = sep * h / chord
+        dist2 = sum((c[lo:hi, None] - c) ** 2 for c in coords)
+        dist2[every[: hi - lo], every[lo:hi]] = np.nan
+        _check_embedded(dist2, every[lo:hi], every, grid, L)
+        # the NaN diagonal drops out of the fmax
+        ratios = _separation(lo, hi, grid) * h / np.sqrt(dist2)
         c_gamma = max(c_gamma, float(np.fmax.reduce(ratios, axis=None)))
     ks = []
     for k in range(1, 9):

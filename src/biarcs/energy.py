@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .curve import CurveSpec, _row_tiles, curvature_values, periodic_distance
+from .curve import CurveSpec, _check_embedded, _row_tiles, curvature_values, periodic_distance
 from .interpolate import BiarcCurve, check_Bn
 
 # switch the double sum to log-space accumulation beyond this power
@@ -162,24 +162,9 @@ def discrete_tp_energy(beta: BiarcCurve, q: float, gated: bool, L: float) -> flo
     """
     if q < 2:
         raise ValueError("tangent-point power q must be >= 2")
-    n = beta.n_segments
-    if gated and not check_Bn(beta, L, n):
+    if gated and not check_Bn(beta, L):
         return math.inf
     return _beta_stats(beta, q).energy
-
-
-def _check_embedded(dist2: np.ndarray, rows, cols, grid: int, L: float) -> None:
-    """Raise ValueError when a chord of a pair tile of the midpoint grid
-    (squared chords dist2[r, c] of nodes rows[r] and cols[c], NaN on the
-    diagonal) is below 1e-9 L between nodes more than 2 cells apart."""
-    collapsed = (1e-9 * L) ** 2
-    # the tile minimum skips the NaN diagonal; only a tile that holds a
-    # collapsed chord needs its pairs located
-    if np.fmin.reduce(dist2, axis=None) < collapsed:
-        i, j = np.nonzero(dist2 < collapsed)
-        sep = np.abs(rows[i] - cols[j])
-        if np.any(np.minimum(sep, grid - sep) > 2):
-            raise ValueError("curve is not embedded: distinct parameters collide")
 
 
 def continuous_tp_energy(curve: CurveSpec, q: float, grid: int) -> float:
@@ -356,7 +341,7 @@ def ropelength_proxy(beta: BiarcCurve, L: float) -> float:
     Returns +inf when the curve fails the length gate.
     """
     n = beta.n_segments
-    if not check_Bn(beta, L, n):
+    if not check_Bn(beta, L):
         return math.inf
     log_energy = _beta_stats(beta, float(n)).log_energy
     return float(np.exp((n - 2) / n * math.log(L) + log_energy / n))
@@ -375,7 +360,7 @@ def holder_bound_check(beta: BiarcCurve, k: float, m: float, L: float) -> Holder
     if not 2 <= k <= m:
         raise ValueError("need 2 <= k <= m")
     n = beta.n_segments
-    if not check_Bn(beta, L, n):
+    if not check_Bn(beta, L):
         raise ValueError("biarc curve fails the length gate")
     lhs = math.exp(_beta_stats(beta, float(k)).log_energy / k)
     length = beta.total_length

@@ -158,10 +158,9 @@ def eval_biarc_curve(beta: BiarcCurve, s):
     return pos, tan
 
 
-def check_Bn(beta: BiarcCurve, L: float, n: int) -> bool:
-    """Length gate: every biarc length within [L/(2n), 2L/n]."""
-    if n != beta.n_segments:
-        raise ValueError(f"expected {n} biarcs, curve has {beta.n_segments}")
+def check_Bn(beta: BiarcCurve, L: float) -> bool:
+    """Length gate: each of the n biarc lengths within [L/(2n), 2L/n]."""
+    n = beta.n_segments
     lam = beta.segment_lengths
     return bool(np.all(lam >= L / (2 * n)) and np.all(lam <= 2 * L / n))
 

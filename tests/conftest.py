@@ -83,5 +83,5 @@ def jittered_circle_config(rng, n, pos_scale=0.03, tan_scale=0.05):
             beta = from_junctions(pts, tans)
         except BiarcCurveBuildError:
             continue
-        if check_Bn(beta, two_pi, n):
+        if check_Bn(beta, two_pi):
             return beta

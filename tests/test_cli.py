@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from biarcs.cli import main
+from biarcs.cli import build_parser, main, resolve_settings
 
 FOUR_PI2 = 4 * math.pi**2
 
@@ -81,7 +81,8 @@ class TestConfigErrors:
     def test_bad_config_values_exit_2(self, tmp_path, capsys, command, line, message):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(line + "\n")
-        code, _, err = run(capsys, [command, "--config", str(cfg), "--n-sweep", "8,16"])
+        sweep = ["--n-sweep", "8,16"] if command in ("converge", "ropelength", "mollify") else []
+        code, _, err = run(capsys, [command, "--config", str(cfg), *sweep])
         assert code == 2
         assert err.startswith("error: ") and message in err
 
@@ -109,6 +110,96 @@ class TestConfigErrors:
             main(["anneal", "--curve", "circle", "--n", "8", "--steps", "10", *flag])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["energy", "--n", "8"], ["--n-sweep", "8,16"]),
+            (["converge", "--n-sweep", "8,16"], ["--n", "8"]),
+            (["ropelength", "--n-sweep", "8,16"], ["--n", "8"]),
+            (["ropelength", "--n-sweep", "8,16"], ["--q", "5"]),
+            (["mollify", "--n-sweep", "4,8"], ["--n", "8"]),
+            (["mollify", "--n-sweep", "4,8"], ["--partition", "jitter:0.1"]),
+            (["anneal", "--n", "8", "--steps", "3"], ["--n-sweep", "8,16"]),
+        ],
+        ids=lambda v: v[0].lstrip("-"),
+    )
+    def test_commands_reject_settings_they_do_not_read(self, tmp_path, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(f"{flag[0][2:]} = {flag[1]}\n")
+        code, out, err = run(capsys, [*argv, "--config", str(cfg)])
+        assert code == 2 and out == ""
+        assert "unknown key" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["converge", "--n", "999", "--n-sweep", "8,16"],
+            ["converge", "--n-sw", "8,16"],
+            ["energy", "--part", "jitter:0.1"],
+            ["anneal", "--init", "start.txt"],
+        ],
+    )
+    def test_abbreviated_flags_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the benchmark workloads (perfbench/workloads.py), with the seed and
+            # the output path the benchmark appends
+            ["converge", "--curve", "ellipse", "--params", "2,1", "--q", "3",
+             "--n-sweep", "64,128,256,512,1024,2048", "--grid", "2048",
+             "--partition", "jitter:0.1", "--seed", "0"],
+            ["ropelength", "--curve", "torus_knot", "--params", "2,3,2,0.5",
+             "--n-sweep", "64,128,256,512,1024", "--grid", "2048", "--partition", "jitter:0.1",
+             "--seed", "0"],
+            ["anneal", "--curve", "torus_knot", "--params", "2,3,2,0.5", "--n", "64", "--q", "4",
+             "--steps", "1500", "--seed", "0", "--out", "anneal.csv"],
+            ["mollify", "--curve", "torus_knot", "--params", "2,3,2,0.5", "--q", "3",
+             "--n-sweep", "4,8,16,32", "--grid", "512", "--seed", "0"],
+            # the README example session
+            ["converge", "--curve", "ellipse", "--params", "2,1", "--q", "3",
+             "--n-sweep", "16,32,64,128,256", "--out", "converge.csv"],
+            ["ropelength", "--curve", "torus_knot", "--params", "2,3,2,0.5",
+             "--n-sweep", "32,64,128,256", "--out", "rope.csv"],
+            ["anneal", "--curve", "circle", "--n", "32", "--q", "4", "--steps", "20000",
+             "--seed", "11", "--out", "trace.csv"],
+        ],
+        ids=["bench-converge", "bench-ropelength", "bench-anneal", "bench-mollify",
+             "readme-converge", "readme-ropelength", "readme-anneal"],
+    )
+    def test_documented_argvs_parse(self, argv):
+        settings = resolve_settings(build_parser().parse_args(argv))
+        flags = dict(zip(argv[1::2], argv[2::2]))
+        assert settings["seed"] == int(flags.get("--seed", 0))
+        assert settings["out"] == flags.get("--out", "-")
+
+    @pytest.mark.parametrize("command", ["converge", "ropelength"])
+    @pytest.mark.parametrize(
+        "sweep, partition, message",
+        [("64,128", "jitter:0.5", "jitter amplitude"), ("3,128", "uniform", "n >= 4")],
+    )
+    def test_sweep_partitions_are_checked_before_the_reference(
+        self, capsys, monkeypatch, command, sweep, partition, message
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the reference ran")
+
+        monkeypatch.setattr("biarcs.cli.continuous_tp_energy", unreachable)
+        monkeypatch.setattr("biarcs.cli.thickness_and_ropelength", unreachable)
+        argv = [command, "--curve", "ellipse", "--params", "2,1", "--n-sweep", sweep,
+                "--grid", "4096", "--partition", partition]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
 
     @pytest.mark.parametrize(
         "argv, lines",
@@ -232,13 +323,12 @@ class TestRopelengthCommand:
         assert out == ""
         assert err == "numerical failure: curve is not embedded: distinct parameters collide\n"
 
-    def test_q_warning(self, capsys):
-        code, _, err = run(
-            capsys,
-            ["ropelength", "--curve", "circle", "--n-sweep", "8,16", "--grid", "64", "--q", "5"],
-        )
-        assert code == 0
-        assert "ignored" in err
+    def test_q_is_rejected(self, capsys):
+        # the proxy forces q = n
+        with pytest.raises(SystemExit) as exc:
+            main(["ropelength", "--curve", "circle", "--n-sweep", "8,16", "--grid", "64", "--q", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --q 5" in capsys.readouterr().err
 
 
 def test_cli_run_imports_only_numpy_and_the_standard_library():

@@ -374,6 +374,19 @@ class TestDiagnostics:
         with pytest.raises(ValueError):
             curve_diagnostics(eight, grid=512)
 
+    def test_doubly_traversed_circle_is_not_embedded(self):
+        def position(u):
+            u = np.asarray(u, dtype=float)
+            return np.stack([np.cos(2 * u), np.sin(2 * u), np.zeros_like(u)], axis=-1)
+
+        def derivative(u):
+            u = np.asarray(u, dtype=float)
+            return np.stack([-2 * np.sin(2 * u), 2 * np.cos(2 * u), np.zeros_like(u)], axis=-1)
+
+        twice = arclength_reparametrize(analytic_curve(position, derivative))
+        with pytest.raises(ValueError, match="not embedded"):
+            curve_diagnostics(twice, grid=256)
+
 
 @pytest.fixture(scope="module")
 def smoothed_knot():

@@ -243,17 +243,12 @@ class TestGate:
     def test_uniform_circle_passes(self):
         for n in (8, 16, 64):
             _, _, beta = circle_interpolant(n)
-            assert check_Bn(beta, TWO_PI, n)
+            assert check_Bn(beta, TWO_PI)
 
     def test_rescaled_fails(self):
         _, _, beta = circle_interpolant(8)
         big = from_junctions(4.0 * beta.junction_points, beta.junction_tangents)
-        assert not check_Bn(big, TWO_PI, 8)
-
-    def test_count_mismatch(self):
-        _, _, beta = circle_interpolant(8)
-        with pytest.raises(ValueError):
-            check_Bn(beta, TWO_PI, 16)
+        assert not check_Bn(big, TWO_PI)
 
 
 class TestC1Distance:

@@ -87,7 +87,7 @@ class TestAnneal:
         assert e_best <= e_init
         assert trace.best_energy == pytest.approx(e_best, rel=1e-9)
         # the returned configuration still satisfies the gate
-        assert check_Bn(best, TWO_PI, 16)
+        assert check_Bn(best, TWO_PI)
 
     def test_best_below_accepted_and_monotone(self):
         init = perturbed_circle(16, 0.05, seed=2)
