@@ -21,10 +21,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .curve import (
+    _mollify_sweep,
     arclength_reparametrize,
     gagliardo_seminorm,
     make_partition,
-    mollify,
     preset_curve,
 )
 from .energy import (
@@ -340,10 +340,9 @@ def cmd_mollify(settings: dict) -> int:
     samples = np.linspace(0.0, L, grid, endpoint=False)
     base_pos = curve.position(samples)
     base_tan = curve.derivative(samples)
+    scales = [1.0 / k for k in sweep]
     rows = []
-    for k in sweep:
-        eps = 1.0 / k
-        smooth = mollify(curve, eps)
+    for k, eps, smooth in zip(sweep, scales, _mollify_sweep(curve, scales)):
         dpos = np.linalg.norm(smooth.position(samples) - base_pos, axis=-1).max()
         dtan = np.linalg.norm(smooth.derivative(samples) - base_tan, axis=-1).max()
 

@@ -19,6 +19,12 @@ DEFAULT_GRID_1D = 2048
 TRIG_BLOCK = 1024
 # trapezoid nodes of the mollifier's convolution on [-1, 1]
 MOLLIFY_NODES = 257
+# relative size below which a mode of a mollified curve is noise, at the
+# rounding level of its 2 * DEFAULT_GRID_1D-sample FFT: past their signal, the
+# modes of the mollified torus knot and ellipse reach 1.7e-15 of the largest
+# (eps = 1/32; the rounding and the base curve's length-table error, damped
+# by the bump's transfer function)
+MODE_FLOOR = 5e-15
 # mass of the bump exp(-1/(1-x^2)) on (-1, 1) as composite Simpson on 65536
 # cells gives it, one unit in the last place above the exact value
 BUMP_MASS = 0.4439938161680795
@@ -154,10 +160,22 @@ def _hermite_inverse(raw: CurveSpec, slope: np.ndarray) -> CurveSpec:
     return CurveSpec(total, position, derivative, second_derivative, table, True, raw.name)
 
 
+# the parameters of each preset curve, in order
+_PRESET_PARAMETERS = {"circle": ("R",), "ellipse": ("a", "b"), "torus_knot": ("p", "q", "R", "r")}
+
+
 def preset_curve(name: str, params) -> CurveSpec:
     """Analytic closed test curves: circle(R), ellipse(a, b),
     torus_knot(p, q, R, r)."""
+    if name not in _PRESET_PARAMETERS:
+        raise ValueError(f"unknown curve preset {name!r}")
     params = [float(p) for p in params]
+    names = _PRESET_PARAMETERS[name]
+    if len(params) != len(names):
+        plural = "s" if len(names) > 1 else ""
+        raise ValueError(
+            f"{name} takes {len(names)} parameter{plural} {', '.join(names)}; got {len(params)}"
+        )
     if name == "circle":
         (radius,) = params
         if radius <= 0:
@@ -249,8 +267,6 @@ def preset_curve(name: str, params) -> CurveSpec:
         )
         return _with_length_table(spec)
 
-    raise ValueError(f"unknown curve preset {name!r}")
-
 
 def _with_length_table(spec: CurveSpec) -> CurveSpec:
     x = np.linspace(0.0, spec.period, DEFAULT_GRID_1D + 1)
@@ -307,15 +323,27 @@ def _mode_factors(phase, modes: int):
     return np.exp(phase * (width * np.arange(-(-modes // width)))), np.exp(phase * np.arange(width))
 
 
+def _kept_modes(coeffs: np.ndarray) -> int:
+    """The number of modes through the last significant one: a mode is
+    significant when the norm of its coefficient vector exceeds MODE_FLOOR
+    times the largest such norm over modes >= 1. Mode 0, the centroid, is
+    left out of that maximum, so the count is the same for a curve moved
+    rigidly or dilated."""
+    size = np.linalg.norm(coeffs[1:], axis=1)
+    significant = np.flatnonzero(size > MODE_FLOOR * size.max(initial=0.0))
+    return int(significant[-1]) + 2 if significant.size else 1
+
+
 def _trig_polynomial(coeffs: np.ndarray, period: float) -> Callable:
     """Evaluator of Re sum_m coeffs[m] exp(2 pi i m x / period) for complex
-    coefficients of shape (modes, 3), at points x of any shape. Points go
-    in row blocks, so temporaries stay O(TRIG_BLOCK * sqrt(modes)); in a
+    coefficients of shape (modes, 3), at points x of any shape, with the
+    sum cut after its last significant mode (`_kept_modes`). Points go in
+    row blocks, so temporaries stay O(TRIG_BLOCK * sqrt(modes)); in a
     block, the low factors meet the coefficient table in one matmul and
     each point's high factors meet its row in a batched one."""
-    modes = coeffs.shape[0]
+    modes = _kept_modes(coeffs)
     count, width = (f.shape[1] for f in _mode_factors(0.0, modes))
-    padded = np.pad(coeffs, ((0, count * width - modes), (0, 0)))
+    padded = np.pad(coeffs[:modes], ((0, count * width - modes), (0, 0)))
     # row b, column (a, d): coefficient of mode a B + b in coordinate d
     table = padded.reshape(count, width, 3).transpose(1, 0, 2).reshape(width, count * 3)
     omega = 2.0 * math.pi / period
@@ -335,23 +363,33 @@ def _trig_polynomial(coeffs: np.ndarray, period: float) -> Callable:
 def mollify(curve: CurveSpec, eps: float) -> CurveSpec:
     """Smooth the curve by periodic convolution with the bump
     exp(-1/(1-x^2)) scaled to [-eps, eps], rescale to the original length
-    about the centroid, and reparametrize by arclength.
+    about the centroid, and reparametrize by arclength. The result is a
+    trigonometric polynomial cut after its last mode above MODE_FLOOR; this
+    is the one-scale case of `_mollify_sweep`, which the `mollify` command
+    runs over all its scales from one sampling of the curve."""
+    return _mollify_sweep(curve, [eps])[0]
+
+
+def _mollify_sweep(curve: CurveSpec, scales) -> list[CurveSpec]:
+    """`mollify(curve, eps)` for each eps of ``scales``.
 
     The convolution (trapezoid rule on MOLLIFY_NODES kernel nodes) is
-    applied in frequency space: curve and tangent are sampled once on the
-    2 * DEFAULT_GRID_1D nodes and cell midpoints of the length table, and
-    their spectra are multiplied by the quadrature's transfer function, one
-    complex matmul per kernel. One inverse FFT gives the speed on the table
-    nodes and midpoints, hence the table and the reparametrization's node
-    slopes; the smoothed curve is the trigonometric polynomial of all
-    modes, with the second derivative from the bump's derivative, and the
-    reparametrization inverts its table.
+    applied in frequency space: curve and tangent are sampled once, for all
+    scales, on the 2 * DEFAULT_GRID_1D nodes and cell midpoints of the
+    length table and transformed once. At each scale their spectra are
+    multiplied by the quadrature's transfer function, one complex matmul
+    per kernel. One inverse FFT gives the speed on the table nodes and
+    midpoints, hence the table and the reparametrization's node slopes; the
+    smoothed curve is the trigonometric polynomial of its modes above
+    MODE_FLOOR, with the second derivative from the bump's derivative, and
+    the reparametrization inverts its table.
     """
     if not curve.is_arclength:
         raise ValueError("mollify expects an arclength-parametrized curve")
     L = curve.length
-    if not 0.0 < eps < L / 4.0:
-        raise ValueError(f"mollification scale must lie in (0, L/4), got {eps!r}")
+    for eps in scales:
+        if not 0.0 < eps < L / 4.0:
+            raise ValueError(f"mollification scale must lie in (0, L/4), got {eps!r}")
     xi = np.linspace(-1.0, 1.0, MOLLIFY_NODES)
     trap = np.full(MOLLIFY_NODES, 2.0 / (MOLLIFY_NODES - 1))
     trap[[0, -1]] *= 0.5
@@ -362,46 +400,51 @@ def mollify(curve: CurveSpec, eps: float) -> CurveSpec:
     bump[1:-1] = np.exp(-1.0 / om) / BUMP_MASS
     dbump[1:-1] = np.exp(-1.0 / om) * (-2.0 * inner / (om * om)) / BUMP_MASS
     weights = trap * bump
-    dweights = trap * dbump / eps
     # discrete partition of unity: the convolution then fixes constants exactly
-    kernels = np.column_stack([weights / weights.sum(), dweights - dweights.mean()])
+    weights /= weights.sum()
 
     samples = DEFAULT_GRID_1D
     grid = np.arange(2 * samples) * (L / (2 * samples))
     pos_hat = np.fft.rfft(curve.position(grid), axis=0)
     tan_hat = np.fft.rfft(curve.derivative(grid), axis=0)
-    # transfer function of sum_k w_k f(x - eps xi_k) at each mode, per kernel
     modes = pos_hat.shape[0]
-    high, low = _mode_factors(-2.0 * math.pi / L * eps * xi, modes)
-    # transfer[a B + b, j] = sum_k high[k, a] low[k, b] kernels[k, j]: one
-    # complex matmul per kernel, (A, K) @ (K, B), read in (a, b, j) order
-    weighted = (high[:, :, None] * kernels[:, None, :]).transpose(2, 1, 0)
-    transfer = (weighted @ low).transpose(1, 2, 0).reshape(-1, 2)[:modes]
-    tan_smooth = tan_hat * transfer[:, :1]
+    smoothed = []
+    for eps in scales:
+        dweights = trap * dbump / eps
+        kernels = np.column_stack([weights, dweights - dweights.mean()])
+        # transfer function of sum_k w_k f(x - eps xi_k) at each mode, per kernel
+        high, low = _mode_factors(-2.0 * math.pi / L * eps * xi, modes)
+        # transfer[a B + b, j] = sum_k high[k, a] low[k, b] kernels[k, j]: one
+        # complex matmul per kernel, (A, K) @ (K, B), read in (a, b, j) order
+        weighted = (high[:, :, None] * kernels[:, None, :]).transpose(2, 1, 0)
+        transfer = (weighted @ low).transpose(1, 2, 0).reshape(-1, 2)[:modes]
+        tan_smooth = tan_hat * transfer[:, :1]
 
-    speed = np.linalg.norm(np.fft.irfft(tan_smooth, n=2 * samples, axis=0), axis=-1)
-    speed_x = np.append(speed[::2], speed[0])
-    cum = _cumulative_speed(speed_x, speed[1::2], L)
-    scale = L / cum[-1]
-    # irfft weights: 1/N, doubled for the modes strictly between 0 and Nyquist
-    norm = np.full((modes, 1), 2.0 * scale / (2 * samples))
-    norm[[0, -1]] *= 0.5
-    pos_coeffs = norm * pos_hat * transfer[:, :1]
-    # rescale about the centroid, the zero mode the convolution keeps, so
-    # that a translated curve gives the translated result
-    pos_coeffs[0] /= scale
-    raw = CurveSpec(
-        L,
-        _trig_polynomial(pos_coeffs, L),
-        _trig_polynomial(norm * tan_smooth, L),
-        _trig_polynomial(norm * tan_hat * transfer[:, 1:], L),
-        np.column_stack([np.linspace(0.0, L, samples + 1), scale * cum]),
-        False,
-        curve.name,
-    )
-    # the raw curve's speed at the table nodes is scale * speed_x: the
-    # polynomial's values there are what the inverse FFT already gave
-    return _hermite_inverse(raw, 1.0 / (scale * speed_x))
+        speed = np.linalg.norm(np.fft.irfft(tan_smooth, n=2 * samples, axis=0), axis=-1)
+        speed_x = np.append(speed[::2], speed[0])
+        cum = _cumulative_speed(speed_x, speed[1::2], L)
+        scale = L / cum[-1]
+        # irfft weights: 1/N, doubled for the modes strictly between 0 and Nyquist
+        norm = np.full((modes, 1), 2.0 * scale / (2 * samples))
+        norm[[0, -1]] *= 0.5
+        pos_coeffs = norm * pos_hat * transfer[:, :1]
+        # rescale about the centroid, the zero mode the convolution keeps, so
+        # that a translated curve gives the translated result
+        pos_coeffs[0] /= scale
+        raw = CurveSpec(
+            L,
+            _trig_polynomial(pos_coeffs, L),
+            _trig_polynomial(norm * tan_smooth, L),
+            _trig_polynomial(norm * tan_hat * transfer[:, 1:], L),
+            np.column_stack([np.linspace(0.0, L, samples + 1), scale * cum]),
+            False,
+            curve.name,
+        )
+        # the raw curve's speed at the table nodes is scale * speed_x: the
+        # polynomial's values there are what the inverse FFT already gave, up
+        # to the dropped modes
+        smoothed.append(_hermite_inverse(raw, 1.0 / (scale * speed_x)))
+    return smoothed
 
 
 def periodic_distance(x, y, period: float):

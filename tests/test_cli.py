@@ -41,6 +41,23 @@ class TestEnergyCommand:
         assert code == 2
         assert "unknown curve" in err
 
+    @pytest.mark.parametrize(
+        "curve, params, message",
+        [
+            ("circle", "", "circle takes 1 parameter R; got 0"),
+            ("circle", "1,2", "circle takes 1 parameter R; got 2"),
+            ("ellipse", "2", "ellipse takes 2 parameters a, b; got 1"),
+            ("ellipse", "2,1,1", "ellipse takes 2 parameters a, b; got 3"),
+            ("torus_knot", "2,3", "torus_knot takes 4 parameters p, q, R, r; got 2"),
+            ("torus_knot", "2,3,2,0.5,1", "torus_knot takes 4 parameters p, q, R, r; got 5"),
+        ],
+        ids=["circle-0", "circle-2", "ellipse-1", "ellipse-3", "torus_knot-2", "torus_knot-5"],
+    )
+    def test_wrong_parameter_count_is_config_error(self, capsys, curve, params, message):
+        code, _, err = run(capsys, ["energy", "--curve", curve, "--params", params])
+        assert code == 2
+        assert err == f"error: {message}\n"
+
     def test_grid_must_be_power_of_two(self, capsys):
         code, _, err = run(capsys, ["energy", "--curve", "circle", "--grid", "300"])
         assert code == 2
@@ -238,7 +255,7 @@ class TestConfigErrors:
         [
             (["converge", "--curve", "ellipse", "--n-sweep", "64,128"], "continuous_tp_energy"),
             (["anneal", "--curve", "circle", "--n", "8", "--steps", "3"], "anneal_discrete"),
-            (["mollify", "--curve", "circle", "--n-sweep", "4,8"], "mollify"),
+            (["mollify", "--curve", "circle", "--n-sweep", "4,8"], "_mollify_sweep"),
         ],
     )
     def test_unwritable_out_exits_2_before_the_compute(self, tmp_path, capsys, monkeypatch, argv, compute):
@@ -362,6 +379,24 @@ class TestMollifyCommand:
         sn = [float(r["tangent_seminorm"]) for r in rows]
         assert c1[2] < c1[1] < c1[0]
         assert sn[2] < sn[1] < sn[0]
+
+    def test_benchmark_argv_output_is_pinned(self, capsys):
+        # the mollify_knot workload's argv; values from the untruncated
+        # 2049-mode polynomials, which the kept modes reproduce to 1e-10
+        code, out, _ = run(
+            capsys,
+            ["mollify", "--curve", "torus_knot", "--params", "2,3,2,0.5", "--q", "3",
+             "--n-sweep", "4,8,16,32", "--grid", "512"],
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        expected = {
+            "c1_distance": [0.00375879092977, 0.000944029235523, 0.000236280753057, 5.90873555506e-05],
+            "tangent_seminorm": [7.74491011114e-07, 1.2327368044e-08, 1.93511762533e-10, 3.02713767654e-12],
+        }
+        assert [r["k"] for r in rows] == ["4", "8", "16", "32"]
+        for col, values in expected.items():
+            assert [float(r[col]) for r in rows] == pytest.approx(values, rel=1e-10)
 
     def test_eps_bound(self, capsys):
         # a short curve makes eps = 1/1 exceed a quarter of the length

@@ -178,6 +178,23 @@ class TestPresets:
         with pytest.raises(ValueError):
             preset_curve("torus_knot", [2, 3, 0.5, 2.0])
 
+    @pytest.mark.parametrize(
+        "name, params, message",
+        [
+            ("circle", [], "circle takes 1 parameter R; got 0"),
+            ("circle", [1.0, 2.0], "circle takes 1 parameter R; got 2"),
+            ("ellipse", [2.0], "ellipse takes 2 parameters a, b; got 1"),
+            ("ellipse", [2.0, 1.0, 1.0], "ellipse takes 2 parameters a, b; got 3"),
+            ("torus_knot", [2, 3], "torus_knot takes 4 parameters p, q, R, r; got 2"),
+            ("torus_knot", [2, 3, 2.0, 0.5, 1.0], "torus_knot takes 4 parameters p, q, R, r; got 5"),
+        ],
+        ids=["circle-0", "circle-2", "ellipse-1", "ellipse-3", "torus_knot-2", "torus_knot-5"],
+    )
+    def test_wrong_parameter_count_names_the_preset(self, name, params, message):
+        with pytest.raises(ValueError) as exc:
+            preset_curve(name, params)
+        assert str(exc.value) == message
+
 
 class TestArclength:
     def test_nonuniform_circle(self):
@@ -315,12 +332,77 @@ class TestMollify:
         assert np.abs(smooth.derivative(s) - tan).max() <= 1e-9
         assert np.abs(smooth.second_derivative(s) - second).max() <= 1e-7 * np.abs(second).max()
 
+    def test_sweep_matches_one_scale_calls(self):
+        # the sweep shares the sampling and the forward FFTs of the base curve
+        knot = base_curves()["torus_knot"]
+        scales = [1 / 4, 1 / 8, 1 / 16, 1 / 32]
+        s = np.linspace(0.0, knot.length, 256, endpoint=False)
+        for eps, smooth in zip(scales, curve_module._mollify_sweep(knot, scales)):
+            one = mollify(knot, eps)
+            for field in ("position", "derivative", "second_derivative"):
+                assert np.array_equal(getattr(smooth, field)(s), getattr(one, field)(s))
+            assert np.array_equal(smooth.arclength_table, one.arclength_table)
+
     def test_preconditions(self):
         circle = preset_curve("circle", [1.0])
         with pytest.raises(ValueError):
             mollify(circle, circle.length / 4.0)
         with pytest.raises(ValueError):
             mollify(preset_curve("ellipse", [2.0, 1.0]), 0.1)
+
+
+def kept_modes_of(curve, scales):
+    """The kept mode counts of the (position, tangent, second derivative)
+    polynomials of the curve mollified at each of the scales."""
+    counts = []
+    build = curve_module._trig_polynomial
+
+    def counting(coeffs, period):
+        counts.append(curve_module._kept_modes(coeffs))
+        return build(coeffs, period)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(curve_module, "_trig_polynomial", counting)
+        for eps in scales:
+            mollify(curve, eps)
+    return [tuple(counts[i : i + 3]) for i in range(0, len(counts), 3)]
+
+
+class TestModeTruncation:
+    """A mollified curve keeps its modes up to the last one above
+    MODE_FLOOR; past it lie the FFT's rounding and the error of the base
+    curve's length table."""
+
+    @pytest.mark.parametrize("name", ["ellipse", "torus_knot"])
+    @pytest.mark.parametrize("eps", [1 / 4, 1 / 32])
+    def test_matches_untruncated(self, monkeypatch, name, eps):
+        # the knot at eps = 1/32 differs most, by 1.7e-13 in position: its
+        # dropped modes carry the interpolation error of the base curve's
+        # length table
+        curve = base_curves()[name]
+        s = np.linspace(0.0, curve.length, 4096, endpoint=False) + 0.0123
+        smooth = mollify(curve, eps)
+        monkeypatch.setattr(curve_module, "MODE_FLOOR", 0.0)
+        full = mollify(curve, eps)
+        assert np.abs(smooth.position(s) - full.position(s)).max() <= 2e-13
+        assert np.abs(smooth.derivative(s) - full.derivative(s)).max() <= 2e-13
+
+    def test_torus_knot_keeps_few_modes(self):
+        knot = base_curves()["torus_knot"]
+        for position, tangent, _ in kept_modes_of(knot, [1 / 4, 1 / 8, 1 / 16, 1 / 32]):
+            assert position <= 80 and tangent <= 80
+
+    def test_algebraic_decay_keeps_every_mode(self):
+        # C^{1,1} curves have algebraically decaying spectra: the floor is
+        # relative to the largest mode, not a fixed cap
+        rng = np.random.default_rng(0)
+        m = np.arange(2049)[:, None]
+        phases = np.exp(2j * math.pi * rng.random((2049, 3)))
+        assert curve_module._kept_modes(phases * (m + 1.0) ** -3) == 2049
+        # a geometric spectrum is cut where it meets the floor: relative to
+        # mode 1, mode m has size 2^(1-m), above 5e-15 up to m = 48
+        assert curve_module._kept_modes(phases * 0.5**m) == 49
+        assert curve_module._kept_modes(np.zeros((5, 3))) == 1
 
 
 class TestSeminorm:
@@ -394,29 +476,41 @@ def smoothed_knot():
     return knot, mollify(knot, 1.0 / 8.0)
 
 
+# a rotation seed, a translation and a dilation factor
+MOTIONS = given(
+    seed=st.integers(0, 2**32 - 1),
+    shift=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+    factor=st.floats(0.5, 2.0),
+)
+
+
+def moved_and_scaled_knots(seed, shift, factor):
+    """The rotation drawn from the seed, and the torus knot rotated and
+    shifted by it, and dilated by the factor, both by arclength."""
+    raw = preset_curve("torus_knot", [2, 3, 2.0, 0.5])
+    rot = random_rotation(np.random.default_rng(seed))
+    moved = arclength_reparametrize(
+        analytic_curve(
+            lambda u: raw.position(u) @ rot.T + shift, lambda u: raw.derivative(u) @ rot.T
+        )
+    )
+    scaled = arclength_reparametrize(
+        analytic_curve(lambda u: factor * raw.position(u), lambda u: factor * raw.derivative(u))
+    )
+    return rot, moved, scaled
+
+
 class TestMollifyInvariance:
     """Mollification commutes with rigid motions and dilations: the
     convolution and the length rescale are linear, and the length table's
     grid and the kernel nodes scale with the curve."""
 
     @settings(max_examples=10, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        shift=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
-        factor=st.floats(0.5, 2.0),
-    )
+    @MOTIONS
     def test_rigid_motion_and_dilation(self, smoothed_knot, seed, shift, factor):
         knot, smooth = smoothed_knot
-        raw = preset_curve("torus_knot", [2, 3, 2.0, 0.5])
-        rot, shift = random_rotation(np.random.default_rng(seed)), np.array(shift)
-        moved = arclength_reparametrize(
-            analytic_curve(
-                lambda u: raw.position(u) @ rot.T + shift, lambda u: raw.derivative(u) @ rot.T
-            )
-        )
-        scaled = arclength_reparametrize(
-            analytic_curve(lambda u: factor * raw.position(u), lambda u: factor * raw.derivative(u))
-        )
+        shift = np.array(shift)
+        rot, moved, scaled = moved_and_scaled_knots(seed, shift, factor)
         s = np.linspace(0.0, knot.length, 64, endpoint=False) + 0.0123
         pos, tan = smooth.position(s), smooth.derivative(s)
 
@@ -427,6 +521,20 @@ class TestMollifyInvariance:
         smooth_scaled = mollify(scaled, factor / 8.0)
         assert np.abs(smooth_scaled.position(factor * s) - factor * pos).max() <= 1e-9
         assert np.abs(smooth_scaled.derivative(factor * s) - tan).max() <= 1e-9
+
+    @settings(max_examples=5, deadline=None)
+    @MOTIONS
+    def test_kept_modes_unchanged_by_rigid_motion_and_dilation(
+        self, smoothed_knot, seed, shift, factor
+    ):
+        knot, _ = smoothed_knot
+        _, moved, scaled = moved_and_scaled_knots(seed, np.array(shift), factor)
+        (base,) = kept_modes_of(knot, [1.0 / 8.0])
+        (after_motion,) = kept_modes_of(moved, [1.0 / 8.0])
+        (after_dilation,) = kept_modes_of(scaled, [factor / 8.0])
+        # position and tangent: the second derivative keeps ~1900 modes here,
+        # most of them noise that the bump's derivative lifts above the floor
+        assert after_motion[:2] == base[:2] and after_dilation[:2] == base[:2]
 
 
 class TestTiledGridSums:
@@ -470,3 +578,17 @@ class TestTiledGridSums:
             finally:
                 tracemalloc.stop()
             assert peak <= 32 * 2**20
+
+    def test_mollified_evaluation_memory(self):
+        # all 2049 modes took 5.8 MB here: a few dozen are significant
+        knot = base_curves()["torus_knot"]
+        smooth = mollify(knot, 1.0 / 32.0)
+        s = np.linspace(0.0, knot.length, 4096, endpoint=False)
+        for evaluate in (smooth.position, smooth.derivative):
+            tracemalloc.start()
+            try:
+                evaluate(s)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2**20
