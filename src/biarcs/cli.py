@@ -54,7 +54,7 @@ def fmt(value) -> str:
 
 def load_config_file(path: str, command: str, keys) -> dict:
     """The settings of a flat key = value file; a key outside ``keys``,
-    those the command reads, is an error."""
+    those of the command's flags, is an error."""
     settings = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
@@ -94,11 +94,11 @@ def parse_float_list(text: str):
 class Setting(NamedTuple):
     """How a command reads one setting: ``kind`` converts the text of its
     flag or config key, ``default`` stands when neither gives it, and
-    ``help`` is the help of its flag; without help it is a config key only."""
+    ``help`` is the help of its flag."""
 
     kind: Callable
     default: object
-    help: str | None = None
+    help: str
 
 
 # settings every command reads; mollify draws nothing at random but takes a
@@ -114,12 +114,6 @@ N = Setting(int, 16, "number of biarcs")
 N_SWEEP = Setting(parse_int_list, None, "comma-separated sweep values of n")
 PARTITION = Setting(str, "uniform", "uniform or jitter:RHO")
 FORMAT = Setting(str, "csv", "output format: csv or json")
-# annealing settings of config files only, with the defaults of AnnealConfig
-TUNING = {
-    key: Setting(float, getattr(AnnealConfig, key))
-    for key in ("initial_temperature", "cooling_rate", "sigma_position", "sigma_tangent",
-                "min_pair_distance")
-}
 # The settings of each command, each read from its flag --key-name, else from
 # the config key key_name, else from its default.
 SETTINGS = {
@@ -136,16 +130,18 @@ SETTINGS = {
         "grid": Setting(int, 64, "thickness search grid"),
     },
     "anneal": {
-        **COMMON, "q": Q, "n": N, "partition": PARTITION, **TUNING,
+        **COMMON, "q": Q, "n": N, "partition": PARTITION,
         "steps": Setting(int, AnnealConfig.steps, "annealing steps"),
         "initial": Setting(str, None, "junction text file to start from"),
     },
     "mollify": {
-        **COMMON, "q": Q, "format": FORMAT, "seminorm_grid": Setting(int, 256),
+        **COMMON, "q": Q, "format": FORMAT,
         "n_sweep": Setting(parse_int_list, None, "comma-separated k of the scales eps = 1/k"),
         "grid": Setting(int, 512, "sample grid of the C1 distance"),
     },
 }
+# grid of the tangent seminorm of the mollify command
+SEMINORM_GRID = 256
 PRESET_PARAMS = {"circle": [1.0], "ellipse": [2.0, 1.0], "torus_knot": [2, 3, 2.0, 0.5]}
 
 
@@ -160,8 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=run.__doc__, allow_abbrev=False)
         cmd.add_argument("--config", help="flat key = value settings file")
         for key, setting in SETTINGS[name].items():
-            if setting.help:
-                cmd.add_argument("--" + key.replace("_", "-"), dest=key, help=setting.help)
+            cmd.add_argument("--" + key.replace("_", "-"), dest=key, help=setting.help)
     return parser
 
 
@@ -180,10 +175,9 @@ def resolve_settings(args: argparse.Namespace) -> dict:
             raise ConfigError(f"{key}: expected {kind.__name__}, got {text!r}") from exc
     if settings.get("format", "csv") not in ("csv", "json"):
         raise ConfigError(f"unknown format {settings['format']!r}")
-    for key, least in (("grid", 2), ("seminorm_grid", 64)):
-        g = settings.get(key, least)
-        if g < least or g & (g - 1):
-            raise ConfigError(f"{key} must be at least {least} and a power of two, got {g}")
+    g = settings.get("grid", 2)
+    if g < 2 or g & (g - 1):
+        raise ConfigError(f"grid must be at least 2 and a power of two, got {g}")
     return settings
 
 
@@ -349,9 +343,7 @@ def cmd_mollify(settings: dict) -> int:
         def tangent_difference(x, smooth=smooth):
             return smooth.derivative(x) - curve.derivative(x)
 
-        semi = gagliardo_seminorm(
-            tangent_difference, s_exp, q, settings["seminorm_grid"], L
-        )
+        semi = gagliardo_seminorm(tangent_difference, s_exp, q, SEMINORM_GRID, L)
         rows.append(
             {"k": k, "eps": eps, "c1_distance": float(dpos + dtan), "tangent_seminorm": semi}
         )
@@ -382,10 +374,9 @@ def cmd_anneal(settings: dict) -> int:
         part = _partition(curve, n, settings)
         initial = build_biarc_curve(curve, part)
         L = curve.length
-    tuning = {key: settings[key] for key in TUNING}
     try:
         cfg = AnnealConfig(
-            q=settings["q"], n=n, L=L, seed=settings["seed"], steps=settings["steps"], **tuning
+            q=settings["q"], n=n, L=L, steps=settings["steps"], seed=settings["seed"]
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -381,8 +381,8 @@ def _mollify_sweep(curve: CurveSpec, scales) -> list[CurveSpec]:
     per kernel. One inverse FFT gives the speed on the table nodes and
     midpoints, hence the table and the reparametrization's node slopes; the
     smoothed curve is the trigonometric polynomial of its modes above
-    MODE_FLOOR, with the second derivative from the bump's derivative, and
-    the reparametrization inverts its table.
+    MODE_FLOOR, its second derivative the derivative of the tangent's kept
+    modes, and the reparametrization inverts its table.
     """
     if not curve.is_arclength:
         raise ValueError("mollify expects an arclength-parametrized curve")
@@ -393,12 +393,10 @@ def _mollify_sweep(curve: CurveSpec, scales) -> list[CurveSpec]:
     xi = np.linspace(-1.0, 1.0, MOLLIFY_NODES)
     trap = np.full(MOLLIFY_NODES, 2.0 / (MOLLIFY_NODES - 1))
     trap[[0, -1]] *= 0.5
-    # the bump and its derivative, unit mass; both vanish at the end nodes
+    # the bump, unit mass; it vanishes at the end nodes
     inner = xi[1:-1]
-    om = 1.0 - inner * inner
-    bump, dbump = np.zeros((2, MOLLIFY_NODES))
-    bump[1:-1] = np.exp(-1.0 / om) / BUMP_MASS
-    dbump[1:-1] = np.exp(-1.0 / om) * (-2.0 * inner / (om * om)) / BUMP_MASS
+    bump = np.zeros(MOLLIFY_NODES)
+    bump[1:-1] = np.exp(-1.0 / (1.0 - inner * inner)) / BUMP_MASS
     weights = trap * bump
     # discrete partition of unity: the convolution then fixes constants exactly
     weights /= weights.sum()
@@ -408,17 +406,16 @@ def _mollify_sweep(curve: CurveSpec, scales) -> list[CurveSpec]:
     pos_hat = np.fft.rfft(curve.position(grid), axis=0)
     tan_hat = np.fft.rfft(curve.derivative(grid), axis=0)
     modes = pos_hat.shape[0]
+    # derivative factors of the modes, 2 pi i m / L
+    ddx = (2j * math.pi / L) * np.arange(modes)[:, None]
     smoothed = []
     for eps in scales:
-        dweights = trap * dbump / eps
-        kernels = np.column_stack([weights, dweights - dweights.mean()])
-        # transfer function of sum_k w_k f(x - eps xi_k) at each mode, per kernel
+        # transfer function of sum_k w_k f(x - eps xi_k) at each mode:
+        # transfer[a B + b] = sum_k high[k, a] low[k, b] weights[k], one
+        # complex matmul (A, K) @ (K, B), read in (a, b) order
         high, low = _mode_factors(-2.0 * math.pi / L * eps * xi, modes)
-        # transfer[a B + b, j] = sum_k high[k, a] low[k, b] kernels[k, j]: one
-        # complex matmul per kernel, (A, K) @ (K, B), read in (a, b, j) order
-        weighted = (high[:, :, None] * kernels[:, None, :]).transpose(2, 1, 0)
-        transfer = (weighted @ low).transpose(1, 2, 0).reshape(-1, 2)[:modes]
-        tan_smooth = tan_hat * transfer[:, :1]
+        transfer = ((high * weights[:, None]).T @ low).reshape(-1, 1)[:modes]
+        tan_smooth = tan_hat * transfer
 
         speed = np.linalg.norm(np.fft.irfft(tan_smooth, n=2 * samples, axis=0), axis=-1)
         speed_x = np.append(speed[::2], speed[0])
@@ -427,15 +424,18 @@ def _mollify_sweep(curve: CurveSpec, scales) -> list[CurveSpec]:
         # irfft weights: 1/N, doubled for the modes strictly between 0 and Nyquist
         norm = np.full((modes, 1), 2.0 * scale / (2 * samples))
         norm[[0, -1]] *= 0.5
-        pos_coeffs = norm * pos_hat * transfer[:, :1]
+        pos_coeffs = norm * pos_hat * transfer
         # rescale about the centroid, the zero mode the convolution keeps, so
         # that a translated curve gives the translated result
         pos_coeffs[0] /= scale
+        tan_coeffs = norm * tan_smooth
+        tan_coeffs = tan_coeffs[: _kept_modes(tan_coeffs)]
         raw = CurveSpec(
             L,
             _trig_polynomial(pos_coeffs, L),
-            _trig_polynomial(norm * tan_smooth, L),
-            _trig_polynomial(norm * tan_hat * transfer[:, 1:], L),
+            _trig_polynomial(tan_coeffs, L),
+            # the derivative of the tangent polynomial, term by term
+            _trig_polynomial(tan_coeffs * ddx[: len(tan_coeffs)], L),
             np.column_stack([np.linspace(0.0, L, samples + 1), scale * cum]),
             False,
             curve.name,

@@ -13,6 +13,17 @@ filled once by the pair kernel. A move rewrites one row and one column of
 it, so a step costs O(n) plus a matrix-vector product for the energy
 instead of a full pair-kernel pass; at n <= 181 the energies are the ones
 `pair_stats` gives, bit for bit.
+
+The schedule and the move scales are constants, in units of the run
+itself: the temperature starts at INITIAL_TEMPERATURE times the initial
+energy and falls by COOLING_RATE each step, a move shifts the junction by
+a normal of SIGMA_POSITION times L/n per coordinate and kicks its tangent
+by SIGMA_TANGENT radians, and junctions may not come closer than
+MIN_DISTANCE times L/n. L/n is also the unit of the length gate, so a run
+from a chain dilated by d, with length d L, is the undilated run with every
+length d times and every energy and temperature d^(2 - q) times its value;
+for d a power of two, bit for bit up to the last-bit rounding of pow in the
+pair terms x^q.
 """
 
 from __future__ import annotations
@@ -28,32 +39,35 @@ from .biarc import PairError, _move_lengths
 from .energy import _pair_tiles, _quotients, pair_stats
 from .interpolate import BiarcCurve, from_junctions
 
+# the first temperature, times the initial energy
+INITIAL_TEMPERATURE = 0.1
+# geometric cooling: the temperature is multiplied by this every step
+COOLING_RATE = 0.995
+# standard deviation of a junction's move per coordinate, times L/n
+SIGMA_POSITION = 0.05
+# standard deviation of a tangent's kick per coordinate, in radians
+SIGMA_TANGENT = 0.05
+# smallest distance allowed between two junctions, times L/n
+MIN_DISTANCE = 1e-3
+
 
 @dataclass
 class AnnealConfig:
+    """A run of ``steps`` moves at energy power q on a chain of n biarcs
+    and length L, drawn from ``seed``. The schedule and the move scales are
+    the module constants: INITIAL_TEMPERATURE times the initial energy,
+    COOLING_RATE, SIGMA_POSITION and MIN_DISTANCE times L/n, and
+    SIGMA_TANGENT in radians."""
+
     q: float
     n: int
     L: float
     steps: int = 20000
-    initial_temperature: Optional[float] = None  # default: 0.1 x initial energy
-    cooling_rate: float = 0.995
-    sigma_position: float = 0.05  # times L/n
-    sigma_tangent: float = 0.05  # radians
-    min_pair_distance: float = 1e-3
     seed: int = 0
 
     def __post_init__(self):
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
-        t0 = self.initial_temperature
-        if t0 is not None and not (math.isfinite(t0) and t0 > 0.0):
-            raise ValueError("initial temperature must be finite and positive")
-        if not 0.0 < self.cooling_rate < 1.0:
-            raise ValueError("cooling rate must lie in (0, 1)")
-        if self.sigma_position <= 0 or self.sigma_tangent <= 0:
-            raise ValueError("move scales must be positive")
-        if self.min_pair_distance <= 0:
-            raise ValueError("min_pair_distance must be positive")
         if self.q < 2:
             raise ValueError("energy power q must be >= 2")
 
@@ -65,15 +79,14 @@ REJECTION_REASONS = ("not_constructible", "gate", "min_distance", "thickness_flo
 @dataclass
 class AnnealTrace:
     """Per-step records (step, energy, temperature, accepted) where energy
-    is the chain energy after the accept/reject decision, plus the best
-    configuration seen. ``rejections`` counts the rejected moves by the
-    first guard they failed, keyed by REJECTION_REASONS; with the accepted
-    moves they add up to the step count."""
+    is the chain energy after the accept/reject decision, plus the energy
+    of the best configuration seen, which `anneal_discrete` returns as a
+    chain. ``rejections`` counts the rejected moves by the first guard they
+    failed, keyed by REJECTION_REASONS; with the accepted moves they add up
+    to the step count."""
 
     records: np.ndarray
     best_energy: float
-    best_points: np.ndarray
-    best_tangents: np.ndarray
     rejections: dict = field(default_factory=lambda: dict.fromkeys(REJECTION_REASONS, 0))
 
     @property
@@ -100,7 +113,7 @@ class _PairTable:
     def __init__(self, initial: BiarcCurve, cfg: AnnealConfig):
         n = initial.n_segments
         self.q = cfg.q
-        self.min_distance = cfg.min_pair_distance
+        self.min_distance = MIN_DISTANCE * cfg.L / n
         self.lo, self.hi = cfg.L / (2 * n), 2 * cfg.L / n
         self.lam = initial.segment_lengths.copy()
         if self.lam.min() < self.lo or self.lam.max() > self.hi:
@@ -108,8 +121,8 @@ class _PairTable:
         self.points = initial.junction_points.copy()
         self.tangents = initial.junction_tangents.copy()
         stats = pair_stats(self.points, self.tangents, self.lam, cfg.q)
-        if stats.min_distance < cfg.min_pair_distance:
-            raise ValueError("initial junctions are closer than min_pair_distance")
+        if stats.min_distance < self.min_distance:
+            raise ValueError("initial junctions are closer than MIN_DISTANCE * L / n")
         # the thickness proxy is the inverse of the largest junction quotient
         self.ceiling = 2.0 * stats.max_quotient
         # coordinate rows of the quotient operands of a move at j: the moved
@@ -194,10 +207,8 @@ def anneal_discrete(initial: BiarcCurve, cfg: AnnealConfig) -> tuple[BiarcCurve,
     table = _PairTable(initial, cfg)
 
     rng = np.random.default_rng(cfg.seed)
-    temperature = (
-        cfg.initial_temperature if cfg.initial_temperature is not None else 0.1 * table.energy
-    )
-    sigma_q = cfg.sigma_position * cfg.L / n
+    temperature = INITIAL_TEMPERATURE * table.energy
+    sigma_q = SIGMA_POSITION * cfg.L / n
 
     best_energy = table.energy
     best_points = table.points.copy()
@@ -209,7 +220,7 @@ def anneal_discrete(initial: BiarcCurve, cfg: AnnealConfig) -> tuple[BiarcCurve,
         j = int(rng.integers(n))
         point = table.points[j] + rng.normal(scale=sigma_q, size=3)
         t = table.tangents[j]
-        kick = rng.normal(scale=cfg.sigma_tangent, size=3)
+        kick = rng.normal(scale=SIGMA_TANGENT, size=3)
         kick -= np.dot(kick, t) * t
         kicked = t + kick
         # the norm np.linalg.norm takes, without its per-call checks
@@ -234,17 +245,10 @@ def anneal_discrete(initial: BiarcCurve, cfg: AnnealConfig) -> tuple[BiarcCurve,
         if rejected is not None:
             rejections[rejected] += 1
         records[step] = (step, table.energy, temperature, float(rejected is None))
-        temperature *= cfg.cooling_rate
+        temperature *= COOLING_RATE
 
     best = from_junctions(best_points, best_tangents)
-    trace = AnnealTrace(
-        records=records,
-        best_energy=best_energy,
-        best_points=best_points,
-        best_tangents=best_tangents,
-        rejections=rejections,
-    )
-    return best, trace
+    return best, AnnealTrace(records, best_energy, rejections)
 
 
 def trace_to_csv(trace: AnnealTrace) -> str:

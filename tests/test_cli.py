@@ -1,13 +1,14 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from biarcs.cli import build_parser, main, resolve_settings
+from biarcs.cli import COMMON, SETTINGS, build_parser, main, resolve_settings
 
 FOUR_PI2 = 4 * math.pi**2
 
@@ -89,10 +90,9 @@ class TestConfigErrors:
         [
             ("energy", "q = abc", "q: expected float, got 'abc'"),
             ("energy", "n = 3.5", "n: expected int, got '3.5'"),
-            ("anneal", "cooling_rate = 2", "cooling rate"),
-            ("anneal", "initial_temperature = 0", "initial temperature"),
-            ("anneal", "initial_temperature = -1", "initial temperature"),
-            ("mollify", "seminorm_grid = 32", "seminorm_grid must be at least 64"),
+            # the anneal schedule and the seminorm grid are constants
+            ("anneal", "cooling_rate = 0.9", "unknown key 'cooling_rate' for anneal"),
+            ("mollify", "seminorm_grid = 64", "unknown key 'seminorm_grid' for mollify"),
         ],
     )
     def test_bad_config_values_exit_2(self, tmp_path, capsys, command, line, message):
@@ -239,8 +239,8 @@ class TestConfigErrors:
     @pytest.mark.parametrize(
         "argv, lines",
         [
-            (["anneal", "--curve", "circle", "--n", "8", "--steps", "3"], "sigma_tangent = 0.1\nsteps = 2\n"),
-            (["mollify", "--curve", "circle", "--n-sweep", "4,8", "--grid", "64"], "seminorm_grid = 64\nseed = 3\n"),
+            (["anneal", "--curve", "circle", "--n", "8", "--steps", "3"], "q = 4\nsteps = 2\n"),
+            (["mollify", "--curve", "circle", "--n-sweep", "4,8", "--grid", "64"], "q = 4\nseed = 3\n"),
             (["converge", "--curve", "circle", "--grid", "64"], "n_sweep = 8,16\nformat = json\n"),
         ],
     )
@@ -451,6 +451,16 @@ class TestAnnealCommand:
         )
         assert code == 0
 
+    def test_small_scale(self, capsys):
+        # junctions about 4e-4 apart: the distance floor is relative to L / n
+        argv = ["anneal", "--curve", "ellipse", "--params", "2e-3,1e-3", "--n", "16",
+                "--steps", "200"]
+        code, out, err = run(capsys, argv)
+        assert code == 0, err
+        lines = out.splitlines()
+        assert lines[0] == "step,energy,temperature,accepted"
+        assert len(lines) == 1 + 200 + 16  # header, trace rows, junction lines
+
 
 class TestConfigFile:
     def test_file_and_override(self, tmp_path, capsys):
@@ -508,3 +518,24 @@ class TestOutputFormats:
                          "--grid", "64", "--seed", "3", "--out", str(out)])
             texts.append(out.read_text())
         assert texts[0] == texts[1]
+
+
+class TestReadme:
+    def test_flag_table_matches_the_settings(self):
+        """README's table of each command's own flags, `--flag DEFAULT` or
+        `--flag PLACEHOLDER` where the default is None, names exactly the
+        command's settings other than the common ones, with their defaults."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = {}
+        for line in readme.splitlines():
+            cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+            if len(cells) == 2 and cells[0].strip("`") in SETTINGS:
+                flags = re.findall(r"`--([a-z-]+) ([^`]+)`", cells[1])
+                rows[cells[0].strip("`")] = {flag.replace("-", "_"): v for flag, v in flags}
+        assert rows.keys() == SETTINGS.keys()
+        for command, table in rows.items():
+            own = {k: v for k, v in SETTINGS[command].items() if k not in COMMON}
+            assert table.keys() == own.keys(), command
+            for key, setting in own.items():
+                if setting.default is not None:
+                    assert table[key] == str(setting.default), (command, key)

@@ -103,27 +103,30 @@ class TestAnneal:
     def test_reproducible(self):
         init = perturbed_circle(12, 0.04, seed=9)
         cfg = AnnealConfig(q=3.0, n=12, L=TWO_PI, steps=1500, seed=42)
-        _, t1 = anneal_discrete(init, cfg)
-        _, t2 = anneal_discrete(init, cfg)
+        b1, t1 = anneal_discrete(init, cfg)
+        b2, t2 = anneal_discrete(init, cfg)
         assert np.array_equal(t1.records, t2.records)
-        assert np.array_equal(t1.best_points, t2.best_points)
+        assert np.array_equal(b1.junction_points, b2.junction_points)
+        assert np.array_equal(b1.junction_tangents, b2.junction_tangents)
         cfg_other = AnnealConfig(q=3.0, n=12, L=TWO_PI, steps=1500, seed=43)
         _, t3 = anneal_discrete(init, cfg_other)
         assert not np.array_equal(t1.records, t3.records)
 
-    def test_rejections_add_up(self):
+    def test_rejections_add_up(self, monkeypatch):
+        monkeypatch.setattr(optimize, "SIGMA_POSITION", 0.5)
         init = perturbed_circle(12, 0.04, seed=9)
-        cfg = AnnealConfig(q=3.0, n=12, L=TWO_PI, steps=1500, sigma_position=0.5, seed=42)
+        cfg = AnnealConfig(q=3.0, n=12, L=TWO_PI, steps=1500, seed=42)
         _, trace = anneal_discrete(init, cfg)
         assert tuple(trace.rejections) == REJECTION_REASONS
         assert len(trace.accepted) + sum(trace.rejections.values()) == cfg.steps
         assert trace.rejections["metropolis"] > 0 and trace.rejections["gate"] > 0
 
-    def test_temperature_underflow_accepts_only_downhill(self):
+    def test_temperature_underflow_accepts_only_downhill(self, monkeypatch):
         # geometric cooling at rate 1/2 reaches exactly 0 after ~1080 steps;
         # there the Metropolis test must not divide by the temperature
+        monkeypatch.setattr(optimize, "COOLING_RATE", 0.5)
         init = perturbed_circle(12, 0.04, seed=9)
-        cfg = AnnealConfig(q=4.0, n=12, L=TWO_PI, steps=1500, cooling_rate=0.5, seed=4)
+        cfg = AnnealConfig(q=4.0, n=12, L=TWO_PI, steps=1500, seed=4)
         _, trace = anneal_discrete(init, cfg)
         cold = trace.records[trace.records[:, 2] == 0.0]
         assert len(cold) > 300
@@ -133,10 +136,42 @@ class TestAnneal:
         assert trace.rejections["metropolis"] > 0
 
 
+class TestDilation:
+    """E(d beta) = d^(2 - q) E(beta), and every scale of the run is a unit of
+    L / n or of the initial energy, so a run from a chain dilated by a power
+    of two is the undilated run, scaled, bit for bit. Every operation of a
+    step scales exactly but the power x^q: the C library's pow is not
+    correctly rounded, and about 3e-5 of its results move by one ulp under
+    such a dilation. At the default seed no step meets one; at seed 5 the
+    energies of three records differ by one ulp."""
+
+    @pytest.mark.parametrize("d", [2.0**-40, 2.0**-10, 2.0**10], ids=["2^-40", "2^-10", "2^10"])
+    def test_run_commutes_with_dilation(self, d):
+        q = 4.0
+        curve = arclength_reparametrize(preset_curve("torus_knot", [2, 3, 2, 0.5]))
+        beta = build_biarc_curve(curve, make_partition(curve.length, 24))
+
+        def run(scale):
+            chain = from_junctions(scale * beta.junction_points, beta.junction_tangents)
+            cfg = AnnealConfig(q=q, n=24, L=scale * curve.length, steps=1000, seed=0)
+            return anneal_discrete(chain, cfg)
+
+        best, trace = run(1.0)
+        best_d, trace_d = run(d)
+        assert np.array_equal(trace_d.records[:, 3], trace.records[:, 3])
+        assert 0 < trace.records[:, 3].sum() < len(trace.records)
+        assert np.array_equal(trace_d.records[:, 1:3], d ** (2.0 - q) * trace.records[:, 1:3])
+        assert trace_d.best_energy == d ** (2.0 - q) * trace.best_energy
+        assert np.array_equal(best_d.junction_points, d * best.junction_points)
+        assert np.array_equal(best_d.junction_tangents, best.junction_tangents)
+
+
 class TestGuards:
-    def test_min_distance_precondition(self):
+    def test_min_distance_precondition(self, monkeypatch):
+        # neighbouring junctions of the circle lie about L / n apart
+        monkeypatch.setattr(optimize, "MIN_DISTANCE", 10.0)
         beta = circle_config(16)
-        cfg = AnnealConfig(q=4.0, n=16, L=TWO_PI, steps=100, min_pair_distance=10.0)
+        cfg = AnnealConfig(q=4.0, n=16, L=TWO_PI, steps=100)
         with pytest.raises(ValueError):
             anneal_discrete(beta, cfg)
 
@@ -158,11 +193,11 @@ class TestGuards:
         # and a move of 3 onto 9 keeps both rebuilt biarcs constructible
         points, tangents, L = stadium(12, 0.0, None)
         beta = from_junctions(points, tangents)
-        cfg = AnnealConfig(q=4.0, n=12, L=L, min_pair_distance=1e-3)
+        cfg = AnnealConfig(q=4.0, n=12, L=L)
         table = _PairTable(beta, cfg)
         assert table.energy == discrete_tp_energy(beta, 4.0, gated=False, L=L)
         before = (table.Y.copy(), table.lam.copy(), table.energy)
-        # closer than min_pair_distance, and coincident (where the pair
+        # closer than MIN_DISTANCE L / n, and coincident (where the pair
         # kernel itself raises): rejected, not raised, and nothing written
         cases = ((1e-6, "min_distance"), (0.0, "min_distance"), (1e-2, "thickness_floor"))
         for gap, reason in cases:
@@ -173,16 +208,7 @@ class TestGuards:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            AnnealConfig(q=4.0, n=8, L=TWO_PI, cooling_rate=1.5)
-        with pytest.raises(ValueError):
-            AnnealConfig(q=4.0, n=8, L=TWO_PI, sigma_position=-1.0)
-        with pytest.raises(ValueError):
             AnnealConfig(q=1.0, n=8, L=TWO_PI)
-
-    @pytest.mark.parametrize("t0", [0.0, -1.0, math.nan, math.inf])
-    def test_initial_temperature_must_be_finite_and_positive(self, t0):
-        with pytest.raises(ValueError, match="initial temperature"):
-            AnnealConfig(q=4.0, n=8, L=TWO_PI, initial_temperature=t0)
 
 
 class TestPairTable:
@@ -203,7 +229,7 @@ class TestPairTable:
             stats = pair_stats(points, tangents, lam, cfg.q)
         except ValueError:  # coincident junctions
             return "min_distance", None
-        if stats.min_distance < cfg.min_pair_distance:
+        if stats.min_distance < optimize.MIN_DISTANCE * cfg.L / n:
             return "min_distance", None
         if stats.max_quotient > ceiling:
             return "thickness_floor", None
@@ -238,8 +264,8 @@ class TestPairTable:
         moves=st.lists(
             st.tuples(
                 st.integers(0, 2**16),
-                # a kick of this many L / n, or a gap to the closest junction
-                # that is not a neighbour
+                # a kick of this many L / n, or a gap of this many L / n to
+                # the closest junction that is not a neighbour
                 st.sampled_from(
                     [("kick", 1e-4), ("kick", 0.05), ("kick", 0.5)]
                     + [("gap", g) for g in (0.0, 1e-9, 1e-6, 1e-3, 0.05)]
@@ -254,7 +280,7 @@ class TestPairTable:
         rng = np.random.default_rng(seed)
         points, tangents, L = stadium(n, 0.1, rng)
         beta = from_junctions(points, tangents)
-        cfg = AnnealConfig(q=q, n=n, L=L, min_pair_distance=1e-3)
+        cfg = AnnealConfig(q=q, n=n, L=L)
         table = _PairTable(beta, cfg)
         ceiling = 2.0 * pair_stats(points, tangents, beta.segment_lengths, q).max_quotient
 
@@ -272,7 +298,7 @@ class TestPairTable:
             else:
                 others = [k for k in range(n) if min(abs(k - j), n - abs(k - j)) > 1]
                 k = min(others, key=lambda k: np.linalg.norm(table.points[k] - table.points[j]))
-                point = table.points[k] + size * unit(rng.normal(size=3))
+                point = table.points[k] + size * L / n * unit(rng.normal(size=3))
             points, tangents = table.points.copy(), table.tangents.copy()
             points[j], tangents[j] = point, tangent
             energy = table.energy
@@ -303,17 +329,11 @@ class TestMoveRebuild:
 
     @pytest.mark.parametrize("sigma_position, sigma_tangent", [(0.05, 0.05), (0.3, 0.5)])
     def test_run_matches_the_batched_rebuild(self, monkeypatch, sigma_position, sigma_tangent):
+        monkeypatch.setattr(optimize, "SIGMA_POSITION", sigma_position)
+        monkeypatch.setattr(optimize, "SIGMA_TANGENT", sigma_tangent)
         curve = arclength_reparametrize(preset_curve("torus_knot", [2, 3, 2, 0.5]))
         beta = build_biarc_curve(curve, make_partition(curve.length, 24))
-        cfg = AnnealConfig(
-            q=4.0,
-            n=24,
-            L=curve.length,
-            steps=400,
-            sigma_position=sigma_position,
-            sigma_tangent=sigma_tangent,
-            seed=6,
-        )
+        cfg = AnnealConfig(q=4.0, n=24, L=curve.length, steps=400, seed=6)
 
         def run(rebuild):
             """Trace CSV, best junctions, raw records and the bits of every
@@ -349,8 +369,6 @@ class TestTraceCsv:
         trace = AnnealTrace(
             records=np.array([[0, 10.0, 1.0, 1.0], [1, 10.0, 0.995, 0.0]]),
             best_energy=10.0,
-            best_points=np.zeros((3, 3)),
-            best_tangents=np.zeros((3, 3)),
         )
         lines = trace_to_csv(trace).splitlines()
         assert lines[0] == "step,energy,temperature,accepted"
