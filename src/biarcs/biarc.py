@@ -12,14 +12,16 @@ to p1. It lies on the bisector of the chord at the sagitta of that subarc,
 
 a closed form without branches; 1 + u.e > 1 for every proper pair.
 
-`_balanced_arcs` builds the biarcs of n pairs in one batched pass over
-(n, 3) arrays into flat arc arrays; every chain and every single biarc is
-built by it, and `_eval_arcs` evaluates their arcs. `PointTangent`, `Arc`
-and `Biarc` are single-pair views of those arrays. The one other builder is
-`_move_lengths`, the annealer's rebuild of the two biarcs next to a moved
-junction: the same operations on Python floats, giving the same lengths
-bit for bit and failing on the same pairs, because at two pairs numpy's
-per-call cost outweighs the arithmetic.
+`_pair_arcs` is the one construction of a balanced biarc, written once
+over coordinate triples with an array namespace ``xp``. On (n,) numpy
+columns it builds n biarcs at once: `_balanced_arcs` gathers them into the
+flat arc arrays of a chain, and every chain and every single biarc is built
+that way. On Python floats (`_Floats`) it rebuilds the two biarcs next to a
+moved junction of the annealer, `_move_lengths`, where numpy's per-call
+cost would outweigh the arithmetic of two pairs. The same operations in the
+same order give the same lengths bit for bit and fail on the same pairs.
+`_arc_at` evaluates arcs, for the join checks and for `_eval_arcs` alike.
+`PointTangent`, `Arc` and `Biarc` are single-pair views of the arc arrays.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -149,6 +152,39 @@ class Biarc:
         return self.first.length + self.second.length
 
 
+# The five array functions of `_pair_arcs` and `_arc_at` on Python floats.
+# math.sqrt, sin and cos round as numpy's do; the angle comes from np.arctan2,
+# which math.atan2 does not match. ``where`` picks between two values already
+# computed, as np.where does.
+_Floats = SimpleNamespace(
+    sqrt=math.sqrt,
+    sin=math.sin,
+    cos=math.cos,
+    arctan2=lambda y, x: float(np.arctan2(y, x)),
+    where=lambda c, a, b: a if c else b,
+)
+
+
+def _arc_at(start, direction, normal, k, s, xp):
+    """Position and unit tangent, as coordinate triples, at arclength s along
+    the arc with the given start point, unit start tangent, unit normal
+    (zero on a straight arc) and curvature k; xp is np or _Floats."""
+    (sx, sy, sz), (dx, dy, dz), (nx, ny, nz) = start, direction, normal
+    phi = s * k
+    sinp = xp.sin(phi)
+    straight = k == 0.0
+    rk = 1.0 / xp.where(straight, 1.0, k)
+    along = xp.where(straight, s, rk * sinp)
+    # r (1 - cos phi) written without its cancellation for small phi
+    half = xp.sin(0.5 * phi)
+    bend = 2.0 * rk * (half * half)
+    cosp = xp.cos(phi)
+    return (
+        ((sx + along * dx) + bend * nx, (sy + along * dy) + bend * ny, (sz + along * dz) + bend * nz),
+        (cosp * dx + sinp * nx, cosp * dy + sinp * ny, cosp * dz + sinp * nz),
+    )
+
+
 def _eval_arcs(starts, dirs, normals, k, local):
     """Position and unit tangent at arclength ``local`` along arcs given by
     start point, unit start tangent, unit normal (zero on a straight arc)
@@ -156,50 +192,97 @@ def _eval_arcs(starts, dirs, normals, k, local):
     (m,), or a single arc's vectors with ``local`` of any shape."""
     k = np.asarray(k, dtype=float)
     local = np.asarray(local, dtype=float)
-    phi = local * k
-    sinp = np.sin(phi)
-    straight = k == 0.0
-    rk = 1.0 / np.where(straight, 1.0, k)
-    along = np.where(straight, local, rk * sinp)
-    # r (1 - cos phi) written without its cancellation for small phi
-    bend = 2.0 * rk * np.sin(0.5 * phi) ** 2
-    pos = starts + along[..., None] * dirs + bend[..., None] * normals
-    tan = np.cos(phi)[..., None] * dirs + sinp[..., None] * normals
-    return pos, tan
+    pos, tan = _arc_at(starts.T, dirs.T, normals.T, k, local, np)
+    return np.stack(pos, axis=-1), np.stack(tan, axis=-1)
 
 
-def _dot(a, b):
-    # Row dot products of 3-vectors, summed as (a0 b0 + a2 b2) + a1 b1: the
-    # order einsum used before (two-lane partial sums on x86-64), so chains
-    # keep their bits. The scalar rebuild `_move_lengths` writes its dot
-    # products in the same order to give the bits of `_balanced_arcs`.
-    return (a[:, 0] * b[:, 0] + a[:, 2] * b[:, 2]) + a[:, 1] * b[:, 1]
-
-
-def _interleave(a, b):
-    """Rows a_0, b_0, a_1, b_1, ... of two arrays of one shape."""
-    out = np.empty((2 * len(a),) + a.shape[1:], dtype=np.result_type(a, b))
-    out[0::2] = a
-    out[1::2] = b
-    return out
-
-
-def _arcs_to(starts, dirs, ends):
-    """Unit normals, curvatures and lengths of the arcs that leave each start
-    along its unit direction and end at the matching end."""
-    chord = ends - starts
-    chord2 = _dot(chord, chord)
-    along = _dot(chord, dirs)
-    perp = chord - along[:, None] * dirs
-    # project once more: on a nearly straight arc perp is tiny, and the
-    # rounding of the first projection leaves a residue along dirs that is
-    # large next to it
-    perp -= _dot(perp, dirs)[:, None] * dirs
-    h = np.sqrt(_dot(perp, perp))
-    normals = perp / np.where(h > 0.0, h, 1.0)[:, None]
+def _arc_to(start, direction, end, xp):
+    """Unit normal, curvature and length of the arc that leaves start along
+    the unit direction and ends at end."""
+    (sx, sy, sz), (dx, dy, dz), (ex, ey, ez) = start, direction, end
+    cx, cy, cz = ex - sx, ey - sy, ez - sz
+    chord2 = (cx * cx + cz * cz) + cy * cy
+    along = (cx * dx + cz * dz) + cy * dy
+    px, py, pz = cx - along * dx, cy - along * dy, cz - along * dz
+    # project once more: on a nearly straight arc the residue is tiny, and
+    # the rounding of the first projection leaves a part along the direction
+    # that is large next to it
+    back = (px * dx + pz * dz) + py * dy
+    px, py, pz = px - back * dx, py - back * dy, pz - back * dz
+    h = xp.sqrt((px * px + pz * pz) + py * py)
+    hn = xp.where(h > 0.0, h, 1.0)
     # radius chord2 / 2h; the arc turns twice its tangent-chord angle
-    lengths = np.where(h > 0.0, chord2 * np.arctan2(h, along) / h, along)
-    return normals, 2.0 * h / chord2, lengths
+    length = xp.where(h > 0.0, chord2 * xp.arctan2(h, along) / hn, along)
+    return (px / hn, py / hn, pz / hn), 2.0 * h / chord2, length
+
+
+def _misses(arc, end, end_tangent, xp):
+    """How far the end point and end tangent of an arc (start, direction,
+    normal, k, length) lie from the given ones."""
+    (px, py, pz), (tx, ty, tz) = _arc_at(*arc, xp)
+    (ex, ey, ez), (fx, fy, fz) = end, end_tangent
+    gx, gy, gz = px - ex, py - ey, pz - ez
+    mx, my, mz = tx - fx, ty - fy, tz - fz
+    return xp.sqrt((gx * gx + gz * gz) + gy * gy), xp.sqrt((mx * mx + mz * mz) + my * my)
+
+
+def _pair_arcs(p0, t0, p1, t1, xp):
+    """The balanced biarc of the pair (p0, t0) -> (p1, t1), each a coordinate
+    triple: of (n,) arrays for n pairs when xp is np, of floats for one pair
+    when xp is _Floats. Every dot product is summed as (x x' + z z') + y y'.
+
+    Returns its two arcs, each as (start, direction, normal, k, length), the
+    biarc length, whether the pair passed every check, and the quantities
+    checked, which `_pair_error` reads.
+    """
+    (x0, y0, z0), (a0, b0, c0), (x1, y1, z1), (a1, b1, c1) = p0, t0, p1, t1
+    dx, dy, dz = x1 - x0, y1 - y0, z1 - z0
+    dd = (dx * dx + dz * dz) + dy * dy
+    proper = ((dx * a0 + dz * c0) + dy * b0 > 0.0) & ((dx * a1 + dz * c1) + dy * b1 > 0.0)
+    dist = xp.sqrt(dd)
+    ex, ey, ez = dx / dist, dy / dist, dz / dist
+    s = 2.0 * ((ex * a1 + ez * c1) + ey * b1)
+    wx, wy, wz = (a0 + s * ex) - a1, (b0 + s * ey) - b1, (c0 + s * ez) - c1
+    wlen = xp.sqrt((wx * wx + wz * wz) + wy * wy)
+    ux, uy, uz = wx / wlen, wy / wlen, wz / wlen
+    ue = (ux * ex + uz * ez) + uy * ey
+    r = 0.5 * dist / (1.0 + ue)
+    mx = 0.5 * (x0 + x1) + r * (ux - ue * ex)
+    my = 0.5 * (y0 + y1) + r * (uy - ue * ey)
+    mz = 0.5 * (z0 + z1) + r * (uz - ue * ez)
+    # the second arc leaves m along t1 reflected at its chord
+    cx, cy, cz = x1 - mx, y1 - my, z1 - mz
+    g = 2.0 * (((cx * a1 + cz * c1) + cy * b1) / ((cx * cx + cz * cz) + cy * cy))
+    m, t_m = (mx, my, mz), (g * cx - a1, g * cy - b1, g * cz - c1)
+    first = (p0, t0, *_arc_to(p0, t0, m, xp))
+    second = (m, t_m, *_arc_to(m, t_m, p1, xp))
+    total = first[4] + second[4]
+    # each arc must end where the next piece starts: the first at m along
+    # t_m, the second at p1 along t1; a NaN fails every comparison
+    gap0, turn0 = _misses(first, m, t_m, xp)
+    gap1, turn1 = _misses(second, p1, t1, xp)
+    tol = JOIN_TOL * total
+    ok = proper & (wlen > CLASSIFY_TOL) & (gap0 <= tol) & (gap1 <= tol)
+    ok = ok & (turn0 <= JOIN_TOL) & (turn1 <= JOIN_TOL)
+    return first, second, total, ok, (dd, proper, wlen, gap0, gap1, turn0, turn1)
+
+
+def _pair_error(index, dd, proper, wlen, gap0, gap1, turn0, turn1) -> PairError:
+    """The PairError of a pair that failed the checks of `_pair_arcs`, given
+    the quantities it checked."""
+    if dd == 0.0:
+        return ImproperPairError("point-tangent pair has coincident points", index)
+    if not proper:
+        msg = "pair is not proper: both tangents must make a positive inner product with the chord"
+        return ImproperPairError(msg, index)
+    if not wlen > CLASSIFY_TOL:
+        msg = "cocircular pair with incompatible orientations has no balanced matching point"
+        return IncompatiblePairError(msg, index)
+    return PairError(
+        f"biarc join failed to close: position gap {np.maximum(gap0, gap1):.3e}, tangent "
+        f"mismatch {np.maximum(turn0, turn1):.3e}",
+        index,
+    )
 
 
 def _balanced_arcs(p0, t0, p1, t1):
@@ -213,124 +296,17 @@ def _balanced_arcs(p0, t0, p1, t1):
     that is improper, incompatible, or whose arcs fail to meet within
     JOIN_TOL, with ``index`` set to that pair.
     """
-    with np.errstate(invalid="ignore", divide="ignore"):
-        d = p1 - p0
-        dist = np.sqrt(_dot(d, d))
-        e = d / dist[:, None]
-        w = t0 + 2.0 * _dot(e, t1)[:, None] * e - t1
-        wlen = np.sqrt(_dot(w, w))
-        u = w / wlen[:, None]
-        ue = _dot(u, e)
-        m = 0.5 * (p0 + p1) + (0.5 * dist / (1.0 + ue))[:, None] * (u - ue[:, None] * e)
-        # the second arc leaves m along t1 reflected at its chord
-        c = p1 - m
-        t_m = 2.0 * (_dot(c, t1) / _dot(c, c))[:, None] * c - t1
-        starts, dirs, ends = _interleave(p0, m), _interleave(t0, t_m), _interleave(m, p1)
-        normals, k, lengths = _arcs_to(starts, dirs, ends)
-        total = lengths[0::2] + lengths[1::2]
-        # each arc must end where the next piece starts: the first at m
-        # along t_m, the second at p1 along t1
-        end, end_tan = _eval_arcs(starts, dirs, normals, k, lengths)
-        gap = np.sqrt(_dot(end - ends, end - ends)).reshape(-1, 2).max(axis=1)
-        miss = end_tan - _interleave(t_m, t1)
-        turn = np.sqrt(_dot(miss, miss)).reshape(-1, 2).max(axis=1)
-        proper = (_dot(d, t0) > 0.0) & (_dot(d, t1) > 0.0)
-        ok = proper & (wlen > CLASSIFY_TOL) & (gap <= JOIN_TOL * total) & (turn <= JOIN_TOL)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        first, second, total, ok, checked = _pair_arcs(p0.T, t0.T, p1.T, t1.T, np)
     if not ok.all():
         i = int(np.argmin(ok))
-        if dist[i] == 0.0:
-            raise ImproperPairError("point-tangent pair has coincident points", i)
-        if not proper[i]:
-            raise ImproperPairError(
-                "pair is not proper: both tangents must make a positive inner "
-                "product with the chord",
-                i,
-            )
-        if not wlen[i] > CLASSIFY_TOL:
-            raise IncompatiblePairError(
-                "cocircular pair with incompatible orientations has no balanced "
-                "matching point",
-                i,
-            )
-        raise PairError(
-            f"biarc join failed to close: position gap {gap[i]:.3e}, tangent "
-            f"mismatch {turn[i]:.3e}",
-            i,
-        )
-    return starts, dirs, normals, k, lengths, total
-
-
-# The scalar rebuild below repeats `_balanced_arcs` operation by operation on
-# Python floats: IEEE arithmetic as numpy's elementwise ufuncs, math.sqrt,
-# sin and cos rounding as numpy's do, and every dot product written out in
-# `_dot`'s order (x x' + z z') + y y'. The arc angles come from np.arctan2,
-# which math.atan2 does not match. A division by zero or a math domain error
-# happens only where the batched pass gets an inf or NaN and fails a check.
-
-
-def _matching(p0, t0, p1, t1, index):
-    """Matching point m and its tangent t_m of the pair, as `_balanced_arcs`
-    computes them, after its properness and `wlen` checks; a failed check
-    raises with the given pair ``index``."""
-    (x0, y0, z0), (a0, b0, c0), (x1, y1, z1), (a1, b1, c1) = p0, t0, p1, t1
-    dx, dy, dz = x1 - x0, y1 - y0, z1 - z0
-    if not ((dx * a0 + dz * c0) + dy * b0 > 0.0 and (dx * a1 + dz * c1) + dy * b1 > 0.0):
-        raise ImproperPairError("pair is not proper", index)
-    dist = math.sqrt((dx * dx + dz * dz) + dy * dy)
-    ex, ey, ez = dx / dist, dy / dist, dz / dist
-    s = 2.0 * ((ex * a1 + ez * c1) + ey * b1)
-    wx, wy, wz = (a0 + s * ex) - a1, (b0 + s * ey) - b1, (c0 + s * ez) - c1
-    wlen = math.sqrt((wx * wx + wz * wz) + wy * wy)
-    if not wlen > CLASSIFY_TOL:
-        raise IncompatiblePairError("cocircular pair with incompatible orientations", index)
-    ux, uy, uz = wx / wlen, wy / wlen, wz / wlen
-    ue = (ux * ex + uz * ez) + uy * ey
-    r = 0.5 * dist / (1.0 + ue)
-    mx = 0.5 * (x0 + x1) + r * (ux - ue * ex)
-    my = 0.5 * (y0 + y1) + r * (uy - ue * ey)
-    mz = 0.5 * (z0 + z1) + r * (uz - ue * ez)
-    cx, cy, cz = x1 - mx, y1 - my, z1 - mz
-    g = 2.0 * (((cx * a1 + cz * c1) + cy * b1) / ((cx * cx + cz * cz) + cy * cy))
-    return (mx, my, mz), (g * cx - a1, g * cy - b1, g * cz - c1)
-
-
-def _arc_frame(start, direction, end):
-    """chord^2, along, h, unit normal and curvature of the arc from start
-    along direction to end, as `_arcs_to` computes them."""
-    (sx, sy, sz), (dx, dy, dz), (ex, ey, ez) = start, direction, end
-    cx, cy, cz = ex - sx, ey - sy, ez - sz
-    chord2 = (cx * cx + cz * cz) + cy * cy
-    along = (cx * dx + cz * dz) + cy * dy
-    px, py, pz = cx - along * dx, cy - along * dy, cz - along * dz
-    back = (px * dx + pz * dz) + py * dy
-    px, py, pz = px - back * dx, py - back * dy, pz - back * dz
-    h = math.sqrt((px * px + pz * pz) + py * py)
-    hn = h if h > 0.0 else 1.0
-    return chord2, along, h, (px / hn, py / hn, pz / hn), 2.0 * h / chord2
-
-
-def _arc_closes(start, direction, normal, k, length, end, end_tangent, gap_tol):
-    """Whether the arc ends within gap_tol of end and JOIN_TOL of
-    end_tangent, evaluated as `_eval_arcs` does."""
-    (sx, sy, sz), (dx, dy, dz), (nx, ny, nz) = start, direction, normal
-    phi = length * k
-    sinp = math.sin(phi)
-    straight = k == 0.0
-    rk = 1.0 / (1.0 if straight else k)
-    along = length if straight else rk * sinp
-    half = math.sin(0.5 * phi)
-    bend = 2.0 * rk * (half * half)
-    cosp = math.cos(phi)
-    gx = ((sx + along * dx) + bend * nx) - end[0]
-    gy = ((sy + along * dy) + bend * ny) - end[1]
-    gz = ((sz + along * dz) + bend * nz) - end[2]
-    mx = (cosp * dx + sinp * nx) - end_tangent[0]
-    my = (cosp * dy + sinp * ny) - end_tangent[1]
-    mz = (cosp * dz + sinp * nz) - end_tangent[2]
-    return (
-        math.sqrt((gx * gx + gz * gz) + gy * gy) <= gap_tol
-        and math.sqrt((mx * mx + mz * mz) + my * my) <= JOIN_TOL
-    )
+        raise _pair_error(i, *(v[i] for v in checked))
+    arcs = []
+    for pair in zip(first, second):
+        a = np.array(pair)  # (2, 3, n) for a vector field, (2, n) for k and lengths
+        # rows first_0, second_0, first_1, second_1, ...
+        arcs.append(np.moveaxis(a, -1, 0).reshape(-1, *a.shape[1:-1]))
+    return (*arcs, total)
 
 
 def _move_lengths(points, tangents):
@@ -338,37 +314,23 @@ def _move_lengths(points, tangents):
     of three consecutive junctions, given as sequences of three points and
     three unit tangents, each a sequence of 3 floats.
 
-    Bit for bit the biarc lengths `_balanced_arcs` gives for these two
-    pairs, from Python floats and one np.arctan2 call; it raises a
-    PairError on exactly the pairs where `_balanced_arcs` raises, with
-    ``index`` at a failing pair (the first one it checks, not always the
-    lower one). Only an anneal move calls it; chains go through
-    `_balanced_arcs`.
+    `_pair_arcs` on Python floats: the biarc lengths `_balanced_arcs` gives
+    for these two pairs, bit for bit, at a fraction of numpy's per-call
+    cost. It raises a PairError, with ``index`` at the first failing pair,
+    on exactly the pairs where `_balanced_arcs` raises; where the arrays get
+    an inf or NaN the floats may raise ZeroDivisionError or a math domain
+    error instead, which becomes a PairError too.
     """
-    (p0, p1, p2), (t0, t1, t2) = points, tangents
-    try:
-        m0, s0 = _matching(p0, t0, p1, t1, 0)
-        m1, s1 = _matching(p1, t1, p2, t2, 1)
-        # start, direction, end and end tangent of the four arcs in order
-        arcs = ((p0, t0, m0, s0), (m0, s0, p1, t1), (p1, t1, m1, s1), (m1, s1, p2, t2))
-        frames = [_arc_frame(start, direction, end) for start, direction, end, _ in arcs]
-        angles = np.arctan2([f[2] for f in frames], [f[1] for f in frames]).tolist()
-        lengths = [
-            chord2 * angle / h if h > 0.0 else along
-            for (chord2, along, h, _, _), angle in zip(frames, angles)
-        ]
-        totals = (lengths[0] + lengths[1], lengths[2] + lengths[3])
-        for i in range(4):
-            start, direction, end, end_tangent = arcs[i]
-            normal, k = frames[i][3:]
-            gap_tol = JOIN_TOL * totals[i // 2]
-            if not _arc_closes(start, direction, normal, k, lengths[i], end, end_tangent, gap_tol):
-                raise PairError("biarc join failed to close", i // 2)
-    except PairError:
-        raise
-    except (ZeroDivisionError, ValueError) as exc:  # ValueError: math domain error
-        raise PairError(f"biarc is not finite: {exc}") from exc
-    return totals
+    totals = []
+    for i in (0, 1):
+        try:
+            arcs = _pair_arcs(points[i], tangents[i], points[i + 1], tangents[i + 1], _Floats)
+        except (ZeroDivisionError, ValueError) as exc:  # ValueError: math domain error
+            raise PairError(f"biarc is not finite: {exc}", i) from exc
+        if not arcs[3]:
+            raise _pair_error(i, *arcs[4])
+        totals.append(arcs[2])
+    return tuple(totals)
 
 
 def _biarc_view(starts, dirs, normals, k, lengths, pair) -> Biarc:

@@ -12,7 +12,8 @@ Gagliardo seminorm and the curve diagnostics walk too, so no double sum
 holds more than one tile however large n is. `pair_stats` reduces the
 tiles in a single pass to the energy (high powers accumulated as a
 streaming log-sum-exp), the largest quotient and the smallest junction
-distance. The thickness seed search walks the same row tiles but only
+distance; a plain sum that leaves the normal float range, as at extreme
+scales, is walked once more in log space. The thickness seed search walks the same row tiles but only
 against the column blocks within 2 / tau of the tile: every quotient is
 at most 2 / |q_i - q_j|, and tau bounds the smallest value it keeps.
 """
@@ -20,6 +21,7 @@ at most 2 / |q_i - q_j|, and tau bounds the smallest value it keeps.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 import numpy as np
 
@@ -99,43 +101,58 @@ class PairStats:
     min_distance: float  # smallest |q_i - q_j|
 
 
+def _pair_sums(points, tangents, lam, q: float, log_space: bool):
+    """One pass of the row-blocked pair kernel. Returns the energy's sum,
+    plain or as sum exp(term - shift) with its shift in log space, and the
+    largest quotient and the smallest and largest squared distance. The
+    caller runs it under np.errstate."""
+    total = 0.0
+    shift = -math.inf  # largest log term so far
+    max_x = 0.0
+    min_d2, max_d2 = math.inf, 0.0
+    for lo, dist2, x in _pair_tiles(points, tangents):
+        lam_rows = lam[lo : lo + len(x)]
+        min_d2 = min(min_d2, float(np.fmin.reduce(dist2, axis=None)))
+        max_d2 = max(max_d2, float(np.fmax.reduce(dist2, axis=None)))
+        max_x = max(max_x, float(x.max()))
+        if log_space:
+            # q log x + log(lam_i lam_j) in place, the weights in dist2
+            terms = np.log(x, out=x)
+            terms *= q
+            terms += np.log(np.multiply(lam_rows[:, None], lam, out=dist2), out=dist2)
+            top = float(terms.max())
+            if top > shift:
+                total *= math.exp(shift - top)
+                shift = top
+            if shift > -math.inf:
+                terms -= shift
+                total += float(np.exp(terms, out=terms).sum())
+        else:
+            x **= q
+            total += float(lam_rows @ (x @ lam))
+    return total, shift, max_x, min_d2, max_d2
+
+
 def pair_stats(points, tangents, lam, q: float) -> PairStats:
     """Energy, largest quotient and smallest distance of the junction pairs
     in one pass of the row-blocked pair kernel.
 
     The energy is a plain sum for q <= LOG_SPACE_POWER and a streaming
-    log-sum-exp beyond. Raises ValueError when two junctions coincide
-    relative to the configuration's diameter.
+    log-sum-exp beyond. A plain sum that leaves the normal range of floats,
+    as at very small or very large scales, is walked again in log space, so
+    ``log_energy`` stays finite and the energy is right wherever it is
+    representable. Raises ValueError when two junctions coincide relative to
+    the configuration's diameter.
     """
     lam = np.asarray(lam, dtype=float)
     log_space = q > LOG_SPACE_POWER
-    total = 0.0  # the plain sum, or sum exp(term - shift) in log space
-    shift = -math.inf  # largest log term so far
-    max_x = 0.0
-    min_d2, max_d2 = math.inf, 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for lo, dist2, x in _pair_tiles(points, tangents):
-            lam_rows = lam[lo : lo + len(x)]
-            min_d2 = min(min_d2, float(np.fmin.reduce(dist2, axis=None)))
-            max_d2 = max(max_d2, float(np.fmax.reduce(dist2, axis=None)))
-            max_x = max(max_x, float(x.max()))
-            if log_space:
-                # q log x + log(lam_i lam_j) in place, the weights in dist2
-                terms = np.log(x, out=x)
-                terms *= q
-                terms += np.log(np.multiply(lam_rows[:, None], lam, out=dist2), out=dist2)
-                top = float(terms.max())
-                if top > shift:
-                    total *= math.exp(shift - top)
-                    shift = top
-                if shift > -math.inf:
-                    terms -= shift
-                    total += float(np.exp(terms, out=terms).sum())
-            else:
-                x **= q
-                total += float(lam_rows @ (x @ lam))
+        total, shift, max_x, min_d2, max_d2 = _pair_sums(points, tangents, lam, q, log_space)
         if min_d2 <= (1e-12 * math.sqrt(max_d2)) ** 2:
             raise ValueError("coincident junction points")
+        if not (log_space or sys.float_info.min <= total < math.inf):
+            log_space = True
+            total, shift = _pair_sums(points, tangents, lam, q, log_space)[:2]
         if log_space:
             log_energy = shift + math.log(total) if total > 0.0 else -math.inf
             energy = float(np.exp(log_energy))

@@ -3,7 +3,6 @@ length-gate membership, and C^1 distance to the interpolated curve."""
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -189,19 +188,18 @@ def c1_distance(curve: CurveSpec, beta: BiarcCurve, grid: int) -> float:
 
 
 def junctions_to_text(beta: BiarcCurve) -> str:
-    """One line per junction: qx qy qz tx ty tz lambda, nine decimals."""
-    buf = io.StringIO()
-    for p, t, lam in zip(beta.junction_points, beta.junction_tangents, beta.segment_lengths):
-        fields = [*p, *t, lam]
-        buf.write(" ".join(f"{v:.9f}" for v in fields) + "\n")
-    return buf.getvalue()
+    """One line per junction: qx qy qz tx ty tz lambda, each field the
+    shortest text that reads back as the same float."""
+    rows = np.column_stack([beta.junction_points, beta.junction_tangents, beta.segment_lengths])
+    return "".join(" ".join(map(repr, row)) + "\n" for row in rows.tolist())
 
 
 def junctions_from_text(text: str) -> BiarcCurve:
     """Rebuild a biarc curve from the junction text format.
 
-    Tangents are renormalized (the format rounds to nine decimals); the
-    stored segment lengths are informational and recomputed by the rebuild.
+    Points are read back exactly. Tangents are renormalized, which moves a
+    written unit tangent by about an ulp, so the stored segment lengths are
+    informational and recomputed by the rebuild.
     A malformed line raises ValueError, a chain that cannot be built
     BiarcCurveBuildError.
     """

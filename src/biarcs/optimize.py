@@ -2,11 +2,12 @@
 biarc configurations.
 
 Moves perturb one junction at a time and rebuild only the two adjacent
-biarcs, in scalar arithmetic (`biarc._move_lengths`, bit for bit the
-lengths of the batched chain build); a move is rejected outright when a
-rebuilt pair is not constructible, the length gate fails, junctions get
-too close, or the configuration's polygonal thickness proxy drops below
-half its initial value (a crude guard against leaving the knot class).
+biarcs, with the chain build's own construction run on Python floats
+(`biarc._move_lengths`: the lengths `from_junctions` gives, bit for bit).
+A move is rejected outright when a rebuilt pair is not constructible, the
+length gate fails, junctions get too close, or the configuration's
+polygonal thickness proxy drops below half its initial value (a crude
+guard against leaving the knot class).
 
 The run keeps every pair term x_ij^q in an (n, n) table, 8 n^2 bytes,
 filled once by the pair kernel. A move rewrites one row and one column of
@@ -100,14 +101,15 @@ class _PairTable:
     filled once by the pair kernel.
 
     A move of junction j changes only row j and column j of Y and lam[j - 1]
-    and lam[j]; the two lengths come from `_move_lengths`, which gives the
-    bits `from_junctions` would. `propose` checks the move's guards on those
-    new entries alone - every other pair already passed them - and writes
-    it into Y and lam; the energy is then lam @ (Y @ lam), the expression
-    `pair_stats` reduces, so with a single row tile (n <= 181) both agree
-    bit for bit. `commit` keeps a proposed move, `undo` restores the saved
-    row, column and lengths. A step costs O(n) plus one (n, n)
-    matrix-vector product, and Y holds 8 n^2 bytes.
+    and lam[j]; the two lengths come from `_move_lengths`, the biarc
+    construction of `from_junctions` run on floats for the two pairs, so
+    they are the bits `from_junctions` would give. `propose` checks the
+    move's guards on those new entries alone - every other pair already
+    passed them - and writes it into Y and lam; the energy is then
+    lam @ (Y @ lam), the expression `pair_stats` reduces, so with a single
+    row tile (n <= 181) both agree bit for bit. `commit` keeps a proposed
+    move, `undo` restores the saved row, column and lengths. A step costs
+    O(n) plus one (n, n) matrix-vector product, and Y holds 8 n^2 bytes.
     """
 
     def __init__(self, initial: BiarcCurve, cfg: AnnealConfig):

@@ -304,6 +304,17 @@ class TestBuild:
     def test_move_rebuild_fails_where_the_batch_fails(self, a, b):
         assert assert_move_matches_batch(a, b) == [PairError, PairError]
 
+    def test_underflowing_chord_is_coincident(self):
+        # the points are distinct, 1e-170 apart along the first tangent, but
+        # the squared chord underflows to 0: the batch calls the pair
+        # coincident, and the move rebuild fails on it too
+        a = PointTangent([1e-170, 2e-170, -1e-170], [0.0, 0.6, 0.8])
+        b = PointTangent(a.point + 1e-170 * a.tangent, a.tangent)
+        assert not np.array_equal(a.point, b.point)
+        with pytest.raises(ImproperPairError, match="coincident"):
+            _balanced_arcs(a.point[None], a.tangent[None], b.point[None], b.tangent[None])
+        assert assert_move_matches_batch(a, b) == [PairError, PairError]
+
     @settings(max_examples=100, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),

@@ -1,8 +1,8 @@
 """The demos that use the single-pair views (`Biarc.first/second`,
 `BiarcCurve.biarcs`, `biarc_parameter`), the energy-rate and ropelength
 demos (the latter runs the thickness refinement), the mollification demo
-and the annealing demo (8000 moves through the scalar two-biarc rebuild)
-run to completion in-process."""
+and the annealing demo (8000 moves, each rebuilding two biarcs on Python
+floats) run to completion in-process."""
 
 import runpy
 from pathlib import Path

@@ -167,6 +167,17 @@ class TestDiscrete:
                 ed = discrete_tp_energy(scaled, q, gated=False, L=TWO_PI)
                 assert ed == pytest.approx(d ** (2 - q) * e0, rel=1e-9)
 
+    @pytest.mark.parametrize("radius", [1e-150, 1e150])
+    def test_scaling_law_at_extreme_scales(self, radius):
+        # E(R beta) = R^(2 - q) E(beta) is representable though the plain
+        # sum of x^3 lam lam overflows or underflows
+        _, beta = circle_beta(16)
+        _, dilated = circle_beta(16, radius)
+        e1 = discrete_tp_energy(beta, 3.0, gated=False, L=TWO_PI)
+        assert discrete_tp_energy(dilated, 3.0, gated=False, L=TWO_PI) == pytest.approx(
+            e1 / radius, rel=1e-12, abs=0.0
+        )
+
     def test_log_space_matches_direct(self):
         _, beta = circle_beta(16)
         direct = discrete_tp_energy(beta, 12.0, gated=False, L=TWO_PI)
@@ -567,6 +578,16 @@ class TestProxy:
             direct_energy = float(np.sum(x[off] ** n * np.outer(lam, lam)[off]))
             direct = TWO_PI ** ((n - 2) / n) * direct_energy ** (1 / n)
             assert ropelength_proxy(beta, TWO_PI) == pytest.approx(direct, rel=1e-10)
+
+    @pytest.mark.parametrize("radius", [1e-150, 1e-20, 1e150])
+    def test_dilation_invariant_at_extreme_scales(self, radius):
+        # at n <= LOG_SPACE_POWER the plain sum of x^n lam lam overflows or
+        # underflows at these radii; the log-space walk keeps the proxy
+        for n in (8, 16):
+            circle, beta = circle_beta(n)
+            scaled, dilated = circle_beta(n, radius)
+            got = ropelength_proxy(dilated, scaled.length)
+            assert got == pytest.approx(ropelength_proxy(beta, circle.length), rel=1e-12)
 
     def test_gate_failure(self):
         _, beta = circle_beta(16)

@@ -151,6 +151,15 @@ class TestBuild:
             from_junctions(points, tangents)
         assert err.value.segment == 0
 
+    def test_overflow_is_a_build_error(self):
+        # at radius 1e160 the squared chords overflow; the suite turns a
+        # stray RuntimeWarning into an error, so only the typed error passes
+        angles = np.linspace(0, TWO_PI, 16, endpoint=False)
+        points = 1e160 * np.stack([np.cos(angles), np.sin(angles), np.zeros_like(angles)], axis=-1)
+        tangents = np.stack([-np.sin(angles), np.cos(angles), np.zeros_like(angles)], axis=-1)
+        with pytest.raises(BiarcCurveBuildError):
+            from_junctions(points, tangents)
+
     @pytest.mark.parametrize("delta", [1e-8, 3e-8, 1e-7])
     def test_nearly_straight_stadium_closes(self, delta):
         # the alternating tilts make the straight sides nearly straight
@@ -282,6 +291,18 @@ class TestSerialization:
         assert np.abs(back.junction_points - beta.junction_points).max() < 1e-8
         assert np.abs(back.junction_tangents - beta.junction_tangents).max() < 1e-8
         assert back.total_length == pytest.approx(beta.total_length, abs=1e-7)
+
+    def test_round_trip_keeps_a_small_chain(self):
+        # junctions about 1e-7 apart: a fixed number of decimals would keep
+        # only a few significant digits of them
+        ellipse = arclength_reparametrize(preset_curve("ellipse", [2e-7, 1e-7]))
+        beta = build_biarc_curve(ellipse, make_partition(ellipse.length, 16))
+        back = junctions_from_text(junctions_to_text(beta))
+        assert np.array_equal(back.junction_points, beta.junction_points)
+        # renormalizing the read tangents moves them by about an ulp
+        assert np.abs(back.junction_tangents - beta.junction_tangents).max() <= 2.3e-16
+        rel = np.abs(back.segment_lengths / beta.segment_lengths - 1.0)
+        assert rel.max() <= 4.5e-16
 
     def test_field_count_checked(self):
         with pytest.raises(ValueError):
