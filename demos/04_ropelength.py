@@ -2,7 +2,8 @@
 
 The quantity L^((n-2)/n) (E_n^n)^(1/n) needs no minimization, only a
 double sum, yet it approaches length/thickness. Powers like x^256 overflow
-long before n gets interesting, so the evaluation runs in log space.
+long before n gets interesting, so the pair sum is taken relative to its
+largest quotient, (x / x_max)^n <= 1, and the root is taken of its log.
 """
 
 import math

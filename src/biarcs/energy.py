@@ -10,12 +10,13 @@ row-blocked kernel, `_pair_tiles`. It walks the row tiles of
 `curve._row_tiles`, of about `curve.PAIR_TILE` pairs each, which the
 Gagliardo seminorm and the curve diagnostics walk too, so no double sum
 holds more than one tile however large n is. `pair_stats` reduces the
-tiles in a single pass to the energy (high powers accumulated as a
-streaming log-sum-exp), the largest quotient and the smallest junction
-distance; a plain sum that leaves the normal float range, as at extreme
-scales, is walked once more in log space. The thickness seed search walks the same row tiles but only
-against the column blocks within 2 / tau of the tile: every quotient is
-at most 2 / |q_i - q_j|, and tau bounds the smallest value it keeps.
+tiles in one walk to the energy, the largest quotient m and the smallest
+junction distance; the energy is summed as (x / m)^q w_i w_j, with the
+lengths w scaled by a power of two, so no sum leaves the float range at
+any power or scale. The thickness seed search walks the same row tiles
+but only against the column blocks within 2 / tau of the tile: every
+quotient is at most 2 / |q_i - q_j|, and tau bounds the smallest value it
+keeps.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ import numpy as np
 from .curve import CurveSpec, _check_embedded, _row_tiles, curvature_values, periodic_distance
 from .interpolate import BiarcCurve, check_Bn
 
-# switch the double sum to log-space accumulation beyond this power
-LOG_SPACE_POWER = 50.0
 # steps of the thickness refinement before it gives up; the slowest case
 # seen, a mollified torus knot whose maximum lies on a narrow ridge, takes
 # about a thousand
@@ -101,70 +100,58 @@ class PairStats:
     min_distance: float  # smallest |q_i - q_j|
 
 
-def _pair_sums(points, tangents, lam, q: float, log_space: bool):
-    """One pass of the row-blocked pair kernel. Returns the energy's sum,
-    plain or as sum exp(term - shift) with its shift in log space, and the
-    largest quotient and the smallest and largest squared distance. The
-    caller runs it under np.errstate."""
-    total = 0.0
-    shift = -math.inf  # largest log term so far
-    max_x = 0.0
-    min_d2, max_d2 = math.inf, 0.0
-    for lo, dist2, x in _pair_tiles(points, tangents):
-        lam_rows = lam[lo : lo + len(x)]
-        min_d2 = min(min_d2, float(np.fmin.reduce(dist2, axis=None)))
-        max_d2 = max(max_d2, float(np.fmax.reduce(dist2, axis=None)))
-        max_x = max(max_x, float(x.max()))
-        if log_space:
-            # q log x + log(lam_i lam_j) in place, the weights in dist2
-            terms = np.log(x, out=x)
-            terms *= q
-            terms += np.log(np.multiply(lam_rows[:, None], lam, out=dist2), out=dist2)
-            top = float(terms.max())
-            if top > shift:
-                total *= math.exp(shift - top)
-                shift = top
-            if shift > -math.inf:
-                terms -= shift
-                total += float(np.exp(terms, out=terms).sum())
-        else:
-            x **= q
-            total += float(lam_rows @ (x @ lam))
-    return total, shift, max_x, min_d2, max_d2
+def _scaled_powers(x: np.ndarray, m: float, q: float) -> np.ndarray:
+    """(x / m)^q in place, for x <= m. Ratios whose power would be subnormal
+    are raised from 2^(min_exp / q) instead, a term that adds nothing, so pow
+    never takes its slow subnormal path (as for most pairs at q = n)."""
+    x /= m
+    np.maximum(x, 2.0 ** (sys.float_info.min_exp / q), out=x)
+    x **= q
+    return x
+
+
+def _unscaled(total, m: float, q: float, k: int):
+    """total m^q 4^k and its log, elementwise: a sum of (x / m)^q w_i w_j,
+    w = lambda / 2^k, in the units of x and lambda. With m = f 2^e, f in
+    [1/2, 1), it is f^q total 2^(e q + 2 k): nothing overflows before the
+    product, and for integral q a power-of-two dilation moves the exponent
+    alone. Past q of about a thousand f^q underflows; then the product comes
+    from its log."""
+    f, e = math.frexp(m)
+    shift = e * q + 2 * k
+    with np.errstate(divide="ignore", over="ignore"):
+        log = np.log(total) + q * np.log(m) + k * math.log(4.0)
+        if f**q < sys.float_info.min:
+            return np.exp(log), log
+        return np.ldexp(total * (f**q * 2.0 ** (shift % 1.0)), math.floor(shift)), log
 
 
 def pair_stats(points, tangents, lam, q: float) -> PairStats:
     """Energy, largest quotient and smallest distance of the junction pairs
-    in one pass of the row-blocked pair kernel.
-
-    The energy is a plain sum for q <= LOG_SPACE_POWER and a streaming
-    log-sum-exp beyond. A plain sum that leaves the normal range of floats,
-    as at very small or very large scales, is walked again in log space, so
-    ``log_energy`` stays finite and the energy is right wherever it is
-    representable. Raises ValueError when two junctions coincide relative to
-    the configuration's diameter.
-    """
+    in one walk of the row-blocked pair kernel: each tile is summed as
+    (x / m)^q w_i w_j, m the largest quotient so far and w = lam / 2^k < 1,
+    and the sum so far rescaled when m grows, so the energy is right wherever
+    it is representable, at any power and scale. Raises ValueError when two
+    junctions coincide relative to the configuration's diameter."""
     lam = np.asarray(lam, dtype=float)
-    log_space = q > LOG_SPACE_POWER
+    k = math.frexp(float(lam.max()))[1]
+    w = np.ldexp(lam, -k)
+    total = m = 0.0
+    min_d2, max_d2 = math.inf, 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        total, shift, max_x, min_d2, max_d2 = _pair_sums(points, tangents, lam, q, log_space)
-        if min_d2 <= (1e-12 * math.sqrt(max_d2)) ** 2:
-            raise ValueError("coincident junction points")
-        if not (log_space or sys.float_info.min <= total < math.inf):
-            log_space = True
-            total, shift = _pair_sums(points, tangents, lam, q, log_space)[:2]
-        if log_space:
-            log_energy = shift + math.log(total) if total > 0.0 else -math.inf
-            energy = float(np.exp(log_energy))
-        else:
-            energy = total
-            log_energy = float(np.log(total))
-    return PairStats(
-        energy=energy,
-        log_energy=log_energy,
-        max_quotient=max_x,
-        min_distance=math.sqrt(min_d2),
-    )
+        for lo, dist2, x in _pair_tiles(points, tangents):
+            min_d2 = min(min_d2, float(np.fmin.reduce(dist2, axis=None)))
+            max_d2 = max(max_d2, float(np.fmax.reduce(dist2, axis=None)))
+            top = float(x.max())
+            if top > m:
+                total *= (m / top) ** q
+                m = top
+            if m > 0.0:
+                total += float(w[lo : lo + len(x)] @ (_scaled_powers(x, m, q) @ w))
+    if min_d2 <= (1e-12 * math.sqrt(max_d2)) ** 2:
+        raise ValueError("coincident junction points")
+    energy, log_energy = (float(v) for v in _unscaled(total, m, q, k))
+    return PairStats(energy, log_energy, m, math.sqrt(min_d2))
 
 
 def _beta_stats(beta: BiarcCurve, q: float) -> PairStats:
@@ -186,7 +173,11 @@ def discrete_tp_energy(beta: BiarcCurve, q: float, gated: bool, L: float) -> flo
 
 def continuous_tp_energy(curve: CurveSpec, q: float, grid: int) -> float:
     """Double quadrature of the inverse tangent-point radius to the power q
-    over the periodic square; diagonal cells use the curvature limit."""
+    over the periodic square: the pair sum of the grid nodes with weights h,
+    plus the diagonal cells, where the radius tends to the curvature,
+    h^2 sum kappa^q. Both are summed relative to their largest term, so the
+    energy is right wherever it is representable. Raises ValueError when
+    grid nodes come closer than 1e-9 L."""
     if not curve.is_arclength:
         raise ValueError("continuous energy expects an arclength-parametrized curve")
     if q <= 2:
@@ -194,16 +185,16 @@ def continuous_tp_energy(curve: CurveSpec, q: float, grid: int) -> float:
     L = curve.length
     h = L / grid
     s = (np.arange(grid) + 0.5) * h
-    pos = curve.position(s)
-    tan = curve.derivative(s)
-    total = float(np.sum(curvature_values(curve, s) ** q))
-    every = np.arange(grid)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for lo, dist2, x in _pair_tiles(pos, tan):
-            _check_embedded(dist2, every[lo : lo + len(x)], every, grid, L)
-            x **= q
-            total += float(np.sum(x))
-    return total * h * h
+    try:
+        pairs = pair_stats(curve.position(s), curve.derivative(s), np.full(grid, h), q)
+    except ValueError:  # coincident nodes
+        pairs = None
+    if pairs is None or pairs.min_distance < 1e-9 * L:
+        raise ValueError("curve is not embedded: distinct parameters collide")
+    kappa = curvature_values(curve, s)
+    top, k = float(kappa.max()), math.frexp(h)[1]
+    diagonal = float(np.sum(_scaled_powers(kappa, top, q))) * math.ldexp(h, -k) ** 2
+    return pairs.energy + float(_unscaled(diagonal, top, q, k)[0])
 
 
 def _inverse_tp(curve: CurveSpec, L: float, s, t) -> np.ndarray:

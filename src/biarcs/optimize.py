@@ -9,11 +9,11 @@ length gate fails, junctions get too close, or the configuration's
 polygonal thickness proxy drops below half its initial value (a crude
 guard against leaving the knot class).
 
-The run keeps every pair term x_ij^q in an (n, n) table, 8 n^2 bytes,
-filled once by the pair kernel. A move rewrites one row and one column of
-it, so a step costs O(n) plus a matrix-vector product for the energy
-instead of a full pair-kernel pass; at n <= 181 the energies are the ones
-`pair_stats` gives, bit for bit.
+The run keeps every pair term in an (n, n) table, 8 n^2 bytes, filled
+once by the pair kernel. A move rewrites one row and one column of it, so
+a step costs O(n) plus a matrix-vector product for the energy instead of
+a full pair-kernel pass. The terms are scaled to at most 1 and the run
+works in those units, so nothing overflows at any scale.
 
 The schedule and the move scales are constants, in units of the run
 itself: the temperature starts at INITIAL_TEMPERATURE times the initial
@@ -23,8 +23,7 @@ by SIGMA_TANGENT radians, and junctions may not come closer than
 MIN_DISTANCE times L/n. L/n is also the unit of the length gate, so a run
 from a chain dilated by d, with length d L, is the undilated run with every
 length d times and every energy and temperature d^(2 - q) times its value;
-for d a power of two, bit for bit up to the last-bit rounding of pow in the
-pair terms x^q.
+for d a power of two and an integral q, bit for bit.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .biarc import PairError, _move_lengths
-from .energy import _pair_tiles, _quotients, pair_stats
+from .energy import _pair_tiles, _quotients, _scaled_powers, _unscaled, pair_stats
 from .interpolate import BiarcCurve, from_junctions
 
 # the first temperature, times the initial energy
@@ -97,19 +96,19 @@ class AnnealTrace:
 
 class _PairTable:
     """The state of one anneal run: junction points and tangents, biarc
-    lengths lam, and the table Y[i, k] = x_ik^q of every pair quotient,
-    filled once by the pair kernel.
+    lengths w = lam / 2^k < 1 (2^k the power of two above the gate), and the
+    table Y[i, k] = (x_ik / ceiling)^q <= 1 (the thickness floor rejects
+    larger quotients). The energy w @ (Y @ w) is the chain energy over
+    ceiling^q 4^k, which `unscale` multiplies back.
 
-    A move of junction j changes only row j and column j of Y and lam[j - 1]
-    and lam[j]; the two lengths come from `_move_lengths`, the biarc
+    A move of junction j changes only row j and column j of Y and w[j - 1]
+    and w[j]; the two lengths come from `_move_lengths`, the biarc
     construction of `from_junctions` run on floats for the two pairs, so
     they are the bits `from_junctions` would give. `propose` checks the
     move's guards on those new entries alone - every other pair already
-    passed them - and writes it into Y and lam; the energy is then
-    lam @ (Y @ lam), the expression `pair_stats` reduces, so with a single
-    row tile (n <= 181) both agree bit for bit. `commit` keeps a proposed
-    move, `undo` restores the saved row, column and lengths. A step costs
-    O(n) plus one (n, n) matrix-vector product, and Y holds 8 n^2 bytes.
+    passed them - and writes it into Y and w, and its energy into
+    ``candidate``. `commit` keeps a proposed move, `undo` restores the saved
+    row, column and lengths.
     """
 
     def __init__(self, initial: BiarcCurve, cfg: AnnealConfig):
@@ -117,12 +116,14 @@ class _PairTable:
         self.q = cfg.q
         self.min_distance = MIN_DISTANCE * cfg.L / n
         self.lo, self.hi = cfg.L / (2 * n), 2 * cfg.L / n
-        self.lam = initial.segment_lengths.copy()
-        if self.lam.min() < self.lo or self.lam.max() > self.hi:
+        lam = initial.segment_lengths
+        if lam.min() < self.lo or lam.max() > self.hi:
             raise ValueError("initial configuration fails the length gate")
+        self.k = math.frexp(self.hi)[1]
+        self.w = np.ldexp(lam, -self.k)
         self.points = initial.junction_points.copy()
         self.tangents = initial.junction_tangents.copy()
-        stats = pair_stats(self.points, self.tangents, self.lam, cfg.q)
+        stats = pair_stats(self.points, self.tangents, lam, cfg.q)
         if stats.min_distance < self.min_distance:
             raise ValueError("initial junctions are closer than MIN_DISTANCE * L / n")
         # the thickness proxy is the inverse of the largest junction quotient
@@ -136,18 +137,21 @@ class _PairTable:
         self._cols = np.concatenate([p, p], axis=1)
         self._tans = np.concatenate([t, t], axis=1)
         self.Y = np.empty((n, n))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             for lo, _, x in _pair_tiles(self.points, self.tangents):
-                x **= self.q
-                self.Y[lo : lo + len(x)] = x
-        self.energy = self.candidate = float(self.lam @ (self.Y @ self.lam))
+                self.Y[lo : lo + len(x)] = _scaled_powers(x, self.ceiling, self.q)
+        self.energy = self.candidate = float(self.w @ (self.Y @ self.w))
         self._move = None
+
+    def unscale(self, energy):
+        """Energies of the table's units (a float or an array) in the chain's."""
+        return _unscaled(energy, self.ceiling, self.q, self.k)[0]
 
     def propose(self, j: int, point: np.ndarray, tangent: np.ndarray) -> Optional[str]:
         """Try moving junction j to (point, tangent). Returns the reason the
         move is rejected, leaving the table as it was, or None after writing
-        the move into Y and lam and its energy into ``candidate``."""
-        n = len(self.lam)
+        the move into Y and w and its energy into ``candidate``."""
+        n = len(self.w)
         jm, jp = (j - 1) % n, (j + 1) % n
         pts = (self.points[jm].tolist(), point.tolist(), self.points[jp].tolist())
         tans = (self.tangents[jm].tolist(), tangent.tolist(), self.tangents[jp].tolist())
@@ -169,19 +173,19 @@ class _PairTable:
             x[j] = x[n + j] = 0.0
             if x.max() > self.ceiling:
                 return "thickness_floor"
-            y = x**self.q
+            y = _scaled_powers(x, self.ceiling, self.q)
         row, col = self.Y[j].copy(), self.Y[:, j].copy()
-        self._move = (j, point, tangent, row, col, self.lam[jm], self.lam[j])
+        self._move = (j, point, tangent, row, col, self.w[jm], self.w[j])
         self.Y[j] = y[:n]
         self.Y[:, j] = y[n:]
-        self.lam[jm], self.lam[j] = lam_prev, lam_j
-        self.candidate = float(self.lam @ (self.Y @ self.lam))
+        self.w[jm], self.w[j] = math.ldexp(lam_prev, -self.k), math.ldexp(lam_j, -self.k)
+        self.candidate = float(self.w @ (self.Y @ self.w))
         return None
 
     def commit(self) -> None:
         """Keep the proposed move."""
         j, point, tangent = self._move[:3]
-        n = len(self.lam)
+        n = len(self.w)
         self.points[j] = self._rows[:, n + j] = self._cols[:, j] = point
         self.tangents[j] = self._tans[:, j] = tangent
         self.energy = self.candidate
@@ -189,10 +193,10 @@ class _PairTable:
 
     def undo(self) -> None:
         """Drop the proposed move: restore row and column j and the lengths."""
-        j, _, _, row, col, lam_prev, lam_j = self._move
+        j, _, _, row, col, w_prev, w_j = self._move
         self.Y[j] = row
         self.Y[:, j] = col
-        self.lam[j - 1], self.lam[j] = lam_prev, lam_j
+        self.w[j - 1], self.w[j] = w_prev, w_j
         self._move = None
 
 
@@ -209,6 +213,7 @@ def anneal_discrete(initial: BiarcCurve, cfg: AnnealConfig) -> tuple[BiarcCurve,
     table = _PairTable(initial, cfg)
 
     rng = np.random.default_rng(cfg.seed)
+    # energies and the temperature in the table's units until the trace
     temperature = INITIAL_TEMPERATURE * table.energy
     sigma_q = SIGMA_POSITION * cfg.L / n
 
@@ -249,8 +254,9 @@ def anneal_discrete(initial: BiarcCurve, cfg: AnnealConfig) -> tuple[BiarcCurve,
         records[step] = (step, table.energy, temperature, float(rejected is None))
         temperature *= COOLING_RATE
 
+    records[:, 1:3] = table.unscale(records[:, 1:3])
     best = from_junctions(best_points, best_tangents)
-    return best, AnnealTrace(records, best_energy, rejections)
+    return best, AnnealTrace(records, float(table.unscale(best_energy)), rejections)
 
 
 def trace_to_csv(trace: AnnealTrace) -> str:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from biarcs.cli import COMMON, SETTINGS, build_parser, main, resolve_settings
@@ -36,6 +37,17 @@ class TestEnergyCommand:
         continuous = next(r for r in rows if r["kind"] == "continuous")
         assert float(discrete["value"]) == pytest.approx(FOUR_PI2 * 7 / 8, rel=1e-10)
         assert float(continuous["value"]) == pytest.approx(FOUR_PI2, abs=1e-6)
+
+    def test_continuous_energy_at_a_tiny_radius(self, capsys):
+        # E(R circle) = R^(2 - q) E(circle), so 1e300 times the value at
+        # R = 1, though kappa^4 and the pair terms x^4 overflow
+        values = []
+        for radius in ("1", "1e-150"):
+            argv = ["energy", "--curve", "circle", "--params", radius, "--n", "16", "--q", "4"]
+            code, out, _ = run(capsys, argv)
+            assert code == 0
+            values.append(next(r for r in parse_csv(out)[1] if r["kind"] == "continuous"))
+        assert [row["value"] for row in values] == ["39.4784176044", "3.94784176044e+301"]
 
     def test_unknown_curve_is_config_error(self, capsys):
         code, _, err = run(capsys, ["energy", "--curve", "nope"])
@@ -298,6 +310,18 @@ class TestConvergeCommand:
             n = float(row["n"])
             assert float(row["abs_error"]) == pytest.approx(FOUR_PI2 / n, rel=1e-9)
 
+    def test_reference_at_a_huge_radius(self, capsys):
+        # the reference 4 pi^2 R^-2 is about 4e-299, and x^4 of its grid
+        # pairs, about 1e-600, underflows
+        argv = ["converge", "--curve", "circle", "--params", "1e150", "--q", "4",
+                "--n-sweep", "16,32", "--grid", "256"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        _, rows = parse_csv(out)
+        for row in rows:
+            assert float(row["reference_energy"]) == pytest.approx(FOUR_PI2 * 1e-300, rel=1e-9)
+            assert float(row["fitted_slope"]) == pytest.approx(-1.0, abs=1e-9)
+
     def test_missing_sweep(self, capsys):
         code, _, err = run(capsys, ["converge", "--curve", "circle"])
         assert code == 2
@@ -450,6 +474,22 @@ class TestAnnealCommand:
              "--q", "3", "--steps", "50", "--out", str(tmp_path / "second.csv")],
         )
         assert code == 0
+
+    def test_tiny_radius_trace_is_the_unit_trace_scaled(self, capsys):
+        # energies and temperatures 1e300 times those at R = 1, where the
+        # raw pair terms x^4 overflow
+        traces = []
+        for radius in ("1", "1e-150"):
+            argv = ["anneal", "--curve", "circle", "--params", radius, "--n", "16",
+                    "--q", "4", "--steps", "20"]
+            code, out, err = run(capsys, argv)
+            assert code == 0, err
+            lines = out.splitlines()[1:21]
+            traces.append(np.array([[float(v) for v in line.split(",")] for line in lines]))
+        unit, tiny = traces
+        assert np.all(np.isfinite(tiny))
+        assert np.array_equal(tiny[:, 3], unit[:, 3])
+        np.testing.assert_allclose(tiny[:, 1:3], 1e300 * unit[:, 1:3], rtol=1e-9)
 
     def test_small_scale(self, capsys):
         # junctions about 4e-4 apart: the distance floor is relative to L / n

@@ -178,10 +178,10 @@ class TestDiscrete:
             e1 / radius, rel=1e-12, abs=0.0
         )
 
-    def test_log_space_matches_direct(self):
+    def test_high_power_matches_closed_form(self):
         _, beta = circle_beta(16)
         direct = discrete_tp_energy(beta, 12.0, gated=False, L=TWO_PI)
-        # force the log-space branch with a power above the switch
+        # every quotient is 1, so the closed form holds at any power
         logged = discrete_tp_energy(beta, 60.0, gated=False, L=TWO_PI)
         assert logged == pytest.approx(FOUR_PI2 * 15 / 16, rel=1e-10)
         assert direct == pytest.approx(FOUR_PI2 * 15 / 16, rel=1e-10)
@@ -223,8 +223,8 @@ class TestPairKernel:
         assert plain.max_quotient == pytest.approx(x[off].max(), rel=1e-13)
         assert plain.min_distance == pytest.approx(np.sqrt(dist2[off].min()), rel=1e-13)
 
-        # log space at q = n (forced above the switch for n = 3)
-        q = float(n) if n > energy.LOG_SPACE_POWER else 60.0
+        # a high power: q = n, or 60 for the smaller n
+        q = float(n) if n > 50 else 60.0
         terms = q * np.log(x[off]) + np.log(w[off])
         top = terms.max()
         expected = top + np.log(np.sum(np.exp(terms - top)))
@@ -569,7 +569,7 @@ class TestProxy:
             gaps.append(abs(ropelength_proxy(beta, circle.length) - TWO_PI))
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
-    def test_log_space_matches_direct(self):
+    def test_matches_direct_sum(self):
         rng = np.random.default_rng(5)
         for n in (8, 12, 20):
             beta = jittered_circle_config(rng, n)
@@ -581,8 +581,8 @@ class TestProxy:
 
     @pytest.mark.parametrize("radius", [1e-150, 1e-20, 1e150])
     def test_dilation_invariant_at_extreme_scales(self, radius):
-        # at n <= LOG_SPACE_POWER the plain sum of x^n lam lam overflows or
-        # underflows at these radii; the log-space walk keeps the proxy
+        # the raw sum of x^n lam lam overflows or underflows at these radii;
+        # the sum relative to its largest quotient keeps the proxy
         for n in (8, 16):
             circle, beta = circle_beta(n)
             scaled, dilated = circle_beta(n, radius)
