@@ -4,6 +4,8 @@ The quantity L^((n-2)/n) (E_n^n)^(1/n) needs no minimization, only a
 double sum, yet it approaches length/thickness. Powers like x^256 overflow
 long before n gets interesting, so the pair sum is taken relative to its
 largest quotient, (x / x_max)^n <= 1, and the root is taken of its log.
+Beside each proxy stands the chain's own ropelength, L/Delta of the biarc
+chain measured as a curve through `beta.spec`.
 """
 
 import math
@@ -28,7 +30,8 @@ for name, params, sweep in (
     for n in sweep:
         beta = build_biarc_curve(curve, make_partition(curve.length, n))
         proxy = ropelength_proxy(beta, curve.length)
-        print(f"  n={n:>4}  proxy={proxy:.6f}  gap={abs(proxy - rope):.4f}")
+        _, chain = thickness_and_ropelength(beta.spec, 64)
+        print(f"  n={n:>4}  proxy={proxy:.6f}  gap={abs(proxy - rope):.4f}  chain={chain:.6f}")
     print()
 
 print("circle sanity: reference is 2 pi =", round(2 * math.pi, 6))

@@ -46,7 +46,6 @@ from .interpolate import (
     build_biarc_curve,
     c1_distance,
     check_Bn,
-    eval_biarc_curve,
     from_junctions,
     junctions_from_text,
     junctions_to_text,

@@ -188,11 +188,12 @@ def _arc_at(start, direction, normal, k, s, xp):
 def _eval_arcs(starts, dirs, normals, k, local):
     """Position and unit tangent at arclength ``local`` along arcs given by
     start point, unit start tangent, unit normal (zero on a straight arc)
-    and curvature k. Arguments broadcast: per-arc arrays of shape (m, 3) and
-    (m,), or a single arc's vectors with ``local`` of any shape."""
+    and curvature k. Arguments broadcast: per-arc arrays of shape (..., 3)
+    and (...,), or a single arc's vectors with ``local`` of any shape."""
     k = np.asarray(k, dtype=float)
     local = np.asarray(local, dtype=float)
-    pos, tan = _arc_at(starts.T, dirs.T, normals.T, k, local, np)
+    arcs = (np.moveaxis(a, -1, 0) for a in (starts, dirs, normals))
+    pos, tan = _arc_at(*arcs, k, local, np)
     return np.stack(pos, axis=-1), np.stack(tan, axis=-1)
 
 

@@ -467,18 +467,12 @@ def _separation(lo: int, hi: int, n: int) -> np.ndarray:
     return np.minimum(sep, n - sep)
 
 
-def _check_embedded(dist2: np.ndarray, rows, cols, grid: int, L: float) -> None:
-    """Raise ValueError when a chord of a pair tile of a uniform grid
-    (squared chords dist2[r, c] of nodes rows[r] and cols[c], NaN on the
-    diagonal) is below 1e-9 L between nodes more than 2 cells apart."""
-    collapsed = (1e-9 * L) ** 2
-    # the tile minimum skips the NaN diagonal; only a tile that holds a
-    # collapsed chord needs its pairs located
-    if np.fmin.reduce(dist2, axis=None) < collapsed:
-        i, j = np.nonzero(dist2 < collapsed)
-        sep = np.abs(rows[i] - cols[j])
-        if np.any(np.minimum(sep, grid - sep) > 2):
-            raise ValueError("curve is not embedded: distinct parameters collide")
+def _check_embedded(dist2: np.ndarray, L: float) -> None:
+    """Raise ValueError when a pair tile's smallest squared chord (NaN cells,
+    such as the diagonal, skipped) is below (1e-9 L)^2: on an arclength grid
+    of fewer than 1e9 nodes, two distinct nodes that close have collided."""
+    if np.fmin.reduce(dist2, axis=None) < (1e-9 * L) ** 2:
+        raise ValueError("curve is not embedded: distinct parameters collide")
 
 
 def gagliardo_seminorm(
@@ -576,7 +570,7 @@ def curve_diagnostics(curve: CurveSpec, grid: int = 512) -> CurveDiagnostics:
     for lo, hi in _row_tiles(grid):
         dist2 = sum((c[lo:hi, None] - c) ** 2 for c in coords)
         dist2[every[: hi - lo], every[lo:hi]] = np.nan
-        _check_embedded(dist2, every[lo:hi], every, grid, L)
+        _check_embedded(dist2, L)
         # the NaN diagonal drops out of the fmax
         ratios = _separation(lo, hi, grid) * h / np.sqrt(dist2)
         c_gamma = max(c_gamma, float(np.fmax.reduce(ratios, axis=None)))

@@ -217,7 +217,7 @@ def _thickness_seeds(pos: np.ndarray, tan: np.ndarray, L: float) -> np.ndarray:
     refinement: the eight largest inverse radii of node j seen from the
     tangent line at node i, outside the band min(|i-j|, grid-|i-j|) <
     1e-3 grid, none an immediate grid neighbour of a better one. Raises
-    ValueError when grid nodes more than 2 cells apart collide.
+    ValueError when two grid nodes come closer than 1e-9 L.
 
     An exact search of the near field: x = 2 |d_perp| / |d|^2 <= 2 / |d|,
     so no pair farther apart than 2 / tau is among the 32 candidates if tau
@@ -244,7 +244,7 @@ def _thickness_seeds(pos: np.ndarray, tan: np.ndarray, L: float) -> np.ndarray:
         hit = cols[at] == cells
         dist2[np.arange(len(rows)), at[:, width - 1]] = np.nan
         x[np.nonzero(hit)[0], at[hit]] = 0.0
-        _check_embedded(dist2, rows, cols, grid, L)
+        _check_embedded(dist2, L)
         inv = x.reshape(-1)
         # copied, so the tile-sized index array dies here (the caller keeps its
         # tile until the next): then the heap stops shrinking and regrowing

@@ -1,4 +1,4 @@
-"""Closed biarc curves: assembly over a partition, global evaluation,
+"""Closed biarc curves: assembly over a partition, the chain as a curve,
 length-gate membership, and C^1 distance to the interpolated curve."""
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ class BiarcCurve:
 
     ``source_params`` holds the partition nodes when the curve was built by
     interpolating a CurveSpec; it is required for C^1-distance measurements.
+    ``spec`` is the chain as a CurveSpec, which every curve function takes.
     """
 
     junction_points: np.ndarray
@@ -55,6 +56,29 @@ class BiarcCurve:
     @property
     def total_length(self) -> float:
         return float(self.offsets[-1])
+
+    @property
+    def spec(self) -> CurveSpec:
+        """The chain as an arclength-parametrized CurveSpec: position, unit
+        tangent and curvature vector k (cos(ks) normal - sin(ks) dir) of the
+        arc that holds s mod L, for s of any shape; its length table holds
+        the arc breaks."""
+        breaks, L = self.arc_offsets, float(self.arc_offsets[-1])
+        arcs = (self.arc_starts, self.arc_dirs, self.arc_normals, self.arc_k)
+
+        def arcs_at(s):
+            s = np.mod(np.asarray(s, dtype=float), L)
+            i = np.clip(np.searchsorted(breaks, s, side="right") - 1, 0, len(self.arc_k) - 1)
+            return *(a[i] for a in arcs), s - breaks[i]
+
+        def second_derivative(s):
+            _, dirs, normals, k, local = arcs_at(s)
+            phi = (k * local)[..., None]
+            return k[..., None] * (np.cos(phi) * normals - np.sin(phi) * dirs)
+
+        position, derivative = (lambda s, j=j: _eval_arcs(*arcs_at(s))[j] for j in (0, 1))
+        table = np.column_stack([breaks, breaks])
+        return CurveSpec(L, position, derivative, second_derivative, table, True, "biarc chain")
 
     @property
     def biarcs(self) -> tuple:
@@ -139,24 +163,6 @@ def build_biarc_curve(curve: CurveSpec, partition: Partition) -> BiarcCurve:
     return replace(out, source_params=np.asarray(partition.samples, dtype=float))
 
 
-def eval_biarc_curve(beta: BiarcCurve, s):
-    """Position and unit tangent at arclength s, periodic in the total
-    length. Accepts scalars or arrays."""
-    scalar = np.isscalar(s) or np.ndim(s) == 0
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    total = beta.total_length
-    smod = np.mod(s, total)
-    idx = np.searchsorted(beta.arc_offsets, smod, side="right") - 1
-    idx = np.clip(idx, 0, len(beta.arc_k) - 1)
-    local = smod - beta.arc_offsets[idx]
-    pos, tan = _eval_arcs(
-        beta.arc_starts[idx], beta.arc_dirs[idx], beta.arc_normals[idx], beta.arc_k[idx], local
-    )
-    if scalar:
-        return pos[0], tan[0]
-    return pos, tan
-
-
 def check_Bn(beta: BiarcCurve, L: float) -> bool:
     """Length gate: each of the n biarc lengths within [L/(2n), 2L/n]."""
     n = beta.n_segments
@@ -166,7 +172,8 @@ def check_Bn(beta: BiarcCurve, L: float) -> bool:
 
 def c1_distance(curve: CurveSpec, beta: BiarcCurve, grid: int) -> float:
     """sup over the grid of |curve - B| + |curve' - B'| where B traverses
-    each biarc over the matching partition cell at constant rate."""
+    each biarc over the matching partition cell at constant rate; B and its
+    unit tangent come from ``beta.spec``."""
     if beta.source_params is None:
         raise ValueError("biarc curve was not built from a partition of the curve")
     n = beta.n_segments
@@ -179,11 +186,9 @@ def c1_distance(curve: CurveSpec, beta: BiarcCurve, grid: int) -> float:
     gaps = np.diff(nodes)
     rate = beta.segment_lengths[seg] / gaps[seg]
     local = beta.offsets[seg] + (s - nodes[seg]) * rate
-    pos_b, tan_b = eval_biarc_curve(beta, local)
-    pos_g = curve.position(s)
-    tan_g = curve.derivative(s)
-    dpos = np.linalg.norm(pos_g - pos_b, axis=-1)
-    dtan = np.linalg.norm(tan_g - tan_b * rate[:, None], axis=-1)
+    chain = beta.spec
+    dpos = np.linalg.norm(curve.position(s) - chain.position(local), axis=-1)
+    dtan = np.linalg.norm(curve.derivative(s) - chain.derivative(local) * rate[:, None], axis=-1)
     return float((dpos + dtan).max())
 
 

@@ -553,6 +553,52 @@ class TestThickness:
             thickness_and_ropelength(knot, 64)
 
 
+class TestChainAsCurve:
+    """A chain measured as a curve through ``beta.spec``. Its arcs are exact,
+    so a circle chain has the circle's thickness and energy. The compass
+    refinement's objective is only piecewise smooth on a chain."""
+
+    @staticmethod
+    def chain(curve, n, mode):
+        return build_biarc_curve(curve, make_partition(curve.length, n, mode, seed=1))
+
+    @pytest.mark.parametrize("mode", ["uniform", "jitter:0.2"])
+    def test_circle_chain_is_the_circle(self, mode):
+        beta = self.chain(preset_curve("circle", [3.0]), 32, mode)
+        delta, _ = thickness_and_ropelength(beta.spec, 64)
+        assert delta == pytest.approx(3.0, rel=1e-9)
+        energy_3 = continuous_tp_energy(beta.spec, 3.0, 1024)
+        assert energy_3 == pytest.approx(FOUR_PI2 / 3.0, rel=1e-12)
+
+    @pytest.mark.parametrize("mode", ["uniform", "jitter:0.2"])
+    def test_rigid_motion_and_dilation(self, mode):
+        beta = self.chain(preset_curve("circle", [3.0]), 32, mode)
+        rng = np.random.default_rng(3)
+        rot, shift = random_rotation(rng), rng.normal(scale=10.0, size=3)
+        moved_beta = from_junctions(
+            2.0 * beta.junction_points @ rot.T + shift, beta.junction_tangents @ rot.T
+        )
+        delta, _ = thickness_and_ropelength(beta.spec, 64)
+        moved_delta, _ = thickness_and_ropelength(moved_beta.spec, 64)
+        assert moved_delta == pytest.approx(2.0 * delta, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [32, 128, 256])
+    @pytest.mark.parametrize("mode", ["uniform", "jitter:0.3"])
+    def test_ellipse_chain_thickness_is_its_largest_curvature(self, n, mode):
+        ellipse = arclength_reparametrize(preset_curve("ellipse", [2.0, 1.0]))
+        beta = self.chain(ellipse, n, mode)
+        delta, _ = thickness_and_ropelength(beta.spec, 64)
+        assert delta == pytest.approx(1.0 / beta.arc_k.max(), rel=1e-9)
+
+    def test_knot_chain_ropelength_approaches_the_knot(self, knot):
+        _, target = thickness_and_ropelength(knot, 64)
+        gaps = [
+            abs(thickness_and_ropelength(self.chain(knot, n, "uniform").spec, 64)[1] - target)
+            for n in (32, 64, 128)
+        ]
+        assert gaps[0] > gaps[1] > gaps[2]
+
+
 class TestProxy:
     def test_circle_closed_form(self):
         # proxy on the exact circle interpolant collapses to

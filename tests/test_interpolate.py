@@ -7,13 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biarcs.biarc import PairClass, biarc_parameter, classify_pair
-from biarcs.curve import arclength_reparametrize, make_partition, preset_curve, Partition
+from biarcs.curve import (
+    Partition,
+    arclength_reparametrize,
+    curvature_values,
+    make_partition,
+    preset_curve,
+)
 from biarcs.interpolate import (
     BiarcCurveBuildError,
     build_biarc_curve,
     c1_distance,
     check_Bn,
-    eval_biarc_curve,
     from_junctions,
     junctions_from_text,
     junctions_to_text,
@@ -54,12 +59,12 @@ def tilted_stadium(delta, side=8):
 def assert_c1_joins(beta, tol=1e-9):
     """Position and tangent agree on both sides of every junction and
     matching point, and the junctions interpolate their data."""
-    s = beta.arc_offsets[:-1]
-    pa, ta = eval_biarc_curve(beta, s - 1e-12)
-    pb, tb = eval_biarc_curve(beta, s + 1e-12)
+    s, chain = beta.arc_offsets[:-1], beta.spec
+    pa, ta = chain.position(s - 1e-12), chain.derivative(s - 1e-12)
+    pb, tb = chain.position(s + 1e-12), chain.derivative(s + 1e-12)
     assert np.linalg.norm(pa - pb, axis=-1).max() < tol
     assert np.linalg.norm(ta - tb, axis=-1).max() < tol
-    pos, tan = eval_biarc_curve(beta, beta.offsets[:-1])
+    pos, tan = chain.position(beta.offsets[:-1]), chain.derivative(beta.offsets[:-1])
     assert np.abs(pos - beta.junction_points).max() < tol
     assert np.abs(tan - beta.junction_tangents).max() < tol
 
@@ -72,14 +77,14 @@ class TestBuild:
             assert beta.n_segments == n
             assert beta.total_length == pytest.approx(TWO_PI, abs=1e-9)
             s = np.linspace(0, beta.total_length, 200)
-            pos, _ = eval_biarc_curve(beta, s)
+            pos = beta.spec.position(s)
             assert np.abs(np.linalg.norm(pos, axis=-1) - 1.0).max() < 1e-9
             for b in beta.biarcs:
                 assert classify_pair(*b.pair) is PairClass.COCIRCULAR_COMPATIBLE
 
     def test_junction_interpolation(self):
         curve, part, beta = ellipse_interpolant(32)
-        pos, tan = eval_biarc_curve(beta, beta.offsets[:-1])
+        pos, tan = beta.spec.position(beta.offsets[:-1]), beta.spec.derivative(beta.offsets[:-1])
         want_p = curve.position(part.samples[:-1])
         want_t = curve.derivative(part.samples[:-1])
         assert np.abs(pos - want_p).max() < 1e-10
@@ -87,9 +92,10 @@ class TestBuild:
 
     def test_c1_at_junctions(self):
         _, _, beta = ellipse_interpolant(16)
+        chain = beta.spec
         for off in beta.offsets[:-1]:
-            pa, ta = eval_biarc_curve(beta, off - 1e-12)
-            pb, tb = eval_biarc_curve(beta, off + 1e-12)
+            pa, ta = chain.position(off - 1e-12), chain.derivative(off - 1e-12)
+            pb, tb = chain.position(off + 1e-12), chain.derivative(off + 1e-12)
             assert np.linalg.norm(pa - pb) < 1e-9
             assert np.linalg.norm(ta - tb) < 1e-9
 
@@ -207,21 +213,23 @@ class TestInvariance:
 class TestEval:
     def test_boundary_and_closure(self):
         _, _, beta = circle_interpolant(8)
-        p0, t0 = eval_biarc_curve(beta, 0.0)
-        pL, tL = eval_biarc_curve(beta, beta.total_length)
+        chain = beta.spec
+        p0, t0 = chain.position(0.0), chain.derivative(0.0)
+        pL, tL = chain.position(beta.total_length), chain.derivative(beta.total_length)
         assert np.allclose(p0, pL, atol=1e-12)
         assert np.allclose(t0, tL, atol=1e-12)
         assert np.allclose(p0, [1, 0, 0], atol=1e-12)
 
     def test_halfway_around_circle(self):
         _, _, beta = circle_interpolant(16)
-        pos, _ = eval_biarc_curve(beta, math.pi)
+        pos = beta.spec.position(math.pi)
         assert np.linalg.norm(pos - np.array([-1.0, 0.0, 0.0])) < 1e-9
 
     def test_periodic(self):
         _, _, beta = circle_interpolant(8)
-        p1, t1 = eval_biarc_curve(beta, 1.0)
-        p2, t2 = eval_biarc_curve(beta, 1.0 + beta.total_length)
+        chain = beta.spec
+        p1, t1 = chain.position(1.0), chain.derivative(1.0)
+        p2, t2 = chain.position(1.0 + beta.total_length), chain.derivative(1.0 + beta.total_length)
         assert np.allclose(p1, p2, atol=1e-12) and np.allclose(t1, t2, atol=1e-12)
 
 
@@ -244,8 +252,36 @@ class TestEval:
         beta = from_junctions(
             np.array([(x, y, 0.0) for x, y in pts]), np.array([(x, y, 0.0) for x, y in tans])
         )
-        pos, _ = eval_biarc_curve(beta, 0.25)
+        pos = beta.spec.position(0.25)
         assert pos[1] == pytest.approx(eps / 8, rel=1e-6)
+
+
+class TestSpec:
+    """``beta.spec``, the chain as a CurveSpec."""
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2, 2)])
+    def test_any_shape_is_the_flat_evaluation(self, shape):
+        _, _, beta = circle_interpolant(8)
+        spec = beta.spec
+        s = np.random.default_rng(0).uniform(-1.0, 8.0, size=shape)
+        for f in (spec.position, spec.derivative, spec.second_derivative):
+            assert np.array_equal(f(s), f(s.ravel()).reshape(shape + (3,)))
+
+    def test_arclength_table_holds_the_arc_breaks(self):
+        _, _, beta = ellipse_interpolant(16)
+        spec = beta.spec
+        assert spec.is_arclength
+        assert spec.length == beta.arc_offsets[-1]
+        assert np.array_equal(spec.arclength_table, np.column_stack([beta.arc_offsets] * 2))
+
+    def test_curvature_at_arc_midpoints(self):
+        # the untilted stadium's straight sides are arcs with k = 0
+        stadium = from_junctions(*tilted_stadium(0.0))
+        assert np.any(stadium.arc_k == 0.0)
+        for beta in (ellipse_interpolant(32)[2], stadium):
+            mid = 0.5 * (beta.arc_offsets[:-1] + beta.arc_offsets[1:])
+            kappa = curvature_values(beta.spec, mid)
+            np.testing.assert_allclose(kappa, beta.arc_k, rtol=1e-12, atol=0.0)
 
 
 class TestGate:
