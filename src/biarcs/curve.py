@@ -4,6 +4,10 @@ partitions, mollification, Gagliardo seminorms, and diagnostics.
 All position/derivative callables are periodic in their parameter and
 vectorized: they accept scalars or arrays of shape (...,) and return
 arrays of shape (..., 3).
+
+The presets and the mollified curves are trigonometric polynomials: tables
+of Fourier coefficients that one evaluator, `_trig_polynomial`, sums, with
+derivatives taken term by term from the coefficients (`_trig_curve`).
 """
 
 from __future__ import annotations
@@ -166,7 +170,14 @@ _PRESET_PARAMETERS = {"circle": ("R",), "ellipse": ("a", "b"), "torus_knot": ("p
 
 def preset_curve(name: str, params) -> CurveSpec:
     """Analytic closed test curves: circle(R), ellipse(a, b),
-    torus_knot(p, q, R, r)."""
+    torus_knot(p, q, R, r), each a trigonometric polynomial of at most four
+    terms (m, c), meaning Re c e^(imu), evaluated by `_trig_curve`.
+
+    The circle is arclength-parametrized on its period 2 pi R; the others
+    run over u in [0, 2 pi). Parameters must be finite, and the winding
+    numbers of the knot obey |p| + |q| < DEFAULT_GRID_1D // 2: the package's
+    1-D sample grids resolve no higher mode.
+    """
     if name not in _PRESET_PARAMETERS:
         raise ValueError(f"unknown curve preset {name!r}")
     params = [float(p) for p in params]
@@ -176,96 +187,40 @@ def preset_curve(name: str, params) -> CurveSpec:
         raise ValueError(
             f"{name} takes {len(names)} parameter{plural} {', '.join(names)}; got {len(params)}"
         )
+    if not all(map(math.isfinite, params)):
+        raise ValueError(f"{name} parameters must be finite")
+    period, table = 2.0 * math.pi, None
     if name == "circle":
         (radius,) = params
         if radius <= 0:
             raise ValueError("circle radius must be positive")
-        length = 2.0 * math.pi * radius
-
-        def position(s):
-            phi = np.asarray(s, dtype=float) / radius
-            return radius * np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], axis=-1)
-
-        def derivative(s):
-            phi = np.asarray(s, dtype=float) / radius
-            return np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=-1)
-
-        def second_derivative(s):
-            phi = np.asarray(s, dtype=float) / radius
-            return (
-                np.stack([-np.cos(phi), -np.sin(phi), np.zeros_like(phi)], axis=-1) / radius
-            )
-
-        table = np.column_stack([np.linspace(0, length, 33)] * 2)
-        return CurveSpec(length, position, derivative, second_derivative, table, True, "circle")
-
-    if name == "ellipse":
+        period = 2.0 * math.pi * radius
+        table = np.column_stack([np.linspace(0, period, 33)] * 2)
+        terms = [(1, (radius, -1j * radius, 0.0))]
+    elif name == "ellipse":
         a, b = params
         if a <= 0 or b <= 0:
             raise ValueError("ellipse semi-axes must be positive")
-
-        def position(u):
-            u = np.asarray(u, dtype=float)
-            return np.stack([a * np.cos(u), b * np.sin(u), np.zeros_like(u)], axis=-1)
-
-        def derivative(u):
-            u = np.asarray(u, dtype=float)
-            return np.stack([-a * np.sin(u), b * np.cos(u), np.zeros_like(u)], axis=-1)
-
-        def second_derivative(u):
-            u = np.asarray(u, dtype=float)
-            return np.stack([-a * np.cos(u), -b * np.sin(u), np.zeros_like(u)], axis=-1)
-
-        spec = CurveSpec(
-            2 * math.pi, position, derivative, second_derivative, None, False, "ellipse"
-        )
-        return _with_length_table(spec)
-
-    if name == "torus_knot":
+        terms = [(1, (a, -1j * b, 0.0))]
+    else:
         p, q, big_r, small_r = params
         if big_r <= 0 or small_r <= 0 or big_r <= small_r:
             raise ValueError("torus knot needs R > r > 0")
         if p != int(p) or q != int(q) or int(p) == 0 or int(q) == 0:
             raise ValueError("torus knot winding numbers must be nonzero integers")
-
-        def position(u):
-            u = np.asarray(u, dtype=float)
-            w = big_r + small_r * np.cos(q * u)
-            return np.stack(
-                [w * np.cos(p * u), w * np.sin(p * u), small_r * np.sin(q * u)], axis=-1
-            )
-
-        def derivative(u):
-            u = np.asarray(u, dtype=float)
-            w = big_r + small_r * np.cos(q * u)
-            dw = -small_r * q * np.sin(q * u)
-            return np.stack(
-                [
-                    dw * np.cos(p * u) - p * w * np.sin(p * u),
-                    dw * np.sin(p * u) + p * w * np.cos(p * u),
-                    small_r * q * np.cos(q * u),
-                ],
-                axis=-1,
-            )
-
-        def second_derivative(u):
-            u = np.asarray(u, dtype=float)
-            w = big_r + small_r * np.cos(q * u)
-            dw = -small_r * q * np.sin(q * u)
-            ddw = -small_r * q * q * np.cos(q * u)
-            return np.stack(
-                [
-                    ddw * np.cos(p * u) - 2 * p * dw * np.sin(p * u) - p * p * w * np.cos(p * u),
-                    ddw * np.sin(p * u) + 2 * p * dw * np.cos(p * u) - p * p * w * np.sin(p * u),
-                    -small_r * q * q * np.sin(q * u),
-                ],
-                axis=-1,
-            )
-
-        spec = CurveSpec(
-            2 * math.pi, position, derivative, second_derivative, None, False, "torus_knot"
-        )
-        return _with_length_table(spec)
+        if abs(p) + abs(q) >= DEFAULT_GRID_1D // 2:
+            raise ValueError(f"torus knot winding numbers need |p| + |q| < {DEFAULT_GRID_1D // 2}")
+        p, q = int(p), int(q)
+        # x + iy = (R + r cos qu) e^(ipu), and cos(qu) e^(ipu) splits into
+        # the modes p + q and p - q; a term (c, -ic, 0) is c e^(imu) in x + iy
+        half = (small_r / 2.0, -0.5j * small_r, 0.0)
+        terms = [(p, (big_r, -1j * big_r, 0.0)), (p + q, half), (p - q, half)]
+        terms.append((q, (0.0, 0.0, -1j * small_r)))
+    coeffs = np.zeros((max(abs(m) for m, _ in terms) + 1, 3), dtype=complex)
+    for m, c in terms:
+        coeffs[abs(m)] += np.conj(c) if m < 0 else c
+    factor = (2j * math.pi / period) * np.arange(len(coeffs))[:, None]
+    return _trig_curve(coeffs, coeffs * factor, period, table, name == "circle", name)
 
 
 def _with_length_table(spec: CurveSpec) -> CurveSpec:
@@ -328,8 +283,12 @@ def _kept_modes(coeffs: np.ndarray) -> int:
     significant when the norm of its coefficient vector exceeds MODE_FLOOR
     times the largest such norm over modes >= 1. Mode 0, the centroid, is
     left out of that maximum, so the count is the same for a curve moved
-    rigidly or dilated."""
-    size = np.linalg.norm(coeffs[1:], axis=1)
+    rigidly or dilated. The norms are taken on the vectors scaled by the
+    power of two of the largest entry: the scale is exact, so no norm
+    overflows or underflows and the count is that of the unscaled norms."""
+    rest = coeffs[1:]
+    exponent = math.frexp(np.abs(rest).max(initial=0.0))[1]
+    size = np.linalg.norm(rest * 2.0**-exponent, axis=1)
     significant = np.flatnonzero(size > MODE_FLOOR * size.max(initial=0.0))
     return int(significant[-1]) + 2 if significant.size else 1
 
@@ -358,6 +317,18 @@ def _trig_polynomial(coeffs: np.ndarray, period: float) -> Callable:
         return out.reshape(x.shape + (3,))
 
     return evaluate
+
+
+def _trig_curve(position_coeffs, tangent_coeffs, period, table, is_arclength, name) -> CurveSpec:
+    """The curve whose position and derivative are the `_trig_polynomial`
+    of each coefficient table; its second derivative is the tangent's,
+    term by term: the tangent coefficients times 2 pi i m / period. A
+    missing length table is computed by `_with_length_table`."""
+    factor = (2j * math.pi / period) * np.arange(len(tangent_coeffs))[:, None]
+    evaluators = (_trig_polynomial(c, period) for c in (position_coeffs, tangent_coeffs))
+    second = _trig_polynomial(tangent_coeffs * factor, period)
+    spec = CurveSpec(period, *evaluators, second, table, is_arclength, name)
+    return spec if table is not None else _with_length_table(spec)
 
 
 def mollify(curve: CurveSpec, eps: float) -> CurveSpec:
@@ -406,8 +377,6 @@ def _mollify_sweep(curve: CurveSpec, scales) -> list[CurveSpec]:
     pos_hat = np.fft.rfft(curve.position(grid), axis=0)
     tan_hat = np.fft.rfft(curve.derivative(grid), axis=0)
     modes = pos_hat.shape[0]
-    # derivative factors of the modes, 2 pi i m / L
-    ddx = (2j * math.pi / L) * np.arange(modes)[:, None]
     smoothed = []
     for eps in scales:
         # transfer function of sum_k w_k f(x - eps xi_k) at each mode:
@@ -430,16 +399,8 @@ def _mollify_sweep(curve: CurveSpec, scales) -> list[CurveSpec]:
         pos_coeffs[0] /= scale
         tan_coeffs = norm * tan_smooth
         tan_coeffs = tan_coeffs[: _kept_modes(tan_coeffs)]
-        raw = CurveSpec(
-            L,
-            _trig_polynomial(pos_coeffs, L),
-            _trig_polynomial(tan_coeffs, L),
-            # the derivative of the tangent polynomial, term by term
-            _trig_polynomial(tan_coeffs * ddx[: len(tan_coeffs)], L),
-            np.column_stack([np.linspace(0.0, L, samples + 1), scale * cum]),
-            False,
-            curve.name,
-        )
+        table = np.column_stack([np.linspace(0.0, L, samples + 1), scale * cum])
+        raw = _trig_curve(pos_coeffs, tan_coeffs, L, table, False, curve.name)
         # the raw curve's speed at the table nodes is scale * speed_x: the
         # polynomial's values there are what the inverse FFT already gave, up
         # to the dropped modes

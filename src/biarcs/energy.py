@@ -328,7 +328,9 @@ def thickness_and_ropelength(curve: CurveSpec, grid: int = 64) -> tuple[float, f
 
     The largest inverse radii of a coarse pair grid seed one vectorized
     compass refinement (`_refine_inverse_tp`); the near-diagonal supremum
-    equals the maximal curvature and is taken into account separately.
+    equals the maximal curvature and is taken into account separately, at
+    the grid nodes and at the nodes and cell midpoints of the curve's
+    length table: a chain's arc breaks and its arcs' midpoints.
     """
     if not curve.is_arclength:
         raise ValueError("thickness expects an arclength-parametrized curve")
@@ -337,7 +339,9 @@ def thickness_and_ropelength(curve: CurveSpec, grid: int = 64) -> tuple[float, f
     s = (np.arange(grid) + 0.5) * h
     seeds = _thickness_seeds(curve.position(s), curve.derivative(s), L)
     best = float(_refine_inverse_tp(curve, L, s[seeds[:, 0]], s[seeds[:, 1]], h).max())
-    curv = float(np.max(curvature_values(curve, s)))
+    breaks = curve.arclength_table[:, 0]
+    nodes = np.concatenate([s, breaks, 0.5 * (breaks[:-1] + breaks[1:])])
+    curv = float(np.max(curvature_values(curve, nodes)))
     sup_inv = max(best, curv)
     delta = 1.0 / sup_inv
     return delta, L / delta

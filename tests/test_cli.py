@@ -71,6 +71,23 @@ class TestEnergyCommand:
         assert code == 2
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "curve, params, message",
+        [
+            ("circle", "inf", "circle parameters must be finite"),
+            ("circle", "nan", "circle parameters must be finite"),
+            ("torus_knot", "inf,3,2,0.5", "torus_knot parameters must be finite"),
+            ("torus_knot", "2,3,inf,0.5", "torus_knot parameters must be finite"),
+            ("torus_knot", "2000,3,2,0.5", "torus knot winding numbers need |p| + |q| < 1024"),
+        ],
+        ids=["circle-inf", "circle-nan", "torus_knot-p-inf", "torus_knot-R-inf", "torus_knot-2000"],
+    )
+    def test_bad_parameter_values_are_config_errors(self, capsys, curve, params, message):
+        # in process, so a RuntimeWarning on the way would raise
+        code, _, err = run(capsys, ["energy", "--curve", curve, "--params", params])
+        assert code == 2
+        assert err == f"error: {message}\n"
+
     def test_grid_must_be_power_of_two(self, capsys):
         code, _, err = run(capsys, ["energy", "--curve", "circle", "--grid", "300"])
         assert code == 2
@@ -561,6 +578,16 @@ class TestOutputFormats:
 
 
 class TestReadme:
+    def test_library_tour_runs(self):
+        """README's library-tour code block runs as written."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        tour = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        namespace = {}
+        exec(tour, namespace)
+        assert namespace["delta"] == 0.5
+        assert namespace["e_disc"] < namespace["e_cont"]
+        assert namespace["chain_delta"] == pytest.approx(0.5, rel=1e-3)
+
     def test_flag_table_matches_the_settings(self):
         """README's table of each command's own flags, `--flag DEFAULT` or
         `--flag PLACEHOLDER` where the default is None, names exactly the

@@ -147,6 +147,43 @@ def gauss_newton_inverse(raw, s, cells=1024, order=10):
     return u
 
 
+def closed_form_preset(name, params, u):
+    """Position, derivative and second derivative of a preset by the
+    formulas the coefficient tables stand for."""
+    zero = np.zeros_like(u)
+    if name == "circle":
+        (radius,) = params
+        c, s = np.cos(u / radius), np.sin(u / radius)
+        return (
+            radius * np.stack([c, s, zero], axis=-1),
+            np.stack([-s, c, zero], axis=-1),
+            np.stack([-c, -s, zero], axis=-1) / radius,
+        )
+    if name == "ellipse":
+        a, b = params
+        c, s = np.cos(u), np.sin(u)
+        return (
+            np.stack([a * c, b * s, zero], axis=-1),
+            np.stack([-a * s, b * c, zero], axis=-1),
+            np.stack([-a * c, -b * s, zero], axis=-1),
+        )
+    p, q, big_r, small_r = params
+    cp, sp, cq, sq = np.cos(p * u), np.sin(p * u), np.cos(q * u), np.sin(q * u)
+    w, dw, ddw = big_r + small_r * cq, -small_r * q * sq, -small_r * q * q * cq
+    return (
+        np.stack([w * cp, w * sp, small_r * sq], axis=-1),
+        np.stack([dw * cp - p * w * sp, dw * sp + p * w * cp, small_r * q * cq], axis=-1),
+        np.stack(
+            [
+                ddw * cp - 2 * p * dw * sp - p * p * w * cp,
+                ddw * sp + 2 * p * dw * cp - p * p * w * sp,
+                -small_r * q * q * sq,
+            ],
+            axis=-1,
+        ),
+    )
+
+
 class TestPresets:
     def test_circle(self):
         c = preset_curve("circle", [1.0])
@@ -177,6 +214,58 @@ class TestPresets:
             preset_curve("circle", [-1.0])
         with pytest.raises(ValueError):
             preset_curve("torus_knot", [2, 3, 0.5, 2.0])
+        for name, params in [
+            ("circle", [math.inf]),
+            ("circle", [math.nan]),
+            ("ellipse", [2.0, -math.inf]),
+            ("torus_knot", [math.inf, 3, 2.0, 0.5]),
+            ("torus_knot", [2, 3, math.inf, 0.5]),
+            ("torus_knot", [2, math.nan, 2.0, 0.5]),
+        ]:
+            with pytest.raises(ValueError, match=f"^{name} parameters must be finite$"):
+                preset_curve(name, params)
+        # the winding bound is checked before the coefficient table is made
+        for p, q in [(1e300, 3), (2000, 3), (-1021, 3)]:
+            with pytest.raises(ValueError, match=r"need \|p\| \+ \|q\| < 1024$"):
+                preset_curve("torus_knot", [p, q, 2.0, 0.5])
+        assert preset_curve("torus_knot", [-1021, 2, 2.0, 0.5]).length > 0
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("circle", [1.0]),
+            ("circle", [3.0]),
+            ("ellipse", [2.0, 1.0]),
+            ("torus_knot", [2, 3, 2.0, 0.5]),
+            ("torus_knot", [3, 5, 2.0, 0.5]),
+            ("torus_knot", [2, -3, 2.0, 0.5]),
+            ("torus_knot", [3, 2, 2.0, 0.5]),
+            ("torus_knot", [2, 2, 2.0, 0.5]),
+        ],
+    )
+    def test_matches_the_closed_form(self, name, params):
+        curve = preset_curve(name, params)
+        u = np.linspace(-1.0, curve.period + 1.0, 997)
+        evaluators = (curve.position, curve.derivative, curve.second_derivative)
+        for evaluate, want in zip(evaluators, closed_form_preset(name, params, u)):
+            got = evaluate(u)
+            if name == "ellipse" or params == [1.0]:
+                np.testing.assert_array_equal(got, want)
+            else:
+                assert np.abs(got - want).max() <= 4e-15 * np.abs(want).max()
+
+    @pytest.mark.parametrize("k", [-1000, -500, 500, 1000])
+    def test_circle_commutes_with_power_of_two_dilation(self, k):
+        # (c f) f, never c f^2, and scale-free mode counts keep every bit
+        radius = 2.0**k
+        unit, circle = preset_curve("circle", [1.0]), preset_curve("circle", [radius])
+        s = np.linspace(-1.0, 8.0, 101)
+        np.testing.assert_array_equal(circle.arclength_table, radius * unit.arclength_table)
+        np.testing.assert_array_equal(circle.position(radius * s), radius * unit.position(s))
+        np.testing.assert_array_equal(circle.derivative(radius * s), unit.derivative(s))
+        np.testing.assert_array_equal(
+            circle.second_derivative(radius * s), unit.second_derivative(s) / radius
+        )
 
     @pytest.mark.parametrize(
         "name, params, message",
@@ -535,6 +624,19 @@ class TestMollifyInvariance:
         # position and tangent; the second derivative is cut from the tangent's
         # kept modes
         assert after_motion[:2] == base[:2] and after_dilation[:2] == base[:2]
+
+    @pytest.mark.parametrize("k", [-560, 520])
+    def test_power_of_two_dilation_is_bit_exact(self, k):
+        # the norms that pick the kept modes square coefficients of size 2^k
+        radius = 2.0**k
+        unit, circle = preset_curve("circle", [1.0]), preset_curve("circle", [radius])
+        smooth, scaled = mollify(unit, unit.length / 64), mollify(circle, circle.length / 64)
+        s = np.linspace(0.0, unit.length, 97) + 0.0123
+        np.testing.assert_array_equal(scaled.position(radius * s), radius * smooth.position(s))
+        np.testing.assert_array_equal(scaled.derivative(radius * s), smooth.derivative(s))
+        np.testing.assert_array_equal(
+            scaled.second_derivative(radius * s), smooth.second_derivative(s) / radius
+        )
 
 
 class TestTiledGridSums:

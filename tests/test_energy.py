@@ -582,7 +582,7 @@ class TestChainAsCurve:
         moved_delta, _ = thickness_and_ropelength(moved_beta.spec, 64)
         assert moved_delta == pytest.approx(2.0 * delta, rel=1e-9)
 
-    @pytest.mark.parametrize("n", [32, 128, 256])
+    @pytest.mark.parametrize("n", [32, 128, 256, 512, 1024, 2048])
     @pytest.mark.parametrize("mode", ["uniform", "jitter:0.3"])
     def test_ellipse_chain_thickness_is_its_largest_curvature(self, n, mode):
         ellipse = arclength_reparametrize(preset_curve("ellipse", [2.0, 1.0]))
