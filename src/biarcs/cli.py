@@ -178,6 +178,12 @@ def resolve_settings(args: argparse.Namespace) -> dict:
     g = settings.get("grid", 2)
     if g < 2 or g & (g - 1):
         raise ConfigError(f"grid must be at least 2 and a power of two, got {g}")
+    # q is finite and past the power each command needs: 2 for the continuous
+    # energy, 2 included for the anneal, 1 for mollify's smoothness 1 - 1/q
+    low, closed = {"anneal": (2.0, True), "mollify": (1.0, False)}.get(args.command, (2.0, False))
+    q = settings.get("q", 3.0)
+    if not (np.isfinite(q) and (low <= q if closed else low < q)):
+        raise ConfigError(f"q must be finite and {'at least' if closed else 'above'} {low:g}, got {q}")
     return settings
 
 

@@ -99,7 +99,7 @@ def _cumulative_speed(speed_x: np.ndarray, speed_m: np.ndarray, period: float) -
     """Cumulative arclength on a uniform grid via per-cell Simpson, from the
     speed at the grid nodes (both ends included) and at the cell midpoints."""
     vmin = min(speed_x.min(), speed_m.min())
-    if vmin <= 1e-12 * max(speed_x.max(), 1.0):
+    if vmin <= 1e-12 * max(speed_x.max(), speed_m.max()):
         raise ValueError("curve speed vanishes on the sample grid")
     h = period / speed_m.size
     seg = h / 6.0 * (speed_x[:-1] + 4.0 * speed_m + speed_x[1:])

@@ -5,18 +5,18 @@ junction quotients x_ij = 2 dist(l(q_j), q_i) / |q_i - q_j|^2, the inverse
 tangent-point radius of junction i seen from the tangent line l(q_j) at
 junction j, all computed by one formula, `_quotients`, which also gives
 the inverse radii of the thickness search. The discrete energy, the
-continuous quadrature and the anneal's pair table go through one
-row-blocked kernel, `_pair_tiles`. It walks the row tiles of
-`curve._row_tiles`, of about `curve.PAIR_TILE` pairs each, which the
-Gagliardo seminorm and the curve diagnostics walk too, so no double sum
-holds more than one tile however large n is. `pair_stats` reduces the
-tiles in one walk to the energy, the largest quotient m and the smallest
-junction distance; the energy is summed as (x / m)^q w_i w_j, with the
-lengths w scaled by a power of two, so no sum leaves the float range at
-any power or scale. The thickness seed search walks the same row tiles
-but only against the column blocks within 2 / tau of the tile: every
-quotient is at most 2 / |q_i - q_j|, and tau bounds the smallest value it
-keeps.
+continuous quadrature, whose nodes carry their curvature as the quotient
+x_ii, and the anneal's pair table go through one row-blocked kernel,
+`_pair_tiles`. It walks the row tiles of `curve._row_tiles`, of about
+`curve.PAIR_TILE` pairs each, which the Gagliardo seminorm and the curve
+diagnostics walk too, so no double sum holds more than one tile however
+large n is. `pair_stats` reduces the tiles in one walk to the energy, the
+largest quotient m and the smallest distance; the energy is summed as
+(x / m)^q w_i w_j, with the lengths w scaled by a power of two, so no sum
+leaves the float range at any power or scale. The thickness seed search
+walks the same row tiles but only against the column blocks within 2 / tau
+of the tile: every quotient is at most 2 / |q_i - q_j|, and tau bounds the
+smallest value it keeps.
 """
 
 from __future__ import annotations
@@ -73,11 +73,11 @@ def _quotients(rows, cols, tangents):
     return dist2, x
 
 
-def _pair_tiles(points: np.ndarray, tangents: np.ndarray):
+def _pair_tiles(points: np.ndarray, tangents: np.ndarray, diagonal=None):
     """Row tiles of the pair quotient. Yields (lo, dist2, x) where, for
     i = lo + r and every j, dist2[r, j] and x[r, j] are the `_quotients`
     of p_i against p_j with tangent t_j. On the diagonal i = j, dist2 is
-    NaN and x is 0. The caller runs the loop under np.errstate.
+    NaN and x is diagonal[i], or 0. The caller runs the loop under np.errstate.
     """
     n = len(points)
     p = np.ascontiguousarray(np.asarray(points, dtype=float).T)
@@ -86,17 +86,17 @@ def _pair_tiles(points: np.ndarray, tangents: np.ndarray):
         dist2, x = _quotients(p[:, lo:hi, None], p, t)
         # flat index of (r, lo + r) is lo + r (n + 1)
         dist2.reshape(-1)[lo :: n + 1] = np.nan
-        x.reshape(-1)[lo :: n + 1] = 0.0
+        x.reshape(-1)[lo :: n + 1] = 0.0 if diagonal is None else diagonal[lo:hi]
         yield lo, dist2, x
 
 
 @dataclass(frozen=True)
 class PairStats:
-    """One pass over the pairs i != j of a junction configuration."""
+    """One pass over the pairs of a junction configuration, i = j included."""
 
-    energy: float  # sum_{i != j} x_ij^q lambda_i lambda_j (inf on overflow)
+    energy: float  # sum_{i, j} x_ij^q lambda_i lambda_j (inf on overflow)
     log_energy: float  # its logarithm, finite where the energy overflows
-    max_quotient: float  # largest x_ij: the inverse of the thickness proxy
+    max_quotient: float  # largest x_ij: without a diagonal, the inverse thickness proxy
     min_distance: float  # smallest |q_i - q_j|
 
 
@@ -126,20 +126,24 @@ def _unscaled(total, m: float, q: float, k: int):
         return np.ldexp(total * (f**q * 2.0 ** (shift % 1.0)), math.floor(shift)), log
 
 
-def pair_stats(points, tangents, lam, q: float) -> PairStats:
+def pair_stats(points, tangents, lam, q: float, diagonal=None) -> PairStats:
     """Energy, largest quotient and smallest distance of the junction pairs
     in one walk of the row-blocked pair kernel: each tile is summed as
     (x / m)^q w_i w_j, m the largest quotient so far and w = lam / 2^k < 1,
     and the sum so far rescaled when m grows, so the energy is right wherever
-    it is representable, at any power and scale. Raises ValueError when two
-    junctions coincide relative to the configuration's diameter."""
+    it is representable, at any power and scale. A given ``diagonal`` holds
+    each x_ii, summed alike; else x_ii = 0. Raises ValueError for a
+    non-finite q and when two junctions coincide relative to the
+    configuration's diameter."""
+    if not math.isfinite(q):
+        raise ValueError(f"tangent-point power q must be finite, got {q}")
     lam = np.asarray(lam, dtype=float)
     k = math.frexp(float(lam.max()))[1]
     w = np.ldexp(lam, -k)
     total = m = 0.0
     min_d2, max_d2 = math.inf, 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for lo, dist2, x in _pair_tiles(points, tangents):
+        for lo, dist2, x in _pair_tiles(points, tangents, diagonal):
             min_d2 = min(min_d2, float(np.fmin.reduce(dist2, axis=None)))
             max_d2 = max(max_d2, float(np.fmax.reduce(dist2, axis=None)))
             top = float(x.max())
@@ -172,29 +176,26 @@ def discrete_tp_energy(beta: BiarcCurve, q: float, gated: bool, L: float) -> flo
 
 
 def continuous_tp_energy(curve: CurveSpec, q: float, grid: int) -> float:
-    """Double quadrature of the inverse tangent-point radius to the power q
-    over the periodic square: the pair sum of the grid nodes with weights h,
-    plus the diagonal cells, where the radius tends to the curvature,
-    h^2 sum kappa^q. Both are summed relative to their largest term, so the
-    energy is right wherever it is representable. Raises ValueError when
-    grid nodes come closer than 1e-9 L."""
+    """Midpoint-rule double quadrature of the inverse tangent-point radius
+    to the power q over the periodic square: the `pair_stats` energy of the
+    grid nodes, weights h, with the radius's limit, the curvature, on the
+    diagonal. Raises ValueError for q outside (2, inf) and when grid nodes
+    come closer than 1e-9 L."""
     if not curve.is_arclength:
         raise ValueError("continuous energy expects an arclength-parametrized curve")
-    if q <= 2:
-        raise ValueError("continuous tangent-point power must exceed 2")
+    if not 2 < q < math.inf:
+        raise ValueError(f"continuous tangent-point power q must be finite and exceed 2, got {q}")
     L = curve.length
     h = L / grid
     s = (np.arange(grid) + 0.5) * h
+    kappa = curvature_values(curve, s)
     try:
-        pairs = pair_stats(curve.position(s), curve.derivative(s), np.full(grid, h), q)
+        pairs = pair_stats(curve.position(s), curve.derivative(s), np.full(grid, h), q, kappa)
     except ValueError:  # coincident nodes
         pairs = None
     if pairs is None or pairs.min_distance < 1e-9 * L:
         raise ValueError("curve is not embedded: distinct parameters collide")
-    kappa = curvature_values(curve, s)
-    top, k = float(kappa.max()), math.frexp(h)[1]
-    diagonal = float(np.sum(_scaled_powers(kappa, top, q))) * math.ldexp(h, -k) ** 2
-    return pairs.energy + float(_unscaled(diagonal, top, q, k)[0])
+    return pairs.energy
 
 
 def _inverse_tp(curve: CurveSpec, L: float, s, t) -> np.ndarray:

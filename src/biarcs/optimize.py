@@ -68,8 +68,8 @@ class AnnealConfig:
     def __post_init__(self):
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
-        if self.q < 2:
-            raise ValueError("energy power q must be >= 2")
+        if not 2 <= self.q < math.inf:
+            raise ValueError(f"energy power q must be finite and >= 2, got {self.q}")
 
 
 # why a move is rejected, in the order the guards run

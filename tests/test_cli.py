@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,21 @@ class TestEnergyCommand:
             assert code == 0
             values.append(next(r for r in parse_csv(out)[1] if r["kind"] == "continuous"))
         assert [row["value"] for row in values] == ["39.4784176044", "3.94784176044e+301"]
+
+    @pytest.mark.parametrize(
+        "curve, unit, tiny",
+        [("ellipse", "2,1", "2e-13,1e-13"), ("torus_knot", "2,3,2,0.5", "2,3,2e-13,0.5e-13")],
+    )
+    def test_energies_at_a_tiny_size(self, capsys, curve, unit, tiny):
+        # the arclength speed floor is relative to the largest speed, so a
+        # curve 1e-13 in size has 1e13 times the energies, q = 3, in all 12 digits
+        values = []
+        for params in (unit, tiny):
+            argv = ["energy", "--curve", curve, "--params", params, "--n", "16", "--q", "3"]
+            code, out, _ = run(capsys, argv)
+            assert code == 0
+            values.append([row["value"] for row in parse_csv(out)[1]])
+        assert values[1] == [f"{float(v) * 1e13:.12g}" for v in values[0]]
 
     def test_unknown_curve_is_config_error(self, capsys):
         code, _, err = run(capsys, ["energy", "--curve", "nope"])
@@ -107,6 +123,17 @@ class TestConfigErrors:
             # a slope needs two points
             (["converge", "--curve", "ellipse", "--params", "2,1", "--n-sweep", "64", "--grid", "256"],
              "at least two sweep values"),
+            # q is finite, above 2 where the continuous energy is computed, at
+            # least 2 for the anneal, above 1 for mollify's smoothness 1 - 1/q
+            (["energy", "--q", "2"], "q must be finite and above 2, got 2.0"),
+            (["converge", "--q", "2", "--n-sweep", "16,32"], "q must be finite and above 2, got 2.0"),
+            (["mollify", "--q", "1", "--n-sweep", "4,8"], "q must be finite and above 1, got 1.0"),
+            (["mollify", "--q", "0.5", "--n-sweep", "4,8"], "q must be finite and above 1, got 0.5"),
+            (["energy", "--q", "inf"], "q must be finite and above 2, got inf"),
+            (["converge", "--q", "inf", "--n-sweep", "16,32"], "q must be finite and above 2, got inf"),
+            (["anneal", "--q", "inf", "--steps", "5"], "q must be finite and at least 2, got inf"),
+            (["energy", "--q", "nan"], "q must be finite and above 2, got nan"),
+            (["anneal", "--q", "nan"], "q must be finite and at least 2, got nan"),
         ],
     )
     def test_bad_sizes_exit_2(self, capsys, argv, message):
@@ -606,3 +633,43 @@ class TestReadme:
             for key, setting in own.items():
                 if setting.default is not None:
                     assert table[key] == str(setting.default), (command, key)
+
+
+def ledger_rows():
+    """The rows of docs/claims.md: (claim, command, quoted values, guard)."""
+    root = Path(__file__).resolve().parents[1]
+    rows = []
+    for line in (root / "docs" / "claims.md").read_text().splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        command = re.fullmatch(r"`biarcs ([^`]+)`", cells[1]) if len(cells) == 5 else None
+        if command:
+            quoted = re.findall(r"`(\w+)\[([^\]]+)\] = ([-+.e0-9]+)`", cells[2])
+            rows.append((cells[0], command.group(1), quoted, cells[3]))
+    return rows
+
+
+class TestClaimsLedger:
+    def test_one_row_per_claim(self):
+        rows = ledger_rows()
+        assert len(rows) == 4
+        assert all(quoted for _, _, quoted, _ in rows)
+
+    @pytest.mark.parametrize("row", ledger_rows(), ids=lambda row: row[1].split()[0])
+    def test_quoted_digits_are_printed(self, capsys, row):
+        """Each row's command prints its quoted values to the quoted digits,
+        and each test named as its guard exists."""
+        _, command, quoted, guard = row
+        code, out, _ = run(capsys, command.split())
+        assert code == 0
+        lines = out.splitlines()
+        header = lines[0].split(",")
+        # an anneal's junction lines follow its trace and hold no commas
+        table = {fields[0]: dict(zip(header, fields))
+                 for fields in (line.split(",") for line in lines[1:]) if len(fields) == len(header)}
+        for column, key, value in quoted:
+            digits = len(Decimal(value).as_tuple().digits)
+            printed = float(table[key][column])
+            assert Decimal(f"{printed:.{digits}g}") == Decimal(value), (column, key, printed)
+        root = Path(__file__).resolve().parents[1]
+        for path, name in re.findall(r"`(tests/[\w/]+\.py)::(\w+)`", guard):
+            assert re.search(rf"^\s*(def|class) {name}\b", (root / path).read_text(), re.M), name

@@ -233,6 +233,31 @@ class TestPairKernel:
         assert logged.max_quotient == plain.max_quotient
         assert logged.min_distance == plain.min_distance
 
+        # a diagonal d is each point's own quotient x_ii, summed alike as
+        # d_i^q lam_i^2, and its largest value counts in the largest quotient
+        d = rng.uniform(0.1, 1.5, size=n) * x[off].max()
+        diag = pair_stats(points, tangents, lam, 3.0, d)
+        assert diag.energy == pytest.approx(
+            np.sum(x[off] ** 3 * w[off]) + np.sum(d**3 * lam**2), rel=1e-12
+        )
+        assert diag.max_quotient == pytest.approx(max(x[off].max(), d.max()), rel=1e-13)
+        assert diag.min_distance == plain.min_distance
+        terms = np.concatenate([terms, q * np.log(d) + 2.0 * np.log(lam)])
+        top = terms.max()
+        expected = top + np.log(np.sum(np.exp(terms - top)))
+        logged_diag = pair_stats(points, tangents, lam, q, d)
+        assert logged_diag.log_energy == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        # a zero diagonal is no diagonal, bit for bit
+        assert pair_stats(points, tangents, lam, 3.0, np.zeros(n)) == plain
+        assert pair_stats(points, tangents, lam, q, np.zeros(n)) == logged
+
+    @pytest.mark.parametrize("q", [math.inf, math.nan])
+    def test_non_finite_power_rejected(self, q):
+        rng = np.random.default_rng(4)
+        points, tangents, lam = random_configuration(rng, 8)
+        with pytest.raises(ValueError, match="power q must be finite"):
+            pair_stats(points, tangents, lam, q)
+
     def test_coincident_points_rejected(self):
         rng = np.random.default_rng(4)
         points, tangents, lam = random_configuration(rng, 40)
@@ -428,12 +453,78 @@ class TestContinuous:
         with pytest.raises(ValueError):
             continuous_tp_energy(shifted, 3.0, grid)
 
+    @pytest.mark.parametrize("q", [math.inf, math.nan, 2.0, -math.inf])
+    def test_power_outside_the_range_rejected(self, q):
+        # before the pair walk, so no power is reported as a collision
+        circle = preset_curve("circle", [1.0])
+        with pytest.raises(ValueError, match="power q must be finite and exceed 2"):
+            continuous_tp_energy(circle, q, 64)
+
     def test_doubly_traversed_circle_is_not_embedded(self):
         # node i and node i + grid/2 lie on the same point in every row tile
         grid = 512
         assert len(list(curve._row_tiles(grid))) == 8
         with pytest.raises(ValueError, match="not embedded"):
             continuous_tp_energy(doubly_traversed_circle(), 3.0, grid)
+
+
+def mean_curvature(beta, q):
+    """Each biarc's lambda-weighted q-mean curvature, kbar_i^q = sum over its
+    two arcs of k_a^q l_a / lambda_i, taken relative to the largest k_a so
+    that no power overflows."""
+    k = np.abs(beta.arc_k)
+    top = k.max()
+    per_biarc = ((k / top) ** q * np.diff(beta.arc_offsets)).reshape(-1, 2).sum(axis=1)
+    return top * (per_biarc / beta.segment_lengths) ** (1.0 / q)
+
+
+class TestRateConstant:
+    """The ~1/n gap between the discrete and the continuous energy is the
+    diagonal the discrete sum leaves out: n (E(gamma) - E_disc) / L tends to
+    the integral of kappa^q, and with each biarc's mean curvature on the
+    diagonal the error falls at third order on uniform partitions."""
+
+    Q = 3.0
+
+    @pytest.fixture(scope="class")
+    def ellipse(self):
+        curve = arclength_reparametrize(preset_curve("ellipse", [2.0, 1.0]))
+        L = curve.length
+        s = (np.arange(20000) + 0.5) * (L / 20000)
+        integral = float(np.sum(curvature_values(curve, s) ** self.Q)) * (L / 20000)
+        assert integral == pytest.approx(9.449321653, rel=1e-9)
+        return curve, continuous_tp_energy(curve, self.Q, 2048), integral
+
+    def corrected(self, beta):
+        lam = beta.segment_lengths
+        diagonal = mean_curvature(beta, self.Q)
+        return pair_stats(beta.junction_points, beta.junction_tangents, lam, self.Q, diagonal).energy
+
+    def test_the_gap_tends_to_the_curvature_integral(self, ellipse):
+        curve, reference, integral = ellipse
+        n, L = 512, curve.length
+        beta = build_biarc_curve(curve, make_partition(L, n))
+        gap = reference - discrete_tp_energy(beta, self.Q, gated=False, L=L)
+        # measured: 2.5e-7
+        assert n * gap / L == pytest.approx(integral, rel=1e-5)
+
+    def test_the_corrected_error_is_third_order(self, ellipse):
+        curve, reference, _ = ellipse
+        errors = []
+        for n in (128, 256, 512, 1024, 2048):
+            beta = build_biarc_curve(curve, make_partition(curve.length, n))
+            errors.append(abs(reference - self.corrected(beta)))
+        # measured: 5.29e-4 down to 1.33e-7, 7.86-7.99 times per doubling
+        assert errors[0] < 1e-3
+        assert all(a >= 7.0 * b for a, b in zip(errors, errors[1:]))
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_the_corrected_circle_is_exact(self, n):
+        circle = preset_curve("circle", [1.0])
+        beta = build_biarc_curve(circle, make_partition(circle.length, n))
+        assert self.corrected(beta) == pytest.approx(
+            continuous_tp_energy(circle, self.Q, 64), rel=1e-12
+        )
 
 
 class TestThickness:

@@ -218,6 +218,11 @@ class TestGuards:
         with pytest.raises(ValueError):
             AnnealConfig(q=1.0, n=8, L=TWO_PI)
 
+    @pytest.mark.parametrize("q", [math.inf, math.nan])
+    def test_non_finite_power_rejected(self, q):
+        with pytest.raises(ValueError, match="energy power q must be finite"):
+            AnnealConfig(q=q, n=8, L=TWO_PI)
+
 
 class TestPairTable:
     """The cached pair table against a fresh pair-kernel pass. The two scale
