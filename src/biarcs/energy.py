@@ -9,20 +9,27 @@ continuous quadrature, whose nodes carry their curvature as the quotient
 x_ii, and the anneal's pair table go through one row-blocked kernel,
 `_pair_tiles`. It walks the row tiles of `curve._row_tiles`, of about
 `curve.PAIR_TILE` pairs each, which the Gagliardo seminorm and the curve
-diagnostics walk too, so no double sum holds more than one tile however
-large n is. `pair_stats` reduces the tiles in one walk to the energy, the
-largest quotient m and the smallest distance; the energy is summed as
-(x / m)^q w_i w_j, with the lengths w scaled by a power of two, so no sum
-leaves the float range at any power or scale. The thickness seed search
-walks the same row tiles but only against the column blocks within 2 / tau
-of the tile: every quotient is at most 2 / |q_i - q_j|, and tau bounds the
-smallest value it keeps.
+diagnostics walk too, and writes every tile into one set of work buffers,
+so no double sum holds more than one tile per walker however large n is.
+`pair_stats` splits the tiles over the usable CPUs, at most MAX_WALKERS
+walkers of which the caller is one, so that the buffers stay bounded on
+machines with many CPUs, and reduces each tile to a partial:
+its largest quotient t, its sum of (x / t)^q w_i w_j, with the lengths w
+scaled by a power of two, and its extreme distances. It combines the
+partials in tile order, so no sum leaves the float range at any power or
+scale, and the result does not depend on the number of walkers. The
+thickness seed search walks the same row tiles in its own work buffers,
+but only against the column blocks within 2 / tau of the tile: every
+quotient is at most 2 / |q_i - q_j|, and tau bounds the smallest value it
+keeps.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
+import threading
 from dataclasses import dataclass
 import numpy as np
 
@@ -35,9 +42,13 @@ from .interpolate import BiarcCurve, check_Bn
 REFINE_STEPS = 2000
 # the grid rows that bound the thickness seed scan (see `_thickness_seeds`)
 SEED_STRIDE = 32
+# the most threads one pair walk uses: each walker owns six tile buffers
+# (1.5 MB at the default PAIR_TILE), so memory stays bounded on machines
+# with many CPUs
+MAX_WALKERS = 4
 
 
-def _quotients(rows, cols, tangents):
+def _quotients(rows, cols, tangents, out=None):
     """Squared distances and pair quotients of row points against column
     points with their unit tangents, each given as a coordinate triple
     (x, y, z) of arrays that broadcast to the shape of the result:
@@ -46,19 +57,25 @@ def _quotients(rows, cols, tangents):
         x = 2 |(p_row - p_col) - ((p_row - p_col) . t_col) t_col| / dist2,
 
     the inverse tangent-point radius of the row point seen from the tangent
-    line at the column point. Coincident points give NaN quotients, so the
-    caller runs it under np.errstate. Every pair quotient of the package,
-    whole tiles, one row and one column, or the thickness refinement's
-    stencils, comes from this formula.
+    line at the column point. The work is done in ``out``, six arrays of the
+    result's shape that hold dist2 and x afterwards, or in six fresh arrays.
+    Coincident points give NaN quotients, so the caller runs it under
+    np.errstate. Every pair quotient of the package, whole tiles, one row
+    and one column, or the thickness refinement's stencils, comes from this
+    formula.
     """
     (rx, ry, rz), (px, py, pz), (tx, ty, tz) = rows, cols, tangents
-    dx, dy, dz = rx - px, ry - py, rz - pz
-    # the sums below, evaluated left to right into two work arrays: a tile
-    # is large, and fresh temporaries for every product cost page faults
-    dist2, tmp = dx * dx, dy * dy
+    dx, dy, dz, dist2, tmp, along = (None,) * 6 if out is None else out
+    dx = np.subtract(rx, px, out=dx)
+    dy = np.subtract(ry, py, out=dy)
+    dz = np.subtract(rz, pz, out=dz)
+    # the sums below, evaluated left to right into the six work arrays: a
+    # tile is large, and fresh temporaries for every product cost page faults
+    dist2 = np.multiply(dx, dx, out=dist2)
+    tmp = np.multiply(dy, dy, out=tmp)
     dist2 += tmp
     dist2 += np.multiply(dz, dz, out=tmp)
-    along = dx * tx
+    along = np.multiply(dx, tx, out=along)
     along += np.multiply(dy, ty, out=tmp)
     along += np.multiply(dz, tz, out=tmp)
     dx -= np.multiply(along, tx, out=tmp)
@@ -73,21 +90,47 @@ def _quotients(rows, cols, tangents):
     return dist2, x
 
 
-def _pair_tiles(points: np.ndarray, tangents: np.ndarray, diagonal=None):
-    """Row tiles of the pair quotient. Yields (lo, dist2, x) where, for
-    i = lo + r and every j, dist2[r, j] and x[r, j] are the `_quotients`
+def _work_buffers(size: int) -> list:
+    """A walker's six work buffers of ``size`` floats, for `_tile_out`. They
+    are six arrays, not one block: a single 1.5 MB block lifted glibc's mmap
+    threshold, and the converge benchmark's peak RSS then grew by 1.2 MB."""
+    return [np.empty(size) for _ in range(6)]
+
+
+def _tile_out(work: list, rows: int, cols: int) -> list:
+    """The ``out`` of `_quotients` for a rows x cols tile: views of the front
+    of a walker's `_work_buffers`."""
+    return [b[: rows * cols].reshape(rows, cols) for b in work]
+
+
+def _pair_tiles(points: np.ndarray, tangents: np.ndarray, diagonal=None, tiles=None):
+    """Row tiles of the pair quotient. Yields (lo, dist2, x) for each row
+    range (lo, hi) of ``tiles``, by default every tile of `curve._row_tiles`:
+    for i = lo + r and every j, dist2[r, j] and x[r, j] are the `_quotients`
     of p_i against p_j with tangent t_j. On the diagonal i = j, dist2 is
-    NaN and x is diagonal[i], or 0. The caller runs the loop under np.errstate.
+    NaN and x is diagonal[i], or 0. Every tile is written into one set of
+    work buffers, allocated once per walk, so a consumer must not keep a
+    tile past the next iteration. The caller runs the loop under
+    np.errstate, in the thread that runs the loop: numpy keeps it per thread.
     """
     n = len(points)
     p = np.ascontiguousarray(np.asarray(points, dtype=float).T)
     t = np.ascontiguousarray(np.asarray(tangents, dtype=float).T)
-    for lo, hi in _row_tiles(n):
-        dist2, x = _quotients(p[:, lo:hi, None], p, t)
+    tiles = list(_row_tiles(n)) if tiles is None else tiles
+    work = _work_buffers(max((hi - lo for lo, hi in tiles), default=0) * n)
+    for lo, hi in tiles:
+        dist2, x = _quotients(p[:, lo:hi, None], p, t, _tile_out(work, hi - lo, n))
         # flat index of (r, lo + r) is lo + r (n + 1)
         dist2.reshape(-1)[lo :: n + 1] = np.nan
         x.reshape(-1)[lo :: n + 1] = 0.0 if diagonal is None else diagonal[lo:hi]
         yield lo, dist2, x
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -128,32 +171,63 @@ def _unscaled(total, m: float, q: float, k: int):
 
 def pair_stats(points, tangents, lam, q: float, diagonal=None) -> PairStats:
     """Energy, largest quotient and smallest distance of the junction pairs
-    in one walk of the row-blocked pair kernel: each tile is summed as
-    (x / m)^q w_i w_j, m the largest quotient so far and w = lam / 2^k < 1,
-    and the sum so far rescaled when m grows, so the energy is right wherever
-    it is representable, at any power and scale. A given ``diagonal`` holds
-    each x_ii, summed alike; else x_ii = 0. Raises ValueError for a
-    non-finite q and when two junctions coincide relative to the
-    configuration's diameter."""
+    in one walk of the row-blocked pair kernel, split over the usable CPUs
+    (at most MAX_WALKERS threads, the caller one of them, each with its own
+    tile buffers). Each tile is reduced to its largest quotient t and its
+    sum of (x / t)^q w_i w_j, w = lam / 2^k < 1, and the tiles' sums are
+    combined in tile order as the sum of s_t (t / m)^q, m the largest
+    quotient: so the energy is right wherever it is representable, at any
+    power and scale, and its bits do not depend on the number of walkers.
+    A given ``diagonal`` holds each x_ii, summed alike; else x_ii = 0.
+    Raises ValueError for a non-finite q, points, tangents or lengths and
+    when two junctions coincide relative to the configuration's diameter."""
     if not math.isfinite(q):
         raise ValueError(f"tangent-point power q must be finite, got {q}")
-    lam = np.asarray(lam, dtype=float)
+    points, tangents, lam = (np.asarray(a, dtype=float) for a in (points, tangents, lam))
+    if not all(np.isfinite(a).all() for a in (points, tangents, lam)):
+        raise ValueError("junction points, tangents and lengths must be finite")
     k = math.frexp(float(lam.max()))[1]
     w = np.ldexp(lam, -k)
-    total = m = 0.0
-    min_d2, max_d2 = math.inf, 0.0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for lo, dist2, x in _pair_tiles(points, tangents, diagonal):
-            min_d2 = min(min_d2, float(np.fmin.reduce(dist2, axis=None)))
-            max_d2 = max(max_d2, float(np.fmax.reduce(dist2, axis=None)))
-            top = float(x.max())
-            if top > m:
-                total *= (m / top) ** q
-                m = top
-            if m > 0.0:
-                total += float(w[lo : lo + len(x)] @ (_scaled_powers(x, m, q) @ w))
+    tiles = list(_row_tiles(len(points)))
+    walkers = min(_usable_cpus(), MAX_WALKERS, len(tiles))
+    partials = {}  # lo -> (top, sum of (x / top)^q w_i w_j, min dist2, max dist2)
+    errors = []
+
+    def walk(share):
+        try:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                for lo, dist2, x in _pair_tiles(points, tangents, diagonal, share):
+                    low = float(np.fmin.reduce(dist2, axis=None))
+                    high = float(np.fmax.reduce(dist2, axis=None))
+                    top = float(x.max())
+                    s = 0.0
+                    if top > 0.0:
+                        s = float(w[lo : lo + len(x)] @ (_scaled_powers(x, top, q) @ w))
+                    partials[lo] = (top, s, low, high)
+        except BaseException as exc:  # raised again by the caller after the joins
+            errors.append(exc)
+
+    helpers = []
+    try:
+        for first in range(1, walkers):
+            thread = threading.Thread(target=walk, args=(tiles[first::walkers],))
+            thread.start()
+            helpers.append(thread)
+        walk(tiles[::walkers])
+    finally:
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[0]
+    tops, sums, lows, highs = zip(*(partials[lo] for lo, _ in tiles))
+    # folds from the empty values: a NaN (a 1 x 1 tile's dist2) changes nothing
+    m, min_d2, max_d2 = max(0.0, *tops), min(math.inf, *lows), max(0.0, *highs)
     if min_d2 <= (1e-12 * math.sqrt(max_d2)) ** 2:
         raise ValueError("coincident junction points")
+    total = 0.0
+    for top, s in zip(tops, sums):
+        if top > 0.0:
+            total += s * (top / m) ** q
     energy, log_energy = (float(v) for v in _unscaled(total, m, q, k))
     return PairStats(energy, log_energy, m, math.sqrt(min_d2))
 
@@ -247,8 +321,8 @@ def _thickness_seeds(pos: np.ndarray, tan: np.ndarray, L: float) -> np.ndarray:
         x[np.nonzero(hit)[0], at[hit]] = 0.0
         _check_embedded(dist2, L)
         inv = x.reshape(-1)
-        # copied, so the tile-sized index array dies here (the caller keeps its
-        # tile until the next): then the heap stops shrinking and regrowing
+        # copied, so the tile-sized index array dies here and the next tile
+        # reuses its memory: then the heap stops shrinking and regrowing
         top = np.argpartition(inv, -k)[-k:].copy() if inv.size > k else np.arange(inv.size)
         r, c = np.divmod(top, len(cols))
         return inv[top], cols[c] * grid + rows[r]
@@ -256,11 +330,12 @@ def _thickness_seeds(pos: np.ndarray, tan: np.ndarray, L: float) -> np.ndarray:
     every = np.arange(grid)
     tiles = np.array(list(_row_tiles(grid)))
     size = int(tiles[0, 1])  # rows of a tile, nodes of a column block
+    work = _work_buffers(size * grid)  # every tile of both passes fits
     with np.errstate(divide="ignore", invalid="ignore"):
         sample = [np.zeros(k)]
         strided = np.arange(0, grid, SEED_STRIDE)
         for rows in np.split(strided, range(size, len(strided), size)):
-            dist2, x = _quotients(p[:, rows, None], p, t)
+            dist2, x = _quotients(p[:, rows, None], p, t, _tile_out(work, len(rows), grid))
             sample.append(tile_top(rows, every, dist2, x)[0])
         reach = 2.0 * (1.0 + 1e-9) / np.partition(np.concatenate(sample), -k)[-k]
         low, high = np.minimum.reduceat(pos, tiles[:, 0]), np.maximum.reduceat(pos, tiles[:, 0])
@@ -271,7 +346,7 @@ def _thickness_seeds(pos: np.ndarray, tan: np.ndarray, L: float) -> np.ndarray:
             cols = np.flatnonzero(~(np.sqrt(np.sum(gap * gap, axis=1)) > reach)[block])
             # gathered copies of all columns measured a quarter slower
             near = (p, t) if len(cols) == grid else (p[:, cols], t[:, cols])
-            dist2, x = _quotients(p[:, lo:hi, None], *near)
+            dist2, x = _quotients(p[:, lo:hi, None], *near, _tile_out(work, hi - lo, len(cols)))
             tops.append(tile_top(every[lo:hi], cols, dist2, x))
     values, cells = (np.concatenate(a) for a in zip(*tops))
     # largest first; equal values by descending cell, as a stable sort would

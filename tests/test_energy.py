@@ -1,5 +1,8 @@
 import math
+import sys
+import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -136,6 +139,20 @@ def float_band_seeds(pos, tan, s, L):
     return seeds[:8]
 
 
+def walker_threads(monkeypatch):
+    """The set of threads that walk pair tiles in `energy.pair_stats`,
+    filled by a spy on `energy._pair_tiles`."""
+    threads = set()
+    pair_tiles = energy._pair_tiles
+
+    def spy(*args):
+        threads.add(threading.current_thread())
+        yield from pair_tiles(*args)
+
+    monkeypatch.setattr(energy, "_pair_tiles", spy)
+    return threads
+
+
 def circle_beta(n, radius=1.0):
     circle = preset_curve("circle", [radius])
     return circle, build_biarc_curve(circle, make_partition(circle.length, n))
@@ -258,6 +275,17 @@ class TestPairKernel:
         with pytest.raises(ValueError, match="power q must be finite"):
             pair_stats(points, tangents, lam, q)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("which", [0, 1, 2], ids=["points", "tangents", "lengths"])
+    def test_non_finite_configuration_rejected(self, which, bad):
+        # one NaN used to make every tile's largest quotient NaN, and
+        # pair_stats returned energy 0 and largest quotient 0
+        rng = np.random.default_rng(4)
+        config = list(random_configuration(rng, 8))
+        config[which][3] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            pair_stats(*config, 3.0)
+
     def test_coincident_points_rejected(self):
         rng = np.random.default_rng(4)
         points, tangents, lam = random_configuration(rng, 40)
@@ -269,18 +297,23 @@ class TestPairKernel:
             with pytest.raises(ValueError, match="coincident junction points"):
                 pair_stats(bad, tangents, lam, 80.0)
 
-    def test_memory_bounded_at_n_4096(self):
-        # the dense (n, n, 3) path needs ~1.7 GB here
+    def test_memory_bounded_at_n_4096(self, monkeypatch):
+        # the dense (n, n, 3) path needs ~1.7 GB here; the bound holds at
+        # this machine's CPU count and at the walker cap of a large machine
         rng = np.random.default_rng(0)
         points, tangents, lam = random_configuration(rng, 4096)
-        tracemalloc.start()
-        try:
-            stats = pair_stats(points, tangents, lam, 3.0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert math.isfinite(stats.energy)
-        assert peak <= 64 * 2**20
+        for cpus in (energy._usable_cpus(), 64):
+            monkeypatch.setattr(energy, "_usable_cpus", lambda: cpus)
+            walkers = walker_threads(monkeypatch)
+            tracemalloc.start()
+            try:
+                stats = pair_stats(points, tangents, lam, 3.0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(walkers) == min(cpus, energy.MAX_WALKERS)
+            assert math.isfinite(stats.energy)
+            assert peak <= 64 * 2**20
 
     def test_tiling_leaves_grid_results_unchanged(self, monkeypatch):
         knot = arclength_reparametrize(preset_curve("torus_knot", [2, 3, 2.0, 0.5]))
@@ -289,6 +322,95 @@ class TestPairKernel:
         e, (delta, rope) = continuous_tp_energy(knot, 3.0, 64), thickness_and_ropelength(knot, 64)
         assert e == pytest.approx(one_tile[0], rel=1e-13)
         assert (delta, rope) == one_tile[1]
+
+
+class TestPairWalkers:
+    """pair_stats walks its row tiles in the caller and in helper threads,
+    one walker per usable CPU: 40 junctions in tiles of 3 rows give 14
+    tiles, more than the walkers. Tile i goes to walker i mod walkers, the
+    caller being walker 0."""
+
+    N = 40
+
+    @pytest.fixture(autouse=True)
+    def small_tiles(self, monkeypatch):
+        monkeypatch.setattr(curve, "PAIR_TILE", 3 * self.N)
+
+    @staticmethod
+    def walkers(monkeypatch, cpus):
+        monkeypatch.setattr(energy, "_usable_cpus", lambda: cpus)
+        return walker_threads(monkeypatch)
+
+    @pytest.mark.parametrize("q", [3.0, float(N)])
+    @pytest.mark.parametrize("with_diagonal", [False, True], ids=["no-diagonal", "diagonal"])
+    def test_bits_independent_of_walker_count(self, monkeypatch, q, with_diagonal):
+        rng = np.random.default_rng(11)
+        points, tangents, lam = random_configuration(rng, self.N)
+        diagonal = rng.uniform(0.5, 2.0, size=self.N) if with_diagonal else None
+        results = []
+        for cpus in (1, 2, 3):
+            threads = self.walkers(monkeypatch, cpus)
+            results.append(pair_stats(points, tangents, lam, q, diagonal))
+            assert len(threads) == cpus
+        assert results[1] == results[0]
+        assert results[2] == results[0]
+
+    def test_walkers_switching_often(self, monkeypatch):
+        # the walkers write their partials into one dict: with a thread
+        # switch every microsecond a lost or misplaced partial would show
+        rng = np.random.default_rng(12)
+        config = random_configuration(rng, self.N)
+        self.walkers(monkeypatch, 1)
+        serial = pair_stats(*config, 3.0)
+        threads = self.walkers(monkeypatch, energy.MAX_WALKERS)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                assert pair_stats(*config, 3.0) == serial
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(threads) == 20 * (energy.MAX_WALKERS - 1) + 1
+
+    def test_single_tile_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(curve, "PAIR_TILE", self.N * self.N)
+        threads = self.walkers(monkeypatch, 3)
+        pair_stats(*random_configuration(np.random.default_rng(13), self.N), 3.0)
+        assert threads == {threading.main_thread()}
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_coincident_pair_in_a_helper_tile(self, monkeypatch, cpus):
+        # rows 4 and 22 lie in tiles 1 and 7, both walked by the first helper
+        rng = np.random.default_rng(5)
+        points, tangents, lam = random_configuration(rng, self.N)
+        points[22] = points[4]
+        self.walkers(monkeypatch, cpus)
+        before = threading.active_count()
+        # every helper runs its tiles under its own np.errstate: the 0 / 0
+        # of the coincident pair warns nowhere, and no warning becomes the error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="coincident junction points"):
+                pair_stats(points, tangents, lam, 3.0)
+        assert threading.active_count() == before
+
+    def test_helper_exception_reaches_the_caller(self, monkeypatch):
+        scaled_powers = energy._scaled_powers
+
+        def failing_in_helpers(x, m, q):
+            if threading.current_thread() is not threading.main_thread():
+                raise ArithmeticError("helper failed")
+            return scaled_powers(x, m, q)
+
+        monkeypatch.setattr(energy, "_scaled_powers", failing_in_helpers)
+        threads = self.walkers(monkeypatch, 3)
+        rng = np.random.default_rng(6)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError, match="helper failed"):
+            pair_stats(*random_configuration(rng, self.N), 3.0)
+        assert len(threads) == 3
+        # every helper was joined before the error was raised
+        assert threading.active_count() == before
 
 
 class TestPairInvariance:
@@ -564,8 +686,8 @@ class TestThickness:
         grid = 2048
         evaluated = []
 
-        def counting(rows, cols, tangents):
-            dist2, x = quotients(rows, cols, tangents)
+        def counting(rows, cols, tangents, out=None):
+            dist2, x = quotients(rows, cols, tangents, out)
             evaluated.append(x.size)
             return dist2, x
 

@@ -331,7 +331,8 @@ class TestPairTable:
         # after any sequence of moves the table is the one a fresh fill gives
         with np.errstate(divide="ignore", invalid="ignore"):
             tiles = _pair_tiles(table.points, table.tangents)
-            Y = np.concatenate([_scaled_powers(x, table.ceiling, q) for _, _, x in tiles])
+            # copied: every tile is written into the same work buffers
+            Y = np.concatenate([_scaled_powers(x, table.ceiling, q).copy() for _, _, x in tiles])
         assert np.array_equal(table.Y, Y)
         lam = from_junctions(table.points, table.tangents).segment_lengths
         assert np.array_equal(table.w, np.ldexp(lam, -table.k))
