@@ -31,6 +31,7 @@ from .curve import (
     tangent_modulus,
 )
 from .energy import (
+    CoincidentJunctionsError,
     HolderCheck,
     PairStats,
     continuous_tp_energy,

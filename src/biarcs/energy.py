@@ -4,20 +4,25 @@ Discrete energies live on closed biarc curves and are driven by the
 junction quotients x_ij = 2 dist(l(q_j), q_i) / |q_i - q_j|^2, the inverse
 tangent-point radius of junction i seen from the tangent line l(q_j) at
 junction j, all computed by one formula, `_quotients`, which also gives
-the inverse radii of the thickness search. The discrete energy, the
+the inverse radii of the thickness search. The distance to the line is the
+norm of d = q_i - q_j in the line's normal plane, sqrt((d . n1)^2 +
+(d . n2)^2), with n1, n2 the `_normal_frame` of the unit tangent t_j, so
+a quotient is three dot products of d. The discrete energy, the
 continuous quadrature, whose nodes carry their curvature as the quotient
 x_ii, and the anneal's pair table go through one row-blocked kernel,
 `_pair_tiles`. It walks the row tiles of `curve._row_tiles`, of about
 `curve.PAIR_TILE` pairs each, which the Gagliardo seminorm and the curve
 diagnostics walk too, and writes every tile into one set of work buffers,
-so no double sum holds more than one tile per walker however large n is.
+d's three coordinates in one block and dist2, x and d . n2 in three more,
+so no double sum holds more than six tiles per walker however large n is.
 `pair_stats` splits the tiles over the usable CPUs, at most MAX_WALKERS
 walkers of which the caller is one, so that the buffers stay bounded on
-machines with many CPUs, and reduces each tile to a partial:
-its largest quotient t, its sum of (x / t)^q w_i w_j, with the lengths w
-scaled by a power of two, and its extreme distances. It combines the
-partials in tile order, so no sum leaves the float range at any power or
-scale, and the result does not depend on the number of walkers. The
+machines with many CPUs, and reduces each tile to a partial: its largest
+quotient t, its sum of (x / t)^q w_i w_j, with the lengths w scaled by a
+power of two and the cube at q = 3 taken by multiplication, and its
+extreme distances. It combines the partials in tile order, so no sum
+leaves the float range at any power or scale, and the result does not
+depend on the number of walkers. The
 thickness seed search walks the same row tiles in its own work buffers,
 but only against the column blocks within 2 / tau of the tile: every
 quotient is at most 2 / |q_i - q_j|, and tau bounds the smallest value it
@@ -33,6 +38,7 @@ import threading
 from dataclasses import dataclass
 import numpy as np
 
+from .biarc import UNIT_TOL
 from .curve import CurveSpec, _check_embedded, _row_tiles, curvature_values, periodic_distance
 from .interpolate import BiarcCurve, check_Bn
 
@@ -48,78 +54,101 @@ SEED_STRIDE = 32
 MAX_WALKERS = 4
 
 
-def _quotients(rows, cols, tangents, out=None):
-    """Squared distances and pair quotients of row points against column
-    points with their unit tangents, each given as a coordinate triple
-    (x, y, z) of arrays that broadcast to the shape of the result:
+def _normal_frame(tangents):
+    """Two unit normals n1, n2 of each unit tangent t = (x, y, z), stacked
+    as a (2, 3, ...) array: with s = 1 where z >= 0, else -1, and
+    a = -1 / (s + z),
 
-        dist2 = |p_row - p_col|^2,
-        x = 2 |(p_row - p_col) - ((p_row - p_col) . t_col) t_col| / dist2,
+        n1 = (1 + s a x^2, s a x y, -s x),  n2 = (a x y, s + a y^2, -y),
+
+    so (t, n1, n2) is orthonormal to a few rounding errors for every unit
+    t, the poles and z = -0.0 included: |s + z| >= 1, and no branch depends
+    on the data (Duff et al., "Building an Orthonormal Basis, Revisited",
+    JCGT 2017, who take s = copysign(1, z)). The components may be floats
+    or arrays: the same arithmetic gives the same bits on both, and floats
+    skip numpy's per-call cost."""
+    x, y, z = tangents
+    sign = (z >= 0.0) * 2.0 - 1.0
+    a = -1.0 / (sign + z)
+    b = x * y * a
+    return np.array([[1.0 + sign * x * x * a, sign * b, -sign * x], [b, sign + y * y * a, -y]])
+
+
+def _quotients(rows, cols, frame, out=None):
+    """Squared distances and pair quotients of row points against column
+    points with the normal frames of their unit tangents: ``rows`` and
+    ``cols`` are (3, ...) coordinate arrays, ``frame`` a (2, 3, ...)
+    `_normal_frame`, all broadcasting to the result's shape after their
+    first axes. With d = p_row - p_col,
+
+        dist2 = |d|^2,  x = 2 sqrt((d . n1)^2 + (d . n2)^2) / dist2,
 
     the inverse tangent-point radius of the row point seen from the tangent
-    line at the column point. The work is done in ``out``, six arrays of the
-    result's shape that hold dist2 and x afterwards, or in six fresh arrays.
+    line at the column point: d's component in the line's normal plane is
+    (d . n1, d . n2). The work is done in ``out``, d's (3, ...) block and
+    three arrays of the result's shape, which hold dist2, x and (d . n2)^2
+    afterwards (the `_tile_out` of a walker's buffers), or in fresh arrays.
     Coincident points give NaN quotients, so the caller runs it under
     np.errstate. Every pair quotient of the package, whole tiles, one row
     and one column, or the thickness refinement's stencils, comes from this
     formula.
     """
-    (rx, ry, rz), (px, py, pz), (tx, ty, tz) = rows, cols, tangents
-    dx, dy, dz, dist2, tmp, along = (None,) * 6 if out is None else out
-    dx = np.subtract(rx, px, out=dx)
-    dy = np.subtract(ry, py, out=dy)
-    dz = np.subtract(rz, pz, out=dz)
-    # the sums below, evaluated left to right into the six work arrays: a
-    # tile is large, and fresh temporaries for every product cost page faults
-    dist2 = np.multiply(dx, dx, out=dist2)
-    tmp = np.multiply(dy, dy, out=tmp)
-    dist2 += tmp
-    dist2 += np.multiply(dz, dz, out=tmp)
-    along = np.multiply(dx, tx, out=along)
-    along += np.multiply(dy, ty, out=tmp)
-    along += np.multiply(dz, tz, out=tmp)
-    dx -= np.multiply(along, tx, out=tmp)
-    dy -= np.multiply(along, ty, out=tmp)
-    dz -= np.multiply(along, tz, out=tmp)
-    h = np.multiply(dx, dx, out=along)
-    h += np.multiply(dy, dy, out=tmp)
-    h += np.multiply(dz, dz, out=tmp)
-    x = np.sqrt(h, out=h)
+    block, dist2, x, across = (None,) * 4 if out is None else out
+    n1, n2 = frame
+    # einsum sums a C-ordered d's leading axis left to right, as the tiles
+    # do, whatever the layout of the operands: a fresh d laid out after
+    # them could be summed in another order, and a move's quotients would
+    # then differ in their last bits from the pair table's fill
+    d = np.subtract(rows, cols, out=block, order="C")
+    dist2 = np.einsum("i...,i...->...", d, d, out=dist2)
+    x = np.einsum("i...,i...->...", d, n1, out=x)
+    across = np.einsum("i...,i...->...", d, n2, out=across)
+    x *= x
+    across *= across
+    x += across
+    x = np.sqrt(x, out=x)
     x *= 2.0
     x /= dist2
     return dist2, x
 
 
 def _work_buffers(size: int) -> list:
-    """A walker's six work buffers of ``size`` floats, for `_tile_out`. They
-    are six arrays, not one block: a single 1.5 MB block lifted glibc's mmap
-    threshold, and the converge benchmark's peak RSS then grew by 1.2 MB."""
-    return [np.empty(size) for _ in range(6)]
+    """A walker's work buffers for tiles of ``size`` pairs, for `_tile_out`:
+    one block of 3 size floats for the differences d and three of size
+    floats, six tiles in all. They are four arrays, not one: a single 1.5 MB
+    block lifted glibc's mmap threshold, and the converge benchmark's peak
+    RSS then grew by 1.2 MB."""
+    return [np.empty(3 * size)] + [np.empty(size) for _ in range(3)]
 
 
 def _tile_out(work: list, rows: int, cols: int) -> list:
     """The ``out`` of `_quotients` for a rows x cols tile: views of the front
-    of a walker's `_work_buffers`."""
-    return [b[: rows * cols].reshape(rows, cols) for b in work]
+    of a walker's `_work_buffers`, the block as (3, rows, cols)."""
+    size = rows * cols
+    block, *tiles = work
+    views = [b[:size].reshape(rows, cols) for b in tiles]
+    return [block[: 3 * size].reshape(3, rows, cols), *views]
 
 
 def _pair_tiles(points: np.ndarray, tangents: np.ndarray, diagonal=None, tiles=None):
     """Row tiles of the pair quotient. Yields (lo, dist2, x) for each row
     range (lo, hi) of ``tiles``, by default every tile of `curve._row_tiles`:
     for i = lo + r and every j, dist2[r, j] and x[r, j] are the `_quotients`
-    of p_i against p_j with tangent t_j. On the diagonal i = j, dist2 is
-    NaN and x is diagonal[i], or 0. Every tile is written into one set of
-    work buffers, allocated once per walk, so a consumer must not keep a
-    tile past the next iteration. The caller runs the loop under
-    np.errstate, in the thread that runs the loop: numpy keeps it per thread.
+    of p_i against p_j with the normal frame of tangent t_j. On the diagonal
+    i = j, dist2 is NaN and x is diagonal[i], or 0. Every tile is written
+    into one set of work buffers, allocated once per walk, so a consumer
+    must not keep a tile past the next iteration. The caller runs the loop
+    under np.errstate, in the thread that runs the loop: numpy keeps it per
+    thread.
     """
     n = len(points)
     p = np.ascontiguousarray(np.asarray(points, dtype=float).T)
-    t = np.ascontiguousarray(np.asarray(tangents, dtype=float).T)
+    cols = p[:, None, :]
+    frame = _normal_frame(np.asarray(tangents, dtype=float).T)[:, :, None, :]
     tiles = list(_row_tiles(n)) if tiles is None else tiles
     work = _work_buffers(max((hi - lo for lo, hi in tiles), default=0) * n)
     for lo, hi in tiles:
-        dist2, x = _quotients(p[:, lo:hi, None], p, t, _tile_out(work, hi - lo, n))
+        dist2, x = _quotients(p[:, lo:hi, None], cols, frame, _tile_out(work, hi - lo, n))
         # flat index of (r, lo + r) is lo + r (n + 1)
         dist2.reshape(-1)[lo :: n + 1] = np.nan
         x.reshape(-1)[lo :: n + 1] = 0.0 if diagonal is None else diagonal[lo:hi]
@@ -133,6 +162,10 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+class CoincidentJunctionsError(ValueError):
+    """Two junctions of a configuration coincide relative to its diameter."""
+
+
 @dataclass(frozen=True)
 class PairStats:
     """One pass over the pairs of a junction configuration, i = j included."""
@@ -143,13 +176,20 @@ class PairStats:
     min_distance: float  # smallest |q_i - q_j|
 
 
-def _scaled_powers(x: np.ndarray, m: float, q: float) -> np.ndarray:
-    """(x / m)^q in place, for x <= m. Ratios whose power would be subnormal
-    are raised from 2^(min_exp / q) instead, a term that adds nothing, so pow
-    never takes its slow subnormal path (as for most pairs at q = n)."""
+def _scaled_powers(x: np.ndarray, m: float, q: float, spare=None) -> np.ndarray:
+    """(x / m)^q in place, for x <= m. At q = 3 it is x times its square,
+    the square written into ``spare``, an array of x's shape (else a fresh
+    one); any other q takes pow (which numpy itself turns into a square at
+    q = 2). Ratios whose power would be subnormal are raised from
+    2^(min_exp / q) instead, a term that adds nothing, so neither path
+    produces a subnormal and pow never takes its slow subnormal path (as for
+    most pairs at q = n)."""
     x /= m
     np.maximum(x, 2.0 ** (sys.float_info.min_exp / q), out=x)
-    x **= q
+    if q == 3.0:
+        x *= np.multiply(x, x, out=spare)
+    else:
+        x **= q
     return x
 
 
@@ -179,16 +219,41 @@ def pair_stats(points, tangents, lam, q: float, diagonal=None) -> PairStats:
     quotient: so the energy is right wherever it is representable, at any
     power and scale, and its bits do not depend on the number of walkers.
     A given ``diagonal`` holds each x_ii, summed alike; else x_ii = 0.
-    Raises ValueError for a non-finite q, points, tangents or lengths and
-    when two junctions coincide relative to the configuration's diameter."""
+    Raises ValueError for a non-finite q; for points, tangents, lengths and
+    a diagonal of shapes other than (n, 3), (n, 3), (n,) and (n,), for
+    n = 0, non-finite entries, tangents further than `biarc.UNIT_TOL` from
+    unit length, lengths <= 0 or a negative diagonal entry; and
+    CoincidentJunctionsError, a ValueError, when two junctions coincide
+    relative to the configuration's diameter."""
     if not math.isfinite(q):
         raise ValueError(f"tangent-point power q must be finite, got {q}")
     points, tangents, lam = (np.asarray(a, dtype=float) for a in (points, tangents, lam))
+    n = len(points) if points.ndim else 0
+    if points.shape != (n, 3) or tangents.shape != (n, 3) or lam.shape != (n,):
+        raise ValueError(
+            "junction points and tangents must have shape (n, 3) and lengths shape (n,), got "
+            f"{points.shape}, {tangents.shape} and {lam.shape}"
+        )
+    if n == 0:
+        raise ValueError("no junctions")
     if not all(np.isfinite(a).all() for a in (points, tangents, lam)):
         raise ValueError("junction points, tangents and lengths must be finite")
+    # the normal frames of the quotients are orthonormal only to unit tangents
+    if np.abs(np.sqrt(np.einsum("ij,ij->i", tangents, tangents)) - 1.0).max() > UNIT_TOL:
+        raise ValueError("junction tangents must be unit vectors")
+    if lam.min() <= 0.0:
+        raise ValueError("biarc lengths must be positive")
+    if diagonal is not None:
+        diagonal = np.asarray(diagonal, dtype=float)
+        if diagonal.shape != (n,):
+            raise ValueError(f"diagonal must have shape ({n},), got {diagonal.shape}")
+        if not np.isfinite(diagonal).all():
+            raise ValueError("diagonal quotients must be finite")
+        if diagonal.min() < 0.0:
+            raise ValueError("diagonal quotients must be non-negative")
     k = math.frexp(float(lam.max()))[1]
     w = np.ldexp(lam, -k)
-    tiles = list(_row_tiles(len(points)))
+    tiles = list(_row_tiles(n))
     walkers = min(_usable_cpus(), MAX_WALKERS, len(tiles))
     partials = {}  # lo -> (top, sum of (x / top)^q w_i w_j, min dist2, max dist2)
     errors = []
@@ -202,7 +267,9 @@ def pair_stats(points, tangents, lam, q: float, diagonal=None) -> PairStats:
                     top = float(x.max())
                     s = 0.0
                     if top > 0.0:
-                        s = float(w[lo : lo + len(x)] @ (_scaled_powers(x, top, q) @ w))
+                        # dist2 is read: its buffer takes the square at q = 3
+                        y = _scaled_powers(x, top, q, dist2)
+                        s = float(w[lo : lo + len(x)] @ (y @ w))
                     partials[lo] = (top, s, low, high)
         except BaseException as exc:  # raised again by the caller after the joins
             errors.append(exc)
@@ -223,7 +290,7 @@ def pair_stats(points, tangents, lam, q: float, diagonal=None) -> PairStats:
     # folds from the empty values: a NaN (a 1 x 1 tile's dist2) changes nothing
     m, min_d2, max_d2 = max(0.0, *tops), min(math.inf, *lows), max(0.0, *highs)
     if min_d2 <= (1e-12 * math.sqrt(max_d2)) ** 2:
-        raise ValueError("coincident junction points")
+        raise CoincidentJunctionsError("coincident junction points")
     total = 0.0
     for top, s in zip(tops, sums):
         if top > 0.0:
@@ -265,7 +332,7 @@ def continuous_tp_energy(curve: CurveSpec, q: float, grid: int) -> float:
     kappa = curvature_values(curve, s)
     try:
         pairs = pair_stats(curve.position(s), curve.derivative(s), np.full(grid, h), q, kappa)
-    except ValueError:  # coincident nodes
+    except CoincidentJunctionsError:
         pairs = None
     if pairs is None or pairs.min_distance < 1e-9 * L:
         raise ValueError("curve is not embedded: distinct parameters collide")
@@ -278,9 +345,11 @@ def _inverse_tp(curve: CurveSpec, L: float, s, t) -> np.ndarray:
     evaluated on s and t as given, before broadcasting."""
     s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
     # gamma(t) is the row point, gamma(s) with its tangent the column point
-    operands = (curve.position(t), curve.position(s), curve.derivative(s))
+    rows, cols, tangents = (
+        np.moveaxis(a, -1, 0) for a in (curve.position(t), curve.position(s), curve.derivative(s))
+    )
     with np.errstate(divide="ignore", invalid="ignore"):
-        dist2, inv = _quotients(*(np.moveaxis(a, -1, 0) for a in operands))
+        dist2, inv = _quotients(rows, cols, _normal_frame(tangents))
     # the band |s-t| < 1e-3 L is excluded: there the quotient is a 0/0
     # cancellation whose supremum is the curvature, handled separately
     excluded = (periodic_distance(s, t, L) < 1e-3 * L) | (dist2 < (1e-9 * L) ** 2)
@@ -308,7 +377,7 @@ def _thickness_seeds(pos: np.ndarray, tan: np.ndarray, L: float) -> np.ndarray:
     band = np.arange(1 - width, width)
     k = 8 * 4  # seed candidates, before the neighbour filter keeps eight
     p = np.ascontiguousarray(np.asarray(pos, dtype=float).T)
-    t = np.ascontiguousarray(np.asarray(tan, dtype=float).T)
+    frame = _normal_frame(np.asarray(tan, dtype=float).T)
 
     def tile_top(rows, cols, dist2, x):
         """The k largest x of a tile, rows against the sorted cols, outside
@@ -335,7 +404,8 @@ def _thickness_seeds(pos: np.ndarray, tan: np.ndarray, L: float) -> np.ndarray:
         sample = [np.zeros(k)]
         strided = np.arange(0, grid, SEED_STRIDE)
         for rows in np.split(strided, range(size, len(strided), size)):
-            dist2, x = _quotients(p[:, rows, None], p, t, _tile_out(work, len(rows), grid))
+            out = _tile_out(work, len(rows), grid)
+            dist2, x = _quotients(p[:, rows, None], p[:, None], frame[:, :, None], out)
             sample.append(tile_top(rows, every, dist2, x)[0])
         reach = 2.0 * (1.0 + 1e-9) / np.partition(np.concatenate(sample), -k)[-k]
         low, high = np.minimum.reduceat(pos, tiles[:, 0]), np.maximum.reduceat(pos, tiles[:, 0])
@@ -345,8 +415,9 @@ def _thickness_seeds(pos: np.ndarray, tan: np.ndarray, L: float) -> np.ndarray:
             gap = np.maximum(np.maximum(low - high[b], low[b] - high), 0.0)
             cols = np.flatnonzero(~(np.sqrt(np.sum(gap * gap, axis=1)) > reach)[block])
             # gathered copies of all columns measured a quarter slower
-            near = (p, t) if len(cols) == grid else (p[:, cols], t[:, cols])
-            dist2, x = _quotients(p[:, lo:hi, None], *near, _tile_out(work, hi - lo, len(cols)))
+            near, near_frame = (p, frame) if len(cols) == grid else (p[:, cols], frame[:, :, cols])
+            out = _tile_out(work, hi - lo, len(cols))
+            dist2, x = _quotients(p[:, lo:hi, None], near[:, None], near_frame[:, :, None], out)
             tops.append(tile_top(every[lo:hi], cols, dist2, x))
     values, cells = (np.concatenate(a) for a in zip(*tops))
     # largest first; equal values by descending cell, as a stable sort would

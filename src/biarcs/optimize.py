@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .biarc import PairError, _move_lengths
-from .energy import _pair_tiles, _quotients, _scaled_powers, _unscaled, pair_stats
+from .energy import _normal_frame, _pair_tiles, _quotients, _scaled_powers, _unscaled, pair_stats
 from .interpolate import BiarcCurve, from_junctions
 
 # the first temperature, times the initial energy
@@ -104,7 +104,10 @@ class _PairTable:
     A move of junction j changes only row j and column j of Y and w[j - 1]
     and w[j]; the two lengths come from `_move_lengths`, the biarc
     construction of `from_junctions` run on floats for the two pairs, so
-    they are the bits `from_junctions` would give. `propose` checks the
+    they are the bits `from_junctions` would give. The quotients see each
+    tangent through its `_normal_frame`, which the table keeps per junction
+    and computes for a moved tangent on floats with the fill's arithmetic,
+    so a move writes the entries a fresh fill would. `propose` checks the
     move's guards on those new entries alone - every other pair already
     passed them - and writes it into Y and w, and its energy into
     ``candidate``. `commit` keeps a proposed move, `undo` restores the saved
@@ -130,16 +133,17 @@ class _PairTable:
         self.ceiling = 2.0 * stats.max_quotient
         # coordinate rows of the quotient operands of a move at j: the moved
         # point against every junction (row j of Y), then every junction
-        # against the moved point and tangent (column j); the halves that
-        # hold the moved junction are written by each `propose`
-        p, t = self.points.T, self.tangents.T
+        # against the moved point and the normal frame of its tangent
+        # (column j); the halves that hold the moved junction are written by
+        # each `propose`
+        p, frame = self.points.T, _normal_frame(self.tangents.T)
         self._rows = np.concatenate([p, p], axis=1)
         self._cols = np.concatenate([p, p], axis=1)
-        self._tans = np.concatenate([t, t], axis=1)
+        self._frame = np.concatenate([frame, frame], axis=2)
         self.Y = np.empty((n, n))
         with np.errstate(divide="ignore", invalid="ignore"):
-            for lo, _, x in _pair_tiles(self.points, self.tangents):
-                self.Y[lo : lo + len(x)] = _scaled_powers(x, self.ceiling, self.q)
+            for lo, dist2, x in _pair_tiles(self.points, self.tangents):
+                self.Y[lo : lo + len(x)] = _scaled_powers(x, self.ceiling, self.q, dist2)
         self.energy = self.candidate = float(self.w @ (self.Y @ self.w))
         self._move = None
 
@@ -161,11 +165,13 @@ class _PairTable:
             return "not_constructible"
         if min(lam_prev, lam_j) < self.lo or max(lam_prev, lam_j) > self.hi:
             return "gate"
+        # the frame the fill gives column j, bit for bit, on floats
+        frame = _normal_frame(tangent.tolist())
         self._rows[:, :n] = point[:, None]
         self._cols[:, n:] = point[:, None]
-        self._tans[:, n:] = tangent[:, None]
+        self._frame[:, :, n:] = frame[:, :, None]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            dist2, x = _quotients(self._rows, self._cols, self._tans)
+            dist2, x = _quotients(self._rows, self._cols, self._frame)
             # entries j and n + j pair the moved junction with itself
             dist2[j] = dist2[n + j] = math.inf
             if math.sqrt(dist2.min()) < self.min_distance:
@@ -173,9 +179,9 @@ class _PairTable:
             x[j] = x[n + j] = 0.0
             if x.max() > self.ceiling:
                 return "thickness_floor"
-            y = _scaled_powers(x, self.ceiling, self.q)
+            y = _scaled_powers(x, self.ceiling, self.q, dist2)
         row, col = self.Y[j].copy(), self.Y[:, j].copy()
-        self._move = (j, point, tangent, row, col, self.w[jm], self.w[j])
+        self._move = (j, point, tangent, frame, row, col, self.w[jm], self.w[j])
         self.Y[j] = y[:n]
         self.Y[:, j] = y[n:]
         self.w[jm], self.w[j] = math.ldexp(lam_prev, -self.k), math.ldexp(lam_j, -self.k)
@@ -184,16 +190,17 @@ class _PairTable:
 
     def commit(self) -> None:
         """Keep the proposed move."""
-        j, point, tangent = self._move[:3]
+        j, point, tangent, frame = self._move[:4]
         n = len(self.w)
         self.points[j] = self._rows[:, n + j] = self._cols[:, j] = point
-        self.tangents[j] = self._tans[:, j] = tangent
+        self.tangents[j] = tangent
+        self._frame[:, :, j] = frame
         self.energy = self.candidate
         self._move = None
 
     def undo(self) -> None:
         """Drop the proposed move: restore row and column j and the lengths."""
-        j, _, _, row, col, w_prev, w_j = self._move
+        j, _, _, _, row, col, w_prev, w_j = self._move
         self.Y[j] = row
         self.Y[:, j] = col
         self.w[j - 1], self.w[j] = w_prev, w_j

@@ -12,6 +12,7 @@ PUBLIC_API = [
     "Biarc",
     "BiarcCurve",
     "BiarcCurveBuildError",
+    "CoincidentJunctionsError",
     "CurveDiagnostics",
     "CurveSpec",
     "HolderCheck",

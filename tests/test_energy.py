@@ -4,6 +4,7 @@ import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -24,6 +25,7 @@ from biarcs.curve import (
 )
 from biarcs import curve, energy
 from biarcs.energy import (
+    CoincidentJunctionsError,
     continuous_tp_energy,
     discrete_tp_energy,
     holder_bound_check,
@@ -286,15 +288,75 @@ class TestPairKernel:
         with pytest.raises(ValueError, match="must be finite"):
             pair_stats(*config, 3.0)
 
+    @pytest.mark.parametrize(
+        "shapes",
+        [((8, 2), (8, 3), (8,)), ((8, 3), (7, 3), (8,)), ((8, 3), (8, 3), (8, 1)), ((3,), (3,), ())],
+        ids=["planar-points", "short-tangents", "column-lengths", "one-vector"],
+    )
+    def test_misshapen_configuration_rejected(self, shapes):
+        rng = np.random.default_rng(4)
+        config = random_configuration(rng, 8)
+        points, tangents, lam = (np.resize(a, shape) for a, shape in zip(config, shapes))
+        with pytest.raises(ValueError, match="must have shape"):
+            pair_stats(points, tangents, lam, 3.0)
+
+    @pytest.mark.parametrize("factor", [2.0, 0.0, 1.0 + 2e-9, 1.0 - 2e-9])
+    def test_non_unit_tangents_rejected(self, factor):
+        # doubled tangents once gave energy 1705.01 for 100.38 here, zero
+        # ones 189.69; the normal frames assume unit tangents
+        rng = np.random.default_rng(20)
+        points, tangents, lam = random_configuration(rng, 20)
+        with pytest.raises(ValueError, match="unit vectors"):
+            pair_stats(points, factor * tangents, lam, 3.0)
+        # within biarc.UNIT_TOL the tangents pass
+        pair_stats(points, (1.0 + 5e-10) * tangents, lam, 3.0)
+
+    @pytest.mark.parametrize("length", [0.0, -1.0])
+    def test_non_positive_lengths_rejected(self, length):
+        rng = np.random.default_rng(4)
+        points, tangents, lam = random_configuration(rng, 8)
+        lam[5] = length
+        with pytest.raises(ValueError, match="lengths must be positive"):
+            pair_stats(points, tangents, lam, 3.0)
+
+    @pytest.mark.parametrize(
+        "diagonal, match",
+        [
+            (np.full(8, np.nan), "must be finite"),
+            (np.full(8, np.inf), "must be finite"),
+            (np.r_[np.ones(7), -1e-3], "non-negative"),
+            (np.ones(9), "must have shape"),
+            (np.ones(7), "must have shape"),
+            (np.ones((8, 1)), "must have shape"),
+        ],
+        ids=["nan", "inf", "negative", "long", "short", "column"],
+    )
+    def test_bad_diagonal_rejected(self, diagonal, match):
+        # a NaN diagonal once gave energy 0 and largest quotient 0, an inf
+        # one energy NaN; a negative entry was dropped and a long diagonal
+        # cut off without a word
+        rng = np.random.default_rng(4)
+        points, tangents, lam = random_configuration(rng, 8)
+        with pytest.raises(ValueError, match=match):
+            pair_stats(points, tangents, lam, 3.0, diagonal)
+        # a zero diagonal is the default one
+        zero = pair_stats(points, tangents, lam, 3.0, np.zeros(8))
+        assert zero == pair_stats(points, tangents, lam, 3.0)
+
+    def test_no_junctions_rejected(self):
+        # numpy's "zero-size array to reduction operation" used to leak here
+        with pytest.raises(ValueError, match="no junctions"):
+            pair_stats(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0), 3.0)
+
     def test_coincident_points_rejected(self):
         rng = np.random.default_rng(4)
         points, tangents, lam = random_configuration(rng, 40)
         for gap in (0.0, 1e-14):
             bad = points.copy()
             bad[17] = points[5] + gap
-            with pytest.raises(ValueError, match="coincident junction points"):
+            with pytest.raises(CoincidentJunctionsError, match="coincident junction points"):
                 pair_stats(bad, tangents, lam, 3.0)
-            with pytest.raises(ValueError, match="coincident junction points"):
+            with pytest.raises(CoincidentJunctionsError, match="coincident junction points"):
                 pair_stats(bad, tangents, lam, 80.0)
 
     def test_memory_bounded_at_n_4096(self, monkeypatch):
@@ -322,6 +384,76 @@ class TestPairKernel:
         e, (delta, rope) = continuous_tp_energy(knot, 3.0, 64), thickness_and_ropelength(knot, 64)
         assert e == pytest.approx(one_tile[0], rel=1e-13)
         assert (delta, rope) == one_tile[1]
+
+
+class TestNormalFrame:
+    """`energy._normal_frame` gives each unit tangent two normals that make
+    an orthonormal frame with it to a few rounding errors."""
+
+    EPS = np.finfo(float).eps
+
+    @staticmethod
+    def tangents():
+        """Random unit tangents, the poles, and tangents in the plane z = 0,
+        with z = -0.0 and +0.0, as columns."""
+        rng = np.random.default_rng(21)
+        special = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1e-9, -1e-9, -1.0], [1.0, 0.0, -0.0]]
+        special += [[0.0, -1.0, -0.0], [0.6, 0.8, 0.0], [-0.6, 0.8, -0.0]]
+        t = np.concatenate([rng.normal(size=(3, 10000)), np.array(special).T], axis=1)
+        return t / np.linalg.norm(t, axis=0)
+
+    def test_orthonormal(self):
+        t = self.tangents()
+        n1, n2 = energy._normal_frame(t)
+        for n in (n1, n2):
+            assert np.abs(np.einsum("ij,ij->j", n, t)).max() <= 4 * self.EPS
+            assert np.abs(np.sqrt(np.einsum("ij,ij->j", n, n)) - 1.0).max() <= 4 * self.EPS
+        assert np.abs(np.einsum("ij,ij->j", n1, n2)).max() <= 4 * self.EPS
+
+    def test_floats_and_arrays_give_the_same_bits(self):
+        # the anneal frames a moved tangent on floats, the table fill on arrays
+        t = self.tangents()
+        frames = energy._normal_frame(t)
+        for k in [*range(0, t.shape[1], 97), *range(-7, 0)]:
+            one = energy._normal_frame(t[:, k].tolist())
+            assert one.tobytes() == np.ascontiguousarray(frames[:, :, k]).tobytes()
+
+
+class TestQuotientAccuracy:
+    """The frame quotient against an exact rational reference,
+    x^2 = 4 (|d|^2 |t|^2 - (d . t)^2) / (|t|^2 |d|^4) of the float operands.
+    For near-parallel pairs at angle theta its error grows as eps / theta,
+    as every formula's does that takes d's normal part from rounded d and t.
+    The largest error measured over these pairs is 1.7 eps / theta."""
+
+    EPS = np.finfo(float).eps
+
+    @staticmethod
+    def exact_square(row, col, tangent):
+        d = [Fraction(a) - Fraction(b) for a, b in zip(row, col)]
+        t = [Fraction(v) for v in tangent]
+        dd, tt = sum(v * v for v in d), sum(v * v for v in t)
+        dt = sum(a * b for a, b in zip(d, t))
+        return 4 * (dd * tt - dt * dt) / (tt * dd * dd)
+
+    @pytest.mark.parametrize("theta", [1e-1, 1e-3, 1e-5, 1e-7])
+    def test_relative_error_scales_as_eps_over_theta(self, theta):
+        rng = np.random.default_rng(22)
+        for scale in 10.0 ** np.arange(-3, 4):
+            t = rng.normal(size=(3, 32))
+            t /= np.linalg.norm(t, axis=0)
+            u = rng.normal(size=(3, 32))
+            u -= np.sum(u * t, axis=0) * t
+            u /= np.linalg.norm(u, axis=0)
+            cols = scale * rng.normal(size=(3, 32))
+            length = scale * rng.uniform(0.5, 2.0, size=32)
+            rows = cols + length * (math.cos(theta) * t + math.sin(theta) * u)
+            _, x = energy._quotients(rows, cols, energy._normal_frame(t))
+            for k in range(32):
+                square = self.exact_square(rows[:, k], cols[:, k], t[:, k])
+                # |x - X| / X to first order, from the exact squares
+                error = abs(Fraction(float(x[k])) ** 2 - square) / (2 * square)
+                assert float(error) <= 8 * self.EPS / theta
 
 
 class TestPairWalkers:
@@ -397,10 +529,10 @@ class TestPairWalkers:
     def test_helper_exception_reaches_the_caller(self, monkeypatch):
         scaled_powers = energy._scaled_powers
 
-        def failing_in_helpers(x, m, q):
+        def failing_in_helpers(x, m, q, spare=None):
             if threading.current_thread() is not threading.main_thread():
                 raise ArithmeticError("helper failed")
-            return scaled_powers(x, m, q)
+            return scaled_powers(x, m, q, spare)
 
         monkeypatch.setattr(energy, "_scaled_powers", failing_in_helpers)
         threads = self.walkers(monkeypatch, 3)
@@ -449,6 +581,27 @@ class TestPairInvariance:
                 got = pair_stats(*config, q)
                 assert got.max_quotient == base.max_quotient
                 assert got.min_distance == base.min_distance
+
+
+    @pytest.mark.parametrize("k", [-200, -7, 1, 9, 150])
+    def test_dilation_by_powers_of_two(self, k):
+        # a dilation by 2^k scales d exactly, so every x / top is unchanged
+        # and so is each tile's sum, by multiplication at q = 3 or by pow:
+        # at an integral q the results are the undilated ones with their
+        # exponents moved, bit for bit
+        rng = np.random.default_rng(23)
+        points, tangents, lam = random_configuration(rng, 40)
+        with mock.patch.object(curve, "PAIR_TILE", 5 * 40):
+            for q in (2.0, 3.0, 4.0, 3.5):
+                base = pair_stats(points, tangents, lam, q)
+                got = pair_stats(np.ldexp(points, k), tangents, np.ldexp(lam, k), q)
+                assert got.max_quotient == math.ldexp(base.max_quotient, -k)
+                assert got.min_distance == math.ldexp(base.min_distance, k)
+                if q == 3.5:  # pow, and 2^(shift % 1) rounds differently
+                    expected = base.energy * 2.0 ** (k * (2 - q))
+                    assert got.energy == pytest.approx(expected, rel=1e-15)
+                else:
+                    assert got.energy == math.ldexp(base.energy, k * (2 - int(q)))
 
 
 class TestCloseJunctions:
@@ -582,6 +735,13 @@ class TestContinuous:
         with pytest.raises(ValueError, match="power q must be finite and exceed 2"):
             continuous_tp_energy(circle, q, 64)
 
+    def test_non_unit_tangents_are_not_a_collision(self):
+        # a derivative off unit length is named as such, not as non-embedded
+        circle = preset_curve("circle", [1.0])
+        stretched = replace(circle, derivative=lambda s: 1.001 * circle.derivative(s))
+        with pytest.raises(ValueError, match="unit vectors"):
+            continuous_tp_energy(stretched, 3.0, 64)
+
     def test_doubly_traversed_circle_is_not_embedded(self):
         # node i and node i + grid/2 lie on the same point in every row tile
         grid = 512
@@ -686,8 +846,8 @@ class TestThickness:
         grid = 2048
         evaluated = []
 
-        def counting(rows, cols, tangents, out=None):
-            dist2, x = quotients(rows, cols, tangents, out)
+        def counting(rows, cols, frame, out=None):
+            dist2, x = quotients(rows, cols, frame, out)
             evaluated.append(x.size)
             return dist2, x
 

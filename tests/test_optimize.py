@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from biarcs import optimize
 from biarcs.biarc import PairError, _balanced_arcs, _move_lengths
 from biarcs.curve import arclength_reparametrize, make_partition, preset_curve
-from biarcs.energy import _pair_tiles, _scaled_powers, discrete_tp_energy, pair_stats
+from biarcs.energy import _normal_frame, _pair_tiles, _scaled_powers, discrete_tp_energy, pair_stats
 from biarcs.interpolate import (
     BiarcCurveBuildError,
     build_biarc_curve,
@@ -338,7 +338,7 @@ class TestPairTable:
         assert np.array_equal(table.w, np.ldexp(lam, -table.k))
         assert np.array_equal(table._rows[:, n:], table.points.T)
         assert np.array_equal(table._cols[:, :n], table.points.T)
-        assert np.array_equal(table._tans[:, :n], table.tangents.T)
+        assert np.array_equal(table._frame[:, :, :n], _normal_frame(table.tangents.T))
 
 
 class TestMoveRebuild:
