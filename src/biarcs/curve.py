@@ -32,7 +32,7 @@ MODE_FLOOR = 5e-15
 # mass of the bump exp(-1/(1-x^2)) on (-1, 1) as composite Simpson on 65536
 # cells gives it, one unit in the last place above the exact value
 BUMP_MASS = 0.4439938161680795
-# point pairs per row tile of every double sum: a tile's temporaries take a
+# point pairs per tile of every double sum: a tile's temporaries take a
 # few MB and stay cache-resident whatever the number of points
 PAIR_TILE = 1 << 15
 
@@ -415,10 +415,23 @@ def periodic_distance(x, y, period: float):
 
 def _row_tiles(n: int):
     """Row ranges (lo, hi) covering range(n), each of about PAIR_TILE pairs
-    with all n columns: the tiles that every double sum walks."""
+    with all n columns: the tiles of the Gagliardo seminorm, the curve
+    diagnostics and the thickness seed scan."""
     rows = max(1, PAIR_TILE // n)
     for lo in range(0, n, rows):
         yield lo, min(lo + rows, n)
+
+
+def _triangle_tiles(n: int):
+    """Row ranges (lo, hi) covering range(n), each paired with the columns
+    [lo, n) and of about PAIR_TILE such pairs: the upper triangle i <= j of
+    an n x n pair table in about half the tiles of `_row_tiles`, the tiles
+    of the pair kernel, which gets both orders of a pair from one cell."""
+    lo = 0
+    while lo < n:
+        hi = min(n, lo + max(1, PAIR_TILE // (n - lo)))
+        yield lo, hi
+        lo = hi
 
 
 def _separation(lo: int, hi: int, n: int) -> np.ndarray:

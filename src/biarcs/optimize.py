@@ -36,7 +36,15 @@ from typing import Optional
 import numpy as np
 
 from .biarc import PairError, _move_lengths
-from .energy import _normal_frame, _pair_tiles, _quotients, _scaled_powers, _unscaled, pair_stats
+from .energy import (
+    _normal_frame,
+    _pair_operands,
+    _pair_tiles,
+    _quotients,
+    _scaled_powers,
+    _unscaled,
+    pair_stats,
+)
 from .interpolate import BiarcCurve, from_junctions
 
 # the first temperature, times the initial energy
@@ -142,8 +150,13 @@ class _PairTable:
         self._frame = np.concatenate([frame, frame], axis=2)
         self.Y = np.empty((n, n))
         with np.errstate(divide="ignore", invalid="ignore"):
-            for lo, dist2, x in _pair_tiles(self.points, self.tangents):
-                self.Y[lo : lo + len(x)] = _scaled_powers(x, self.ceiling, self.q, dist2)
+            # a tile holds rows [lo, hi) against columns from lo, and the
+            # transposed pairs past the tile
+            for lo, _, x, spare in _pair_tiles(_pair_operands(self.points, self.tangents)):
+                y = _scaled_powers(x, self.ceiling, self.q, spare)
+                hi = lo + x.shape[1]
+                self.Y[lo:hi, lo:] = y[0]
+                self.Y[hi:, lo:hi] = y[1, :, hi - lo :].T
         self.energy = self.candidate = float(self.w @ (self.Y @ self.w))
         self._move = None
 
@@ -171,7 +184,10 @@ class _PairTable:
         self._cols[:, n:] = point[:, None]
         self._frame[:, :, n:] = frame[:, :, None]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            dist2, x = _quotients(self._rows, self._cols, self._frame)
+            # a subtraction, not the fill's matrix product: these operands
+            # are not outer products, and both round p_i - p_j once
+            d = np.subtract(self._rows, self._cols, order="C")
+            dist2, x = _quotients(d, self._frame)
             # entries j and n + j pair the moved junction with itself
             dist2[j] = dist2[n + j] = math.inf
             if math.sqrt(dist2.min()) < self.min_distance:

@@ -1,10 +1,28 @@
 import numpy as np
 
+from biarcs import curve, energy
 from biarcs.biarc import IncompatiblePairError, PointTangent
 
 
 def unit(v):
     return np.asarray(v, dtype=float) / np.linalg.norm(v)
+
+
+def reference_tiles(points, tangents):
+    """The pair quotients row tile by row tile, each row against every
+    column, from differences taken by np.subtract: (lo, dist2, x) for each
+    tile of `curve._row_tiles`, in fresh arrays, with dist2 NaN and x 0 on
+    the diagonal. The reference of the pair kernel's triangle walk."""
+    p = np.asarray(points, dtype=float).T
+    frame = energy._normal_frame(np.asarray(tangents, dtype=float).T)[:, :, None, :]
+    for lo, hi in curve._row_tiles(p.shape[1]):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = np.subtract(p[:, lo:hi, None], p[:, None, :], order="C")
+            dist2, x = energy._quotients(d, frame)
+        rows = np.arange(hi - lo)
+        dist2[rows, lo + rows] = np.nan
+        x[rows, lo + rows] = 0.0
+        yield lo, dist2, x
 
 
 def random_rotation(rng):

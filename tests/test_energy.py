@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import jittered_circle_config, random_rotation
+from conftest import jittered_circle_config, random_rotation, reference_tiles
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -124,14 +124,13 @@ def float_band_seeds(pos, tan, s, L):
     better one."""
     grid, k = len(s), 32
     values, cells = [], []
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for lo, _, x in energy._pair_tiles(pos, tan):
-            par = periodic_distance(s[lo : lo + len(x), None], s[None, :], L)
-            inv = np.where(par >= 1e-3 * L, x, 0.0).reshape(-1)
-            top = np.argpartition(inv, -k)[-k:]
-            r, c = np.divmod(top, grid)
-            values.append(inv[top])
-            cells.append(c * grid + lo + r)
+    for lo, _, x in reference_tiles(pos, tan):
+        par = periodic_distance(s[lo : lo + len(x), None], s[None, :], L)
+        inv = np.where(par >= 1e-3 * L, x, 0.0).reshape(-1)
+        top = np.argpartition(inv, -k)[-k:]
+        r, c = np.divmod(top, grid)
+        values.append(inv[top])
+        cells.append(c * grid + lo + r)
     values, cells = np.concatenate(values), np.concatenate(cells)
     seeds = []
     for f in cells[np.lexsort((cells, values))[::-1][:k]]:
@@ -386,6 +385,99 @@ class TestPairKernel:
         assert (delta, rope) == one_tile[1]
 
 
+def row_tile_stats(points, tangents, lam, q):
+    """The energy, largest quotient and smallest distance of the row-tile
+    reference, reduced tile by tile as `pair_stats` reduces its tiles: each
+    tile's largest quotient t and its sum of (x / t)^q w_i w_j, combined in
+    tile order."""
+    k = math.frexp(float(lam.max()))[1]
+    w = np.ldexp(lam, -k)
+    parts = []
+    for lo, dist2, x in reference_tiles(points, tangents):
+        top = float(x.max())
+        s = float(w[lo : lo + len(x)] @ (energy._scaled_powers(x, top, q) @ w))
+        parts.append((top, s, float(np.nanmin(dist2))))
+    tops, sums, lows = zip(*parts)
+    m = max(tops)
+    total = sum(s * (t / m) ** q for t, s in zip(tops, sums))
+    return float(energy._unscaled(total, m, q, k)[0]), m, math.sqrt(min(lows))
+
+
+class TestTriangleWalk:
+    """The pair kernel walks each pair once, in the upper triangle's tiles,
+    and takes x_ij and x_ji from one difference d built by a matrix
+    product: every quotient keeps the bits of the row-tile reference, which
+    subtracts, and only the energy's summation order changes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        exponent=st.integers(-500, 500),
+        shift=st.floats(-1e6, 1e6),
+        zeros=st.sampled_from([0.0, 0.1, 0.5]),
+        lo=st.integers(0, 39),
+        rows=st.integers(1, 40),
+    )
+    def test_matrix_product_difference_is_the_subtraction(
+        self, seed, exponent, shift, zeros, lo, rows
+    ):
+        rng = np.random.default_rng(seed)
+        n = 40
+        # coordinates over 17 binary orders around 2^exponent, of both signs,
+        # shifted by up to 1e6 times their extent, some +0.0 or -0.0
+        spread = 2.0 ** rng.integers(-8, 9, size=(3, n))
+        p = 2.0**exponent * (rng.normal(size=(3, n)) * spread + shift)
+        hit = rng.random((3, n)) < zeros
+        p[hit] = np.where(rng.random(hit.sum()) < 0.5, 0.0, -0.0)
+        tangents = np.tile([0.0, 0.0, 1.0], (n, 1))
+        row_ops, col_ops, _ = energy._pair_operands(p.T, tangents)
+        hi = min(n, lo + rows)
+        d = np.matmul(row_ops[:, lo:hi], col_ops[:, :, lo:])
+        # equal finite nonzero floats have equal bits; a zero difference may
+        # differ in its sign, which no square sees
+        assert np.array_equal(d, np.subtract(p[:, lo:hi, None], p[:, None, lo:]))
+
+    @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+    @pytest.mark.parametrize("n", [64, 300, 2048])
+    @pytest.mark.parametrize("shape", ["ellipse", "knot23", "random"])
+    def test_every_quotient_keeps_its_bits(self, seed_curves, shape, n, scale):
+        if shape == "random":
+            points, tangents, lam = random_configuration(np.random.default_rng(n), n)
+        else:
+            spec = seed_curves[shape]
+            _, points, tangents = grid_nodes(spec, n)
+            lam = np.full(n, spec.length / n)
+        points, lam = scale * points, scale * lam
+        p, frame = points.T, energy._normal_frame(tangents.T)
+
+        def reference(rows, cols):
+            d = np.subtract(p[:, rows, None], p[:, None, cols], order="C")
+            return energy._quotients(d, frame[:, :, None, cols])
+
+        walked = np.zeros((n, n), dtype=np.int8)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for lo, dist2, x, _ in energy._pair_tiles(energy._pair_operands(points, tangents)):
+                hi = lo + x.shape[1]
+                ahead, behind = slice(lo, hi), slice(lo, None)
+                ref_dist2, ref_x = reference(ahead, behind)
+                diagonal = (np.arange(hi - lo), np.arange(hi - lo))
+                ref_dist2[diagonal], ref_x[diagonal] = np.nan, 0.0
+                assert np.array_equal(dist2, ref_dist2, equal_nan=True)
+                assert np.array_equal(x[0], ref_x)
+                # x_ji for the columns past the tile, none before them
+                assert np.array_equal(x[1, :, hi - lo :], reference(slice(hi, None), ahead)[1].T)
+                assert not x[1, :, : hi - lo].any()
+                walked[ahead, behind] += 1
+                walked[hi:, ahead] += 1
+        assert np.all(walked == 1)
+
+        stats = pair_stats(points, tangents, lam, 3.0)
+        energy_before, max_quotient, min_distance = row_tile_stats(points, tangents, lam, 3.0)
+        assert stats.max_quotient == max_quotient
+        assert stats.min_distance == min_distance
+        assert stats.energy == pytest.approx(energy_before, rel=1e-15)
+
+
 class TestNormalFrame:
     """`energy._normal_frame` gives each unit tangent two normals that make
     an orthonormal frame with it to a few rounding errors."""
@@ -448,7 +540,7 @@ class TestQuotientAccuracy:
             cols = scale * rng.normal(size=(3, 32))
             length = scale * rng.uniform(0.5, 2.0, size=32)
             rows = cols + length * (math.cos(theta) * t + math.sin(theta) * u)
-            _, x = energy._quotients(rows, cols, energy._normal_frame(t))
+            _, x = energy._quotients(np.subtract(rows, cols), energy._normal_frame(t))
             for k in range(32):
                 square = self.exact_square(rows[:, k], cols[:, k], t[:, k])
                 # |x - X| / X to first order, from the exact squares
@@ -457,10 +549,11 @@ class TestQuotientAccuracy:
 
 
 class TestPairWalkers:
-    """pair_stats walks its row tiles in the caller and in helper threads,
-    one walker per usable CPU: 40 junctions in tiles of 3 rows give 14
-    tiles, more than the walkers. Tile i goes to walker i mod walkers, the
-    caller being walker 0."""
+    """pair_stats walks its triangle tiles in the caller and in helper
+    threads, one walker per usable CPU: 40 junctions in tiles of about 120
+    pairs give 9 tiles, rows [0, 3), [3, 6), ..., [36, 40) against the
+    columns from their first row, more than the walkers. Tile i goes to
+    walker i mod walkers, the caller being walker 0."""
 
     N = 40
 
@@ -512,7 +605,8 @@ class TestPairWalkers:
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_coincident_pair_in_a_helper_tile(self, monkeypatch, cpus):
-        # rows 4 and 22 lie in tiles 1 and 7, both walked by the first helper
+        # the pair of rows 4 and 22 lies in tile 1, rows [3, 6) against the
+        # columns from 3, which the first helper walks
         rng = np.random.default_rng(5)
         points, tangents, lam = random_configuration(rng, self.N)
         points[22] = points[4]
@@ -846,8 +940,8 @@ class TestThickness:
         grid = 2048
         evaluated = []
 
-        def counting(rows, cols, frame, out=None):
-            dist2, x = quotients(rows, cols, frame, out)
+        def counting(d, frame, out=None):
+            dist2, x = quotients(d, frame, out)
             evaluated.append(x.size)
             return dist2, x
 

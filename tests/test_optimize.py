@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from conftest import unit
+from conftest import reference_tiles, unit
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biarcs import optimize
 from biarcs.biarc import PairError, _balanced_arcs, _move_lengths
 from biarcs.curve import arclength_reparametrize, make_partition, preset_curve
-from biarcs.energy import _normal_frame, _pair_tiles, _scaled_powers, discrete_tp_energy, pair_stats
+from biarcs.energy import _normal_frame, _scaled_powers, discrete_tp_energy, pair_stats
 from biarcs.interpolate import (
     BiarcCurveBuildError,
     build_biarc_curve,
@@ -328,11 +328,10 @@ class TestPairTable:
                 else:
                     table.undo()
             assert table.energy == (table.candidate if reason is None and keep else energy)
-        # after any sequence of moves the table is the one a fresh fill gives
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tiles = _pair_tiles(table.points, table.tangents)
-            # copied: every tile is written into the same work buffers
-            Y = np.concatenate([_scaled_powers(x, table.ceiling, q).copy() for _, _, x in tiles])
+        # after any sequence of moves the table is the one a fresh fill
+        # gives, every quotient with the bits of the row-tile reference
+        tiles = reference_tiles(table.points, table.tangents)
+        Y = np.concatenate([_scaled_powers(x, table.ceiling, q) for _, _, x in tiles])
         assert np.array_equal(table.Y, Y)
         lam = from_junctions(table.points, table.tangents).segment_lengths
         assert np.array_equal(table.w, np.ldexp(lam, -table.k))
