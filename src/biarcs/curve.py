@@ -413,31 +413,24 @@ def periodic_distance(x, y, period: float):
     return np.minimum(d, period - d)
 
 
-def _row_tiles(n: int):
-    """Row ranges (lo, hi) covering range(n), each of about PAIR_TILE pairs
-    with all n columns: the tiles of the Gagliardo seminorm, the curve
-    diagnostics and the thickness seed scan."""
-    rows = max(1, PAIR_TILE // n)
-    for lo in range(0, n, rows):
-        yield lo, min(lo + rows, n)
-
-
 def _triangle_tiles(n: int):
-    """Row ranges (lo, hi) covering range(n), each paired with the columns
-    [lo, n) and of about PAIR_TILE such pairs: the upper triangle i <= j of
-    an n x n pair table in about half the tiles of `_row_tiles`, the tiles
-    of the pair kernel, which gets both orders of a pair from one cell."""
+    """The tiles (lo, hi, slice(lo, n)) of every double sum over n points:
+    rows [lo, hi) against the columns [lo, n), about PAIR_TILE pairs each,
+    covering the upper triangle i <= j of the n x n pair table once. The
+    tile's own columns [lo, hi) hold both orders of its pairs; a symmetric
+    sum takes the columns past them twice, and the pair kernel gets both
+    orders of a pair from one cell."""
     lo = 0
     while lo < n:
         hi = min(n, lo + max(1, PAIR_TILE // (n - lo)))
-        yield lo, hi
+        yield lo, hi, slice(lo, n)
         lo = hi
 
 
 def _separation(lo: int, hi: int, n: int) -> np.ndarray:
     """Periodic index separation min(|i - j|, n - |i - j|) of the rows
-    i in [lo, hi) from every column j of an n-point uniform grid."""
-    sep = np.abs(np.arange(lo, hi)[:, None] - np.arange(n))
+    i in [lo, hi) from the columns j in [lo, n) of an n-point uniform grid."""
+    sep = np.abs(np.arange(lo, hi)[:, None] - np.arange(lo, n))
     return np.minimum(sep, n - sep)
 
 
@@ -465,10 +458,12 @@ def gagliardo_seminorm(
     """
     if not 0.0 < s < 1.0:
         raise ValueError("smoothness order s must lie in (0, 1)")
-    if rho < 1.0:
-        raise ValueError("integrability exponent rho must be >= 1")
+    if not 1.0 <= rho < math.inf:
+        raise ValueError(f"integrability exponent rho must be finite and >= 1, got {rho}")
     if grid < 64:
         raise ValueError("seminorm grid must be at least 64")
+    if not 0.0 < period < math.inf:
+        raise ValueError(f"period must be finite and positive, got {period}")
     h = period / grid
     x = (np.arange(grid) + 0.5) * h
     vals = np.asarray(f(x), dtype=float)
@@ -482,9 +477,13 @@ def gagliardo_seminorm(
     denom[:2] = np.inf
     coords = np.ascontiguousarray(vals.T)
     main = 0.0
-    for lo, hi in _row_tiles(grid):
-        diff = np.sqrt(sum((c[lo:hi, None] - c) ** 2 for c in coords))
-        main += float(np.sum(diff**rho / denom[_separation(lo, hi, grid)]))
+    for lo, hi, cols in _triangle_tiles(grid):
+        diff = np.sqrt(sum((c[lo:hi, None] - c[cols]) ** 2 for c in coords))
+        terms = diff**rho / denom[_separation(lo, hi, grid)]
+        # the integrand is symmetric: the pairs past the tile's own columns
+        # stand for their mirror images too
+        terms[:, hi - lo :] *= 2.0
+        main += float(np.sum(terms))
     main *= h * h
     # local extrapolation of the excluded band, modelling the integrand as
     # A(x) |x-y|^beta with the Lipschitz exponent; A comes from the nearest
@@ -503,6 +502,8 @@ def tangent_modulus(curve: CurveSpec, h: float, grid: int = 1024) -> float:
     max over the grid and over sub-offsets of |t(s+d) - t(s)|, d <= h."""
     if not curve.is_arclength:
         raise ValueError("tangent modulus expects an arclength-parametrized curve")
+    if grid < 1:
+        raise ValueError(f"tangent modulus grid must be at least 1, got {grid}")
     s = np.linspace(0.0, curve.length, grid, endpoint=False)
     base = curve.derivative(s)
     worst = 0.0
@@ -535,15 +536,17 @@ def curve_diagnostics(curve: CurveSpec, grid: int = 512) -> CurveDiagnostics:
     curvature of an arclength-parametrized closed curve."""
     if not curve.is_arclength:
         raise ValueError("diagnostics expect an arclength-parametrized curve")
+    if grid < 1:
+        raise ValueError(f"diagnostics grid must be at least 1, got {grid}")
     L = curve.length
     s = np.linspace(0.0, L, grid, endpoint=False)
     h = L / grid
     coords = np.ascontiguousarray(curve.position(s).T)
-    every = np.arange(grid)
     c_gamma = 0.0
-    for lo, hi in _row_tiles(grid):
-        dist2 = sum((c[lo:hi, None] - c) ** 2 for c in coords)
-        dist2[every[: hi - lo], every[lo:hi]] = np.nan
+    # the ratio is symmetric, so the upper triangle holds its maximum
+    for lo, hi, cols in _triangle_tiles(grid):
+        dist2 = sum((c[lo:hi, None] - c[cols]) ** 2 for c in coords)
+        dist2.reshape(-1)[:: dist2.shape[1] + 1] = np.nan
         _check_embedded(dist2, L)
         # the NaN diagonal drops out of the fmax
         ratios = _separation(lo, hi, grid) * h / np.sqrt(dist2)

@@ -9,30 +9,25 @@ norm of d = q_i - q_j in the line's normal plane, sqrt((d . n1)^2 +
 (d . n2)^2), with n1, n2 the `_normal_frame` of the unit tangent t_j, so
 a quotient is three dot products of d. The discrete energy, the
 continuous quadrature, whose nodes carry their curvature as the quotient
-x_ii, and the anneal's pair table go through one kernel, `_pair_tiles`.
-It walks each pair of junctions once, in the tiles of
+x_ii, the anneal's pair table and the thickness seed search go through
+one pair walker, `_pair_tiles`. It walks each pair once, in the tiles of
 `curve._triangle_tiles`: rows [lo, hi) against the columns [lo, n), about
-`curve.PAIR_TILE` pairs each. A tile's d is one matrix product of the
-rows [p_i, 1] by the columns [1; -p_j], which rounds p_i - p_j once as a
-subtraction does, at a third of its cost, and gives both x_ij, with the
-columns' frames, and x_ji, with the rows' frames on -d, whose projections
-square to the same bits. Every tile is written into one set of seven
-tile-sized work buffers, d's three coordinates in one block, dist2 in one,
-and both orders' projections in a block of three, so no double sum holds
-more than seven tiles per walker however large n is. `pair_stats` splits
-the tiles over the usable CPUs, at most MAX_WALKERS walkers of which the
-caller is one, so that the buffers stay bounded on machines with many
-CPUs, and reduces each tile to a partial: its largest quotient t, its sum
-of (x / t)^q w_i w_j over both orders, with the lengths w scaled by a
-power of two and the cube at q = 3 taken by multiplication, and its
-extreme distances. It combines the partials in tile order, so no sum
-leaves the float range at any power or scale, and the result does not
-depend on the number of walkers. The thickness seed search walks the row
-tiles of `curve._row_tiles`, which the Gagliardo seminorm and the curve
-diagnostics walk too, with the same matrix-product differences in its
-own work buffers, but only against the column blocks within 2 / tau of
-the tile: every quotient is at most 2 / |q_i - q_j|, and tau bounds the
-smallest value it keeps.
+`curve.PAIR_TILE` pairs each, or against a consumer's chosen subset of
+those columns. A tile's d is one matrix product of the rows [p_i, 1] by
+the columns [1; -p_j], which rounds p_i - p_j once as a subtraction does,
+at a third of its cost, and gives both x_ij, with the columns' frames,
+and x_ji, with the rows' frames on -d, whose projections square to the
+same bits. Every tile is written into seven tile-sized work buffers per
+walker, however large n is. `pair_stats` splits the tiles over the usable
+CPUs, at most MAX_WALKERS walkers of which the caller is one, and reduces
+each tile to a partial: its largest quotient t, its sum of (x / t)^q w_i
+w_j over both orders, with the lengths w scaled by a power of two and the
+cube at q = 3 taken by multiplication, and its extreme distances. It
+combines the partials in tile order, so no sum leaves the float range at
+any power or scale, and the result does not depend on the number of
+walkers. The seed search walks each tile only against the tiles within
+2 / tau of it: every quotient is at most 2 / |q_i - q_j|, and tau, the
+smallest of the candidates found so far, only grows.
 """
 
 from __future__ import annotations
@@ -48,7 +43,6 @@ from .biarc import UNIT_TOL
 from .curve import (
     CurveSpec,
     _check_embedded,
-    _row_tiles,
     _triangle_tiles,
     curvature_values,
     periodic_distance,
@@ -59,8 +53,6 @@ from .interpolate import BiarcCurve, check_Bn
 # seen, a mollified torus knot whose maximum lies on a narrow ridge, takes
 # about a thousand
 REFINE_STEPS = 2000
-# the grid rows that bound the thickness seed scan (see `_thickness_seeds`)
-SEED_STRIDE = 32
 # the most threads one pair walk uses: each walker owns seven tile buffers
 # (1.8 MB at the default PAIR_TILE), so memory stays bounded on machines
 # with many CPUs
@@ -113,7 +105,7 @@ def _inverse_radii(norm2, dist2):
     return x
 
 
-def _quotients(d, frame, out=None):
+def _quotients(d, frame):
     """Squared distances and pair quotients of differences d = p_row -
     p_col, a C-ordered (3, ...) array, with the normal frame of the column
     point's unit tangent, a (2, 3, ...) `_normal_frame` whose trailing axes
@@ -123,18 +115,14 @@ def _quotients(d, frame, out=None):
 
     the inverse tangent-point radius of the row point seen from the tangent
     line at the column point: d's component in the line's normal plane is
-    (d . n1, d . n2). ``out`` is (dist2, projections), an array of the
-    result's shape and a (2, ...) one whose first entry holds x afterwards,
-    or fresh arrays. Coincident points give NaN quotients, so the caller
+    (d . n1, d . n2). Coincident points give NaN quotients, so the caller
     runs it under np.errstate. Every pair quotient of the package comes
-    from this formula: one row and one column of a move, the thickness seed
-    scan and the refinement's stencils through this function, and both
-    orders of a pair tile through its two steps, `_normal_square` and
-    `_inverse_radii`.
+    from this formula: one row and one column of a move and the
+    refinement's stencils through this function, and both orders of a pair
+    tile through its two steps, `_normal_square` and `_inverse_radii`.
     """
-    dist2, proj = (None, None) if out is None else out
-    dist2 = np.einsum("i...,i...->...", d, d, out=dist2)
-    return dist2, _inverse_radii(_normal_square(d, frame, proj), dist2)
+    dist2 = np.einsum("i...,i...->...", d, d)
+    return dist2, _inverse_radii(_normal_square(d, frame), dist2)
 
 
 def _pair_operands(points, tangents):
@@ -151,72 +139,56 @@ def _pair_operands(points, tangents):
     return np.stack([p, ones], axis=-1), np.stack([ones, -p], axis=1), frame
 
 
-def _work_buffers(size: int) -> list:
-    """A walker's work buffers for tiles of ``size`` pairs, for `_tile_out`:
-    a block of 3 size floats for the differences d, size floats for dist2,
-    and a block of 3 size floats for the normal projections, seven tiles in
-    all. They are three arrays, not one: a single 1.5 MB block lifted
-    glibc's mmap threshold, and the converge benchmark's peak RSS then grew
-    by 1.2 MB."""
-    return [np.empty(3 * size), np.empty(size), np.empty(3 * size)]
-
-
-def _tile_out(work: list, rows: int, cols: int) -> list:
-    """Views of the front of a walker's `_work_buffers` for a rows x cols
-    tile: d's block and the projections' block as (3, rows, cols) arrays,
-    dist2 as a (rows, cols) one."""
-    size = rows * cols
-    diff, dist2, proj = work
-    return [
-        diff[: 3 * size].reshape(3, rows, cols),
-        dist2[:size].reshape(rows, cols),
-        proj[: 3 * size].reshape(3, rows, cols),
-    ]
-
-
 def _pair_tiles(operands, diagonal=None, tiles=None):
     """Tiles of the pair quotients that hold each pair of junctions once.
-    Yields (lo, dist2, x, spare) for each row range (lo, hi) of ``tiles``,
-    by default every tile of `curve._triangle_tiles`, against the columns
-    [lo, n): for i = lo + r and j = lo + c, dist2[r, c] = |p_i - p_j|^2,
-    x[0, r, c] = x_ij, the `_quotients` of p_i against p_j with the normal
-    frame of t_j, and for j >= hi x[1, r, c] = x_ji, of p_j against p_i
-    with the frame of t_i. Both come from one d, x_ji from -d, whose
-    projections square to the same bits, so every quotient has the bits of
-    one computed alone. x[1] is 0 below column hi - lo, whose pairs are all
-    in x[0]; on the diagonal i = j, dist2 is NaN and x[0] is diagonal[i],
-    or 0. ``operands`` are `_pair_operands`, shared by every walker, and
-    ``spare`` is an array of x's shape that the consumer may overwrite.
+    Yields (lo, cols, dist2, x, spare) for each tile (lo, hi, cols) of
+    ``tiles``, read one at a time, by default every tile of
+    `curve._triangle_tiles`: rows [lo, hi) against the columns ``cols``,
+    slice(lo, n) or a sorted index array of columns >= lo that starts with
+    lo, ..., hi - 1. For i = lo + r and j the c-th column, dist2[r, c] =
+    |p_i - p_j|^2, x[0, r, c] = x_ij, the `_quotients` of p_i against p_j
+    with the normal frame of t_j, and for j >= hi x[1, r, c] = x_ji, of p_j
+    against p_i with the frame of t_i, from -d, whose projections square to
+    the same bits: every quotient has the bits of one computed alone. x[1]
+    is 0 below column hi - lo, whose pairs x[0] holds; on the diagonal
+    i = j, dist2 is NaN and x[0] is diagonal[i], or 0. ``operands`` are
+    `_pair_operands`, shared by every walker, and ``spare`` is an array of
+    x's shape that the consumer may overwrite.
 
-    A tile's d is one batched matrix product. x_ij's projections go into the
-    front of the projection block and x_ji's one tile further on, so that
-    x_ij and x_ji lie side by side and the square roots and divisions run
-    once on both. Every tile is written into one set of `_work_buffers`,
-    allocated once per walk, so a consumer must not keep a tile past the
-    next iteration. The caller runs the loop under np.errstate, in the
-    thread that runs the loop: numpy keeps it per thread.
+    A tile's d is one batched matrix product, and x_ji's projections go one
+    tile behind x_ij's, so that the square roots and divisions run once on
+    both. Every tile is written into seven work buffers sized for the
+    largest triangle tile, d, dist2 and the projections in three arrays
+    (one 1.5 MB block lifted glibc's mmap threshold, and the converge
+    benchmark's peak RSS by 1.2 MB), so a consumer must not keep a tile
+    past the next iteration. The caller runs the loop under np.errstate, in
+    the thread that runs the loop: numpy keeps it per thread.
     """
-    rows, cols, frame = operands
-    n = cols.shape[-1]
-    tiles = list(_triangle_tiles(n)) if tiles is None else tiles
-    work = _work_buffers(max(((hi - lo) * (n - lo) for lo, hi in tiles), default=0))
-    for lo, hi in tiles:
-        r, c = hi - lo, n - lo
-        diff, dist2, proj = _tile_out(work, r, c)
+    rows, cols_ops, frame = operands
+    n = cols_ops.shape[-1]
+    size = max(((hi - lo) * (n - lo) for lo, hi, _ in _triangle_tiles(n)), default=0)
+    work = [np.empty(3 * size), np.empty(size), np.empty(3 * size)]
+    for lo, hi, cols in _triangle_tiles(n) if tiles is None else tiles:
+        # a slice keeps the columns a view: gathered copies of all columns
+        # measured a quarter slower
+        near, near_frame = cols_ops[:, :, cols], frame[:, :, None, cols]
+        r, c = hi - lo, near.shape[-1]
+        diff, dist2, proj = (buf[: k * r * c].reshape(k, r, c) for k, buf in zip((3, 1, 3), work))
         # r c 2 <= 2 PAIR_TILE multiply-adds per coordinate: under OpenBLAS's
         # threading threshold, so the product runs on the calling walker
-        d = np.matmul(rows[:, lo:hi], cols[:, :, lo:], out=diff)
-        dist2 = np.einsum("i...,i...->...", d, d, out=dist2)
+        d = np.matmul(rows[:, lo:hi], near, out=diff)
+        dist2 = np.einsum("i...,i...->...", d, d, out=dist2[0])
         # x_ji on every column: strided views of the columns past the tile
         # measured slower
-        _normal_square(d, frame[:, :, None, lo:], proj[:2])
+        _normal_square(d, near_frame, proj[:2])
         _normal_square(d, frame[:, :, lo:hi, None], proj[1:])
         x = _inverse_radii(proj[:2], dist2)
         x[1, :, :r] = 0.0
-        # flat index of (r, lo + r) is r (c + 1)
+        # the diagonal, node lo + r against itself in row r and column r,
+        # lies at flat index r (c + 1)
         dist2.reshape(-1)[:: c + 1] = np.nan
         x[0].reshape(-1)[:: c + 1] = 0.0 if diagonal is None else diagonal[lo:hi]
-        yield lo, dist2, x, diff[:2]
+        yield lo, cols, dist2, x, diff[:2]
 
 
 def _usable_cpus() -> int:
@@ -327,7 +299,7 @@ def pair_stats(points, tangents, lam, q: float, diagonal=None) -> PairStats:
     def walk(share):
         try:
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                for lo, dist2, x, spare in _pair_tiles(operands, diagonal, share):
+                for lo, cols, dist2, x, spare in _pair_tiles(operands, diagonal, share):
                     low = float(np.fmin.reduce(dist2, axis=None))
                     high = float(np.fmax.reduce(dist2, axis=None))
                     top = float(x.max())
@@ -335,7 +307,7 @@ def pair_stats(points, tangents, lam, q: float, diagonal=None) -> PairStats:
                     if top > 0.0:
                         y = _scaled_powers(x, top, q, spare)
                         # both orders weigh a pair by the same w_i w_j
-                        forward, backward = (y @ w[lo:]) @ w[lo : lo + x.shape[1]]
+                        forward, backward = (y @ w[cols]) @ w[lo : lo + x.shape[1]]
                         s = float(forward + backward)
                     partials[lo] = (top, s, low, high)
         except BaseException as exc:  # raised again by the caller after the joins
@@ -353,7 +325,7 @@ def pair_stats(points, tangents, lam, q: float, diagonal=None) -> PairStats:
             thread.join()
     if errors:
         raise errors[0]
-    tops, sums, lows, highs = zip(*(partials[lo] for lo, _ in tiles))
+    tops, sums, lows, highs = zip(*(partials[lo] for lo, _, _ in tiles))
     # folds from the empty values: a NaN (a 1 x 1 tile's dist2) changes nothing
     m, min_d2, max_d2 = max(0.0, *tops), min(math.inf, *lows), max(0.0, *highs)
     if min_d2 <= (1e-12 * math.sqrt(max_d2)) ** 2:
@@ -387,12 +359,14 @@ def continuous_tp_energy(curve: CurveSpec, q: float, grid: int) -> float:
     """Midpoint-rule double quadrature of the inverse tangent-point radius
     to the power q over the periodic square: the `pair_stats` energy of the
     grid nodes, weights h, with the radius's limit, the curvature, on the
-    diagonal. Raises ValueError for q outside (2, inf) and when grid nodes
-    come closer than 1e-9 L."""
+    diagonal. Raises ValueError for q outside (2, inf), a grid below 1 and
+    when grid nodes come closer than 1e-9 L."""
     if not curve.is_arclength:
         raise ValueError("continuous energy expects an arclength-parametrized curve")
     if not 2 < q < math.inf:
         raise ValueError(f"continuous tangent-point power q must be finite and exceed 2, got {q}")
+    if grid < 1:
+        raise ValueError(f"quadrature grid must be at least 1, got {grid}")
     L = curve.length
     h = L / grid
     s = (np.arange(grid) + 0.5) * h
@@ -431,74 +405,64 @@ def _thickness_seeds(pos: np.ndarray, tan: np.ndarray, L: float) -> np.ndarray:
     1e-3 grid, none an immediate grid neighbour of a better one. Raises
     ValueError when two grid nodes come closer than 1e-9 L.
 
-    An exact search of the near field: x = 2 |d_perp| / |d|^2 <= 2 / |d|,
-    so no pair farther apart than 2 / tau is among the 32 candidates if tau
-    bounds the 32nd largest x from below. Pass 1 takes tau from every
-    SEED_STRIDE-th row; pass 2 evaluates a row tile against the column
-    blocks (the same node ranges) whose bounding box lies within 2 / tau,
-    plus 1e-9 relative for rounding, of the tile's box. A NaN tau skips
-    nothing; coincident nodes have box distance 0. Both passes take d from
-    the matrix product of the pair kernel's `_pair_operands`, pass 2 against
-    the gathered near columns. At grid 2048 pass 2 evaluates 12.9 % of the
-    torus knot's pairs (542 208 of 4 194 304), 16.1 % with pass 1's
-    strided rows; no stride or block length was faster.
+    An exact search of the near field in one walk of `_pair_tiles`, both
+    orders of a pair from one difference d: tau is the 32nd largest x
+    walked so far, 0 at first, and each triangle tile is walked against the
+    tiles from its own on whose bounding box lies within 2 / tau, plus 1e-9
+    relative for rounding, of its box. A pair skipped has x = 2 |d_perp| /
+    |d|^2 <= 2 / |d| < tau, at most the final 32nd value; coincident nodes
+    have box distance 0. At grid 2048 the torus knot's walk takes 538 481
+    differences of its 2 098 176 pairs i <= j.
     """
     grid = len(pos)
     width = math.ceil(1e-3 * grid)
     band = np.arange(1 - width, width)
     k = 8 * 4  # seed candidates, before the neighbour filter keeps eight
-    row_ops, col_ops, frame = _pair_operands(pos, tan)
-
-    def tile_top(rows, cols, dist2, x):
-        """The k largest x of a tile, rows against the sorted cols, outside
-        the band, and their grid cells (col, row)."""
-        # the band cells among cols: cols[at] == cells where evaluated
-        cells = (rows[:, None] + band) % grid
-        at = np.searchsorted(cols, cells) % len(cols)
-        hit = cols[at] == cells
-        dist2[np.arange(len(rows)), at[:, width - 1]] = np.nan
-        x[np.nonzero(hit)[0], at[hit]] = 0.0
-        _check_embedded(dist2, L)
-        inv = x.reshape(-1)
-        # copied, so the tile-sized index array dies here and the next tile
-        # reuses its memory: then the heap stops shrinking and regrowing
-        top = np.argpartition(inv, -k)[-k:].copy() if inv.size > k else np.arange(inv.size)
-        r, c = np.divmod(top, len(cols))
-        return inv[top], cols[c] * grid + rows[r]
-
     every = np.arange(grid)
-    tiles = np.array(list(_row_tiles(grid)))
-    size = int(tiles[0, 1])  # rows of a tile, nodes of a column block
-    work = _work_buffers(size * grid)  # every tile of both passes fits
+    tiles = list(_triangle_tiles(grid))
+    starts = [lo for lo, _, _ in tiles]
+    low, high = np.minimum.reduceat(pos, starts), np.maximum.reduceat(pos, starts)
+    block = np.repeat(np.arange(len(tiles)), np.diff(starts + [grid]))
+    # the k largest x walked so far and their grid cells, largest first,
+    # equal values by descending cell, as a stable sort would give them
+    values, cells = np.zeros(0), np.zeros(0, dtype=int)
+    tau = 0.0
+
+    def near_tiles():
+        """Each triangle tile with the columns of the tiles from its own on
+        within 2 / tau, tau as it stands when the walker reads the tile."""
+        for b, (lo, hi, cols) in enumerate(tiles):
+            reach = 2.0 * (1.0 + 1e-9) / tau if tau > 0.0 else math.inf
+            gap = np.maximum(np.maximum(low[b:] - high[b], low[b] - high[b:]), 0.0)
+            near = ~(np.sqrt(np.sum(gap * gap, axis=1)) > reach)
+            if not near.all():
+                cols = lo + np.flatnonzero(near[block[lo:] - b])
+            yield lo, hi, cols
+
     with np.errstate(divide="ignore", invalid="ignore"):
-        sample = [np.zeros(k)]
-        strided = np.arange(0, grid, SEED_STRIDE)
-        for rows in np.split(strided, range(size, len(strided), size)):
-            diff, dist2, proj = _tile_out(work, len(rows), grid)
-            d = np.matmul(row_ops[:, rows], col_ops, out=diff)
-            dist2, x = _quotients(d, frame[:, :, None], (dist2, proj[:2]))
-            sample.append(tile_top(rows, every, dist2, x)[0])
-        reach = 2.0 * (1.0 + 1e-9) / np.partition(np.concatenate(sample), -k)[-k]
-        low, high = np.minimum.reduceat(pos, tiles[:, 0]), np.maximum.reduceat(pos, tiles[:, 0])
-        block = every // size
-        tops = []  # each tile's top holds every cell of the global top in it
-        for b, (lo, hi) in enumerate(tiles):
-            gap = np.maximum(np.maximum(low - high[b], low[b] - high), 0.0)
-            cols = np.flatnonzero(~(np.sqrt(np.sum(gap * gap, axis=1)) > reach)[block])
-            # gathered copies of all columns measured a quarter slower
-            near, near_frame = (
-                (col_ops, frame) if len(cols) == grid else (col_ops[:, :, cols], frame[:, :, cols])
-            )
-            diff, dist2, proj = _tile_out(work, hi - lo, len(cols))
-            d = np.matmul(row_ops[:, lo:hi], near, out=diff)
-            dist2, x = _quotients(d, near_frame[:, :, None], (dist2, proj[:2]))
-            tops.append(tile_top(every[lo:hi], cols, dist2, x))
-    values, cells = (np.concatenate(a) for a in zip(*tops))
-    # largest first; equal values by descending cell, as a stable sort would
-    flat = cells[np.lexsort((cells, values))[::-1][:k]]
+        for lo, cols, dist2, x, _ in _pair_tiles(_pair_operands(pos, tan), tiles=near_tiles()):
+            rows, cols = every[lo : lo + x.shape[1]], every[cols]
+            # the band cells among cols: cols[at] == band where walked
+            near_band = (rows[:, None] + band) % grid
+            at = np.searchsorted(cols, near_band) % len(cols)
+            hit = cols[at] == near_band
+            x[:, np.nonzero(hit)[0], at[hit]] = 0.0
+            _check_embedded(dist2, L)
+            inv = x.reshape(-1)
+            # copied, so the tile-sized index array dies here and the next
+            # tile reuses its memory: then the heap stops shrinking and regrowing
+            top = np.argpartition(inv, -k)[-k:].copy() if inv.size > k else np.arange(inv.size)
+            order, rest = np.divmod(top, dist2.size)
+            i, j = rows[rest // len(cols)], cols[rest % len(cols)]
+            # x[0] is node i seen from the tangent at j, cell (j, i); x[1] the reverse
+            values = np.concatenate([values, inv[top]])
+            cells = np.concatenate([cells, np.where(order == 0, j * grid + i, i * grid + j)])
+            best = np.lexsort((cells, values))[::-1][:k]
+            values, cells = values[best], cells[best]
+            tau = values[-1] if len(values) == k else 0.0
     # keep the best cells that are not immediate grid neighbours of a better one
     seeds = []
-    for f in flat:
+    for f in cells:
         i, j = divmod(int(f), grid)
         if all(max(abs(i - a), abs(j - b)) > 1 for a, b in seeds):
             seeds.append((i, j))
@@ -555,6 +519,8 @@ def thickness_and_ropelength(curve: CurveSpec, grid: int = 64) -> tuple[float, f
     """
     if not curve.is_arclength:
         raise ValueError("thickness expects an arclength-parametrized curve")
+    if grid < 1:
+        raise ValueError(f"thickness grid must be at least 1, got {grid}")
     L = curve.length
     h = L / grid
     s = (np.arange(grid) + 0.5) * h

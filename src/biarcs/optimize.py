@@ -152,10 +152,10 @@ class _PairTable:
         with np.errstate(divide="ignore", invalid="ignore"):
             # a tile holds rows [lo, hi) against columns from lo, and the
             # transposed pairs past the tile
-            for lo, _, x, spare in _pair_tiles(_pair_operands(self.points, self.tangents)):
+            for lo, cols, _, x, spare in _pair_tiles(_pair_operands(self.points, self.tangents)):
                 y = _scaled_powers(x, self.ceiling, self.q, spare)
                 hi = lo + x.shape[1]
-                self.Y[lo:hi, lo:] = y[0]
+                self.Y[lo:hi, cols] = y[0]
                 self.Y[hi:, lo:hi] = y[1, :, hi - lo :].T
         self.energy = self.candidate = float(self.w @ (self.Y @ self.w))
         self._move = None

@@ -9,13 +9,17 @@ def unit(v):
 
 
 def reference_tiles(points, tangents):
-    """The pair quotients row tile by row tile, each row against every
-    column, from differences taken by np.subtract: (lo, dist2, x) for each
-    tile of `curve._row_tiles`, in fresh arrays, with dist2 NaN and x 0 on
-    the diagonal. The reference of the pair kernel's triangle walk."""
+    """The pair quotients row tile by row tile, each of about
+    `curve.PAIR_TILE` pairs with every row against every column, from
+    differences taken by np.subtract: (lo, dist2, x) for each tile, in fresh
+    arrays, with dist2 NaN and x 0 on the diagonal. The reference of the
+    pair kernel's triangle walk, tiled apart from it."""
     p = np.asarray(points, dtype=float).T
     frame = energy._normal_frame(np.asarray(tangents, dtype=float).T)[:, :, None, :]
-    for lo, hi in curve._row_tiles(p.shape[1]):
+    n = p.shape[1]
+    span = max(1, curve.PAIR_TILE // n)
+    for lo in range(0, n, span):
+        hi = min(lo + span, n)
         with np.errstate(divide="ignore", invalid="ignore"):
             d = np.subtract(p[:, lo:hi, None], p[:, None, :], order="C")
             dist2, x = energy._quotients(d, frame)

@@ -517,8 +517,30 @@ class TestSeminorm:
         with pytest.raises(ValueError):
             gagliardo_seminorm(lambda x: np.full(np.shape(x) + (3,), np.nan), 0.5, 2.0, 64, TWO_PI)
 
+    # a period of -1 gave the value of +1 at s = 0.5 and (nan+nanj) at
+    # s = 0.4; 0 and inf gave NaN
+    @pytest.mark.parametrize(
+        "s, period", [(0.5, -1.0), (0.4, -1.0), (0.5, 0.0), (0.5, math.inf), (0.5, math.nan)]
+    )
+    def test_period_must_be_finite_and_positive(self, s, period):
+        with pytest.raises(ValueError, match="period must be finite and positive"):
+            gagliardo_seminorm(np.cos, s, 2.0, 64, period)
+
+    @pytest.mark.parametrize("rho", [math.inf, math.nan])
+    def test_rho_must_be_finite(self, rho):
+        with pytest.raises(ValueError, match="rho must be finite"):
+            gagliardo_seminorm(np.cos, 0.5, rho, 64, 2.0)
+
 
 class TestDiagnostics:
+    @pytest.mark.parametrize("grid", [0, -1])
+    def test_grid_below_one_rejected(self, grid):
+        circle = preset_curve("circle", [1.0])
+        with pytest.raises(ValueError, match=f"grid must be at least 1, got {grid}"):
+            curve_diagnostics(circle, grid=grid)
+        with pytest.raises(ValueError, match=f"grid must be at least 1, got {grid}"):
+            tangent_modulus(circle, 0.5, grid=grid)
+
     def test_unit_circle(self):
         d = curve_diagnostics(preset_curve("circle", [1.0]), grid=256)
         # parameter/chord ratio is maximized by antipodal pairs: pi / 2
@@ -640,8 +662,9 @@ class TestMollifyInvariance:
 
 
 class TestTiledGridSums:
-    """The seminorm and the diagnostics walk row tiles of the grid; they
-    match the dense quadrature and stay small in memory."""
+    """The seminorm and the diagnostics walk the triangle tiles of the grid,
+    each pair once; they match the dense quadrature and stay small in
+    memory."""
 
     @pytest.mark.parametrize("integrand", ["tangent_difference", "scalar"])
     def test_seminorm_matches_dense(self, smoothed_knot, monkeypatch, integrand):
@@ -651,9 +674,11 @@ class TestTiledGridSums:
         else:
             f = lambda x: smooth.derivative(x) - knot.derivative(x)
         expected = dense_seminorm(f, 2.0 / 3.0, 3.0, 256, knot.length)
-        # three rows per tile, and a last tile of one row
+        # 49 triangle tiles, from three rows against every column to 24
+        # rows against the last 24 columns
         monkeypatch.setattr(curve_module, "PAIR_TILE", 3 * 256 + 1)
-        assert len(list(curve_module._row_tiles(256))) == 86
+        spans = [hi - lo for lo, hi, _ in curve_module._triangle_tiles(256)]
+        assert (len(spans), spans[0], spans[-1]) == (49, 3, 24)
         got = gagliardo_seminorm(f, 2.0 / 3.0, 3.0, 256, knot.length)
         assert got == pytest.approx(expected, rel=1e-13)
 

@@ -76,6 +76,7 @@ def seed_curves(knot):
         "knot23": knot,
         "knot35": arclength_reparametrize(preset_curve("torus_knot", [3, 5, 2.0, 0.5])),
         "mollified": mollify(knot, 1 / 8),
+        "chain": build_biarc_curve(knot, make_partition(knot.length, 64, "jitter:0.1", 3)).spec,
     }
 
 
@@ -456,9 +457,10 @@ class TestTriangleWalk:
 
         walked = np.zeros((n, n), dtype=np.int8)
         with np.errstate(divide="ignore", invalid="ignore"):
-            for lo, dist2, x, _ in energy._pair_tiles(energy._pair_operands(points, tangents)):
+            for lo, cols, dist2, x, _ in energy._pair_tiles(energy._pair_operands(points, tangents)):
                 hi = lo + x.shape[1]
                 ahead, behind = slice(lo, hi), slice(lo, None)
+                assert cols == slice(lo, n)
                 ref_dist2, ref_x = reference(ahead, behind)
                 diagonal = (np.arange(hi - lo), np.arange(hi - lo))
                 ref_dist2[diagonal], ref_x[diagonal] = np.nan, 0.0
@@ -756,6 +758,12 @@ class TestContinuous:
         b = continuous_tp_energy(ellipse, 3.0, 512)
         assert abs(a - b) / b < 1e-3
 
+    @pytest.mark.parametrize("grid", [0, -1])
+    def test_grid_below_one_rejected(self, grid):
+        # grid 0 divided by zero
+        with pytest.raises(ValueError, match=f"grid must be at least 1, got {grid}"):
+            continuous_tp_energy(preset_curve("circle", [1.0]), 3.0, grid)
+
     def test_shift_invariance(self):
         ellipse = arclength_reparametrize(preset_curve("ellipse", [2.0, 1.0]))
         shift = 1.2345
@@ -837,9 +845,11 @@ class TestContinuous:
             continuous_tp_energy(stretched, 3.0, 64)
 
     def test_doubly_traversed_circle_is_not_embedded(self):
-        # node i and node i + grid/2 lie on the same point in every row tile
+        # node i and node i + grid/2 lie on the same point: the pairs lie in
+        # the four of five triangle tiles that start below grid/2
         grid = 512
-        assert len(list(curve._row_tiles(grid))) == 8
+        starts = [lo for lo, _, _ in curve._triangle_tiles(grid)]
+        assert (len(starts), sum(lo < grid // 2 for lo in starts)) == (5, 4)
         with pytest.raises(ValueError, match="not embedded"):
             continuous_tp_energy(doubly_traversed_circle(), 3.0, grid)
 
@@ -921,6 +931,12 @@ class TestThickness:
         assert d64 > 0
         assert abs(d64 - d128) / d128 < 5e-3
 
+    @pytest.mark.parametrize("grid", [0, -1])
+    def test_grid_below_one_rejected(self, grid):
+        # grid 0 divided by zero
+        with pytest.raises(ValueError, match=f"grid must be at least 1, got {grid}"):
+            thickness_and_ropelength(preset_curve("circle", [1.0]), grid)
+
     # Delta from eight Nelder-Mead runs (xatol 1e-10 L, fatol 1e-12) on
     # the same grid seeds, the refinement used before the compass search
     @pytest.mark.parametrize("grid, nelder_mead", [(64, 0.4999999999999998), (128, 0.49999999999999967)])
@@ -928,8 +944,8 @@ class TestThickness:
         delta, _ = thickness_and_ropelength(knot, grid)
         assert abs(delta - nelder_mead) <= 1e-9
 
-    @pytest.mark.parametrize("grid", [64, 512, 2048])
-    @pytest.mark.parametrize("name", ["circle", "ellipse", "knot23", "knot35", "mollified"])
+    @pytest.mark.parametrize("grid", [64, 100, 512, 2048])
+    @pytest.mark.parametrize("name", ["circle", "ellipse", "knot23", "knot35", "mollified", "chain"])
     def test_seed_cells_match_float_band_scan(self, seed_curves, name, grid):
         spec = seed_curves[name]
         s, pos, tan = grid_nodes(spec, grid)
@@ -938,25 +954,24 @@ class TestThickness:
 
     def test_seed_scan_skips_the_far_field(self, seed_curves, monkeypatch):
         grid = 2048
-        evaluated = []
+        evaluated = []  # the differences of each walked tile, both orders from one
 
-        def counting(d, frame, out=None):
-            dist2, x = quotients(d, frame, out)
-            evaluated.append(x.size)
-            return dist2, x
+        def counting(*args, **kwargs):
+            for tile in pair_tiles(*args, **kwargs):
+                evaluated.append(tile[2].size)
+                yield tile
 
-        quotients = energy._quotients
-        monkeypatch.setattr(energy, "_quotients", counting)
+        pair_tiles = energy._pair_tiles
+        monkeypatch.setattr(energy, "_pair_tiles", counting)
         _, pos, tan = grid_nodes(seed_curves["knot23"], grid)
         energy._thickness_seeds(pos, tan, seed_curves["knot23"].length)
-        assert sum(evaluated) < grid * grid / 3
-        # on the circle every pair lies within 2 / tau: pass 2 evaluates
-        # all grid^2 pairs after the strided rows of pass 1
+        assert sum(evaluated) < grid * grid / 6
+        # on the circle every pair lies within 2 / tau: every triangle tile
+        # is walked in full
         evaluated.clear()
         _, pos, tan = grid_nodes(seed_curves["circle"], grid)
         energy._thickness_seeds(pos, tan, seed_curves["circle"].length)
-        strided = len(range(0, grid, energy.SEED_STRIDE))
-        assert sum(evaluated) == (strided + grid) * grid
+        assert evaluated == [(hi - lo) * (grid - lo) for lo, hi, _ in curve._triangle_tiles(grid)]
         assert max(evaluated) <= curve.PAIR_TILE
 
     def test_seed_scan_memory_bounded(self, knot):
