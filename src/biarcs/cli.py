@@ -11,7 +11,10 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import atexit
 import errno
+import functools
+import gc
 import json
 import os
 import sys
@@ -408,7 +411,18 @@ COMMANDS = {
 }
 
 
+@functools.cache
+def _freeze_heap_at_exit() -> None:
+    """Register `gc.freeze` to run at exit, once. Exit hooks run after
+    threads are joined and before the interpreter's teardown collections,
+    which then skip every object alive, the tracked objects of numpy and
+    biarcs whose memory the OS takes back anyway. At exit, not now, so that
+    a caller that lives on (a test runner) keeps collecting its garbage."""
+    atexit.register(gc.freeze)
+
+
 def main(argv=None) -> int:
+    _freeze_heap_at_exit()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -448,15 +448,15 @@ def _thickness_seeds(pos: np.ndarray, tan: np.ndarray, L: float) -> np.ndarray:
             hit = cols[at] == near_band
             x[:, np.nonzero(hit)[0], at[hit]] = 0.0
             _check_embedded(dist2, L)
-            inv = x.reshape(-1)
-            # copied, so the tile-sized index array dies here and the next
-            # tile reuses its memory: then the heap stops shrinking and regrowing
-            top = np.argpartition(inv, -k)[-k:].copy() if inv.size > k else np.arange(inv.size)
-            order, rest = np.divmod(top, dist2.size)
-            i, j = rows[rest // len(cols)], cols[rest % len(cols)]
-            # x[0] is node i seen from the tangent at j, cell (j, i); x[1] the reverse
-            values = np.concatenate([values, inv[top]])
-            cells = np.concatenate([cells, np.where(order == 0, j * grid + i, i * grid + j)])
+            # each order's top k apart: one index array of r c entries, not 2 r c
+            for order, inv in enumerate(x.reshape(2, -1)):
+                # copied, so the tile-sized index array dies here and the next
+                # one reuses its memory: then the heap stops shrinking and regrowing
+                top = np.argpartition(inv, -k)[-k:].copy() if inv.size > k else np.arange(inv.size)
+                i, j = rows[top // len(cols)], cols[top % len(cols)]
+                # x[0] is node i seen from the tangent at j, cell (j, i); x[1] the reverse
+                values = np.concatenate([values, inv[top]])
+                cells = np.concatenate([cells, j * grid + i if order == 0 else i * grid + j])
             best = np.lexsort((cells, values))[::-1][:k]
             values, cells = values[best], cells[best]
             tau = values[-1] if len(values) == k else 0.0

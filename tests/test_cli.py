@@ -1,3 +1,6 @@
+import atexit
+import gc
+import importlib
 import json
 import math
 import os
@@ -416,6 +419,13 @@ class TestRopelengthCommand:
         assert "unrecognized arguments: --q 5" in capsys.readouterr().err
 
 
+def child_run(args):
+    """``python ARGS`` with this checkout's src first on the path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 def test_cli_run_imports_only_numpy_and_the_standard_library():
     code = (
         "import sys\n"
@@ -427,11 +437,58 @@ def test_cli_run_imports_only_numpy_and_the_standard_library():
         "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
         "print(sorted(new - set(sys.stdlib_module_names) - {'numpy', 'biarcs'}))\n"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    run = child_run(["-c", code])
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[]"
+
+
+def test_cli_process_freezes_its_heap_at_exit_and_keeps_its_outputs(tmp_path, capsys):
+    # atexit hooks run last in, first out: a checker registered before main
+    # runs after the CLI's hook
+    converge = ["converge", "--curve", "circle", "--n-sweep", "8,16", "--grid", "64"]
+    code = (
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        "import biarcs.cli\n"
+        f"sys.exit(biarcs.cli.main({converge!r}))\n"
+    )
+    child = child_run(["-c", code])
+    assert (child.returncode, child.stderr) == (0, "frozen True\n")
+    assert child.stdout == run(capsys, converge)[1]
+
+    anneal = ["anneal", "--curve", "circle", "--n", "12", "--q", "3", "--steps", "300", "--seed", "4"]
+    assert run(capsys, [*anneal, "--out", str(tmp_path / "here.csv")])[0] == 0
+    child = child_run(["-m", "biarcs", *anneal, "--out", str(tmp_path / "child.csv")])
+    assert (child.returncode, child.stdout, child.stderr) == (0, "", "")
+    for suffix in (".csv", ".junctions.txt"):
+        assert (tmp_path / f"child{suffix}").read_bytes() == (tmp_path / f"here{suffix}").read_bytes()
+
+    failing = [
+        ["converge", "--curve", "circle"],
+        ["converge", "--curve", "torus_knot", "--n-sweep", "4,8", "--grid", "128"],
+    ]
+    for argv, exit_code in zip(failing, (2, 3)):
+        here = run(capsys, argv)
+        child = child_run(["-m", "biarcs", *argv])
+        assert here[0] == exit_code
+        assert (child.returncode, child.stdout, child.stderr) == here
+
+
+def test_only_main_registers_the_exit_hook(capsys, monkeypatch):
+    # a fresh import of the package and its CLI registers nothing
+    for name in [m for m in sys.modules if m == "biarcs" or m.startswith("biarcs.")]:
+        monkeypatch.delitem(sys.modules, name)
+    before = atexit._ncallbacks()
+    importlib.import_module("biarcs")
+    cli = importlib.import_module("biarcs.cli")
+    assert atexit._ncallbacks() == before
+    # its main adds one hook, once however often it runs, and freezes
+    # nothing while its caller lives
+    argv = ["energy", "--curve", "circle", "--n", "8", "--q", "3", "--grid", "64"]
+    for _ in range(3):
+        assert cli.main(argv) == 0
+        assert atexit._ncallbacks() == before + 1
+        assert gc.get_freeze_count() == 0
 
 
 class TestMollifyCommand:

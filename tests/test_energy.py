@@ -975,15 +975,21 @@ class TestThickness:
         assert max(evaluated) <= curve.PAIR_TILE
 
     def test_seed_scan_memory_bounded(self, knot):
-        # the (grid, grid) quotients alone take 32 MB here
-        _, pos, tan = grid_nodes(knot, 2048)
+        # the (grid, grid) quotients alone take 32 MB here. The scan holds,
+        # in 8-byte entries, the walk's seven work buffers of the largest
+        # tile, one argpartition index array over one order of a tile (both
+        # orders at once took another) and, per node, the walk's 18 operands,
+        # 12 of a tile's gathered columns and two index arrays
+        grid = 2048
+        size = max((hi - lo) * (grid - lo) for lo, hi, _ in curve._triangle_tiles(grid))
+        _, pos, tan = grid_nodes(knot, grid)
         tracemalloc.start()
         try:
             energy._thickness_seeds(pos, tan, knot.length)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * 8 * curve.PAIR_TILE
+        assert peak <= 8 * ((7 + 1) * size + (18 + 12 + 2) * grid)
 
     @pytest.mark.parametrize("grid", [64, 2048])
     def test_not_embedded(self, grid):
