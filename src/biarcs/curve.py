@@ -269,13 +269,20 @@ def make_partition(L: float, n: int, mode: str = "uniform", seed: int = 0) -> Pa
     return Partition(base)
 
 
+def _mode_blocks(modes: int) -> tuple[int, int]:
+    """(count, B) for modes m = a B + b, a < count, b < B, B about
+    sqrt(modes): the shapes of `_mode_factors`."""
+    width = math.isqrt(modes - 1) + 1
+    return -(-modes // width), width
+
+
 def _mode_factors(phase, modes: int):
     """(high, low) with e^(i m phase[p]) = high[p, a] * low[p, b] for every
-    mode m = a B + b < modes, B about sqrt(modes): about 2 sqrt(modes) exps
-    per phase instead of one per mode."""
-    width = math.isqrt(modes - 1) + 1
+    mode m = a B + b < modes, in the `_mode_blocks` of modes: about
+    2 sqrt(modes) exps per phase instead of one per mode."""
+    count, width = _mode_blocks(modes)
     phase = 1j * np.reshape(phase, (-1, 1))
-    return np.exp(phase * (width * np.arange(-(-modes // width)))), np.exp(phase * np.arange(width))
+    return np.exp(phase * (width * np.arange(count))), np.exp(phase * np.arange(width))
 
 
 def _kept_modes(coeffs: np.ndarray) -> int:
@@ -301,7 +308,7 @@ def _trig_polynomial(coeffs: np.ndarray, period: float) -> Callable:
     block, the low factors meet the coefficient table in one matmul and
     each point's high factors meet its row in a batched one."""
     modes = _kept_modes(coeffs)
-    count, width = (f.shape[1] for f in _mode_factors(0.0, modes))
+    count, width = _mode_blocks(modes)
     padded = np.pad(coeffs[:modes], ((0, count * width - modes), (0, 0)))
     # row b, column (a, d): coefficient of mode a B + b in coordinate d
     table = padded.reshape(count, width, 3).transpose(1, 0, 2).reshape(width, count * 3)

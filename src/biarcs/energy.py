@@ -19,15 +19,18 @@ at a third of its cost, and gives both x_ij, with the columns' frames,
 and x_ji, with the rows' frames on -d, whose projections square to the
 same bits. Every tile is written into seven tile-sized work buffers per
 walker, however large n is. `pair_stats` splits the tiles over the usable
-CPUs, at most MAX_WALKERS walkers of which the caller is one, and reduces
-each tile to a partial: its largest quotient t, its sum of (x / t)^q w_i
-w_j over both orders, with the lengths w scaled by a power of two and the
-cube at q = 3 taken by multiplication, and its extreme distances. It
-combines the partials in tile order, so no sum leaves the float range at
-any power or scale, and the result does not depend on the number of
-walkers. The seed search walks each tile only against the tiles within
-2 / tau of it: every quotient is at most 2 / |q_i - q_j|, and tau, the
-smallest of the candidates found so far, only grows.
+CPUs, at most MAX_WALKERS walkers of which the caller is one, each with
+two tiles at least, and reduces each tile to a partial: its largest
+quotient t, its sum of (x / t)^q w_i w_j over both orders, with the
+lengths w scaled by a power of two and the cube at q = 3 taken by
+multiplication, and its extreme distances. It combines the partials in
+tile order, so no sum leaves the float range at any power or scale, and
+the result does not depend on the number of walkers. The seed search
+needs only the largest quotients, and walks only the near field,
+`_near_tiles`: each tile against the blocks of NEAR_BLOCK consecutive
+nodes whose bounding boxes lie within 2 / tau of its rows, as every
+quotient is at most 2 / |q_i - q_j|, with tau, the smallest of the
+candidates found so far, read afresh for each tile: it only grows.
 """
 
 from __future__ import annotations
@@ -57,6 +60,9 @@ REFINE_STEPS = 2000
 # (1.8 MB at the default PAIR_TILE), so memory stays bounded on machines
 # with many CPUs
 MAX_WALKERS = 4
+# consecutive nodes per column block of the near-field tiles: smaller
+# blocks have tighter boxes, and each tile tests one box per block
+NEAR_BLOCK = 16
 
 
 def _normal_frame(tangents):
@@ -137,6 +143,50 @@ def _pair_operands(points, tangents):
     ones = np.ones_like(p)
     frame = _normal_frame(np.asarray(tangents, dtype=float).T)
     return np.stack([p, ones], axis=-1), np.stack([ones, -p], axis=1), frame
+
+
+def _near_tiles(coords, reach):
+    """The tiles of `curve._triangle_tiles` over n junctions, given by their
+    coordinates ``coords``, a C-ordered (3, n) array, with only the columns
+    that may lie within reach() of a row: for walks that need only the pairs
+    within a reach, as a pair further apart has x = 2 |d_perp| / |d|^2 <=
+    2 / |d| < 2 / reach(). The columns go in blocks of NEAR_BLOCK
+    consecutive nodes, whose bounding boxes are taken once: a block is near
+    a tile when its box lies within reach(), plus 1e-9 relative for
+    rounding, of the box of the tile's rows. reach() is read as each tile
+    is asked for, after the walk has taken in the tiles before it, so a walk
+    whose reach shrinks tightens the tiles still to come. A tile whose every
+    block is near is yielded unchanged. A block that shares a node with a
+    tile's rows is at distance 0, so the columns of a tile (lo, hi, cols)
+    are sorted and start with lo, ..., hi - 1, as `_pair_tiles` needs.
+    """
+    n = coords.shape[1]
+    tiles = list(_triangle_tiles(n))
+    block_starts, tile_starts = np.arange(0, n, NEAR_BLOCK), [lo for lo, _, _ in tiles]
+    low, high = (f.reduceat(coords, block_starts, axis=1) for f in (np.minimum, np.maximum))
+    row_low, row_high = (f.reduceat(coords, tile_starts, axis=1) for f in (np.minimum, np.maximum))
+
+    def box_distances(chunk):
+        """The squared distances between the row box of each tile in
+        ``chunk`` and every block box, a (tiles, blocks) array: chunks of
+        NEAR_BLOCK tiles keep the temporaries to 3 n entries."""
+        gap = low[:, None] - row_high[:, chunk, None]
+        np.maximum(gap, row_low[:, chunk, None] - high[:, None], out=gap)
+        np.maximum(gap, 0.0, out=gap)
+        return np.einsum("ijk,ijk->jk", gap, gap)
+
+    for at in range(0, len(tiles), NEAR_BLOCK):
+        chunk = slice(at, at + NEAR_BLOCK)
+        for (lo, hi, cols), dist2 in zip(tiles[chunk], box_distances(chunk)):
+            first = lo // NEAR_BLOCK
+            near = ~(dist2[first:] > (reach() * (1.0 + 1e-9)) ** 2)
+            if not near.all():
+                # the near blocks' nodes from lo on; the last block may end past n
+                starts = (first + np.flatnonzero(near)) * NEAR_BLOCK
+                cols = (starts[:, None] + np.arange(NEAR_BLOCK)).ravel()
+                past = (NEAR_BLOCK * (first + len(near)) - n) * int(near[-1])
+                cols = cols[lo % NEAR_BLOCK : len(cols) - past]
+            yield lo, hi, cols
 
 
 def _pair_tiles(operands, diagonal=None, tiles=None):
@@ -249,12 +299,13 @@ def pair_stats(points, tangents, lam, q: float, diagonal=None) -> PairStats:
     """Energy, largest quotient and smallest distance of the junction pairs
     in one walk of the pair kernel, each pair once in the triangle tiles,
     split over the usable CPUs (at most MAX_WALKERS threads, the caller one
-    of them, each with its own tile buffers). Each tile is reduced to its
-    largest quotient t and its sum of (x / t)^q w_i w_j over both orders of
-    its pairs, w = lam / 2^k < 1, and the tiles' sums are combined in tile
-    order as the sum of s_t (t / m)^q, m the largest quotient: so the energy
-    is right wherever it is representable, at any power and scale, and its
-    bits do not depend on the number of walkers.
+    of them, each with its own tile buffers and at least two tiles). Each
+    tile is reduced to its largest quotient t and its sum of (x / t)^q w_i
+    w_j over both orders of its pairs, w = lam / 2^k < 1, and the tiles'
+    sums are combined in tile order as the sum of s_t (t / m)^q, m the
+    largest quotient: so the energy is right wherever it is representable,
+    at any power and scale, and its bits do not depend on the number of
+    walkers.
     A given ``diagonal`` holds each x_ii, summed alike; else x_ii = 0.
     Raises ValueError for a non-finite q; for points, tangents, lengths and
     a diagonal of shapes other than (n, 3), (n, 3), (n,) and (n,), for
@@ -292,7 +343,7 @@ def pair_stats(points, tangents, lam, q: float, diagonal=None) -> PairStats:
     w = np.ldexp(lam, -k)
     operands = _pair_operands(points, tangents)
     tiles = list(_triangle_tiles(n))
-    walkers = min(_usable_cpus(), MAX_WALKERS, len(tiles))
+    walkers = min(_usable_cpus(), MAX_WALKERS, max(1, len(tiles) // 2))
     partials = {}  # lo -> (top, sum of (x / top)^q w_i w_j, min dist2, max dist2)
     errors = []
 
@@ -406,41 +457,25 @@ def _thickness_seeds(pos: np.ndarray, tan: np.ndarray, L: float) -> np.ndarray:
     ValueError when two grid nodes come closer than 1e-9 L.
 
     An exact search of the near field in one walk of `_pair_tiles`, both
-    orders of a pair from one difference d: tau is the 32nd largest x
-    walked so far, 0 at first, and each triangle tile is walked against the
-    tiles from its own on whose bounding box lies within 2 / tau, plus 1e-9
-    relative for rounding, of its box. A pair skipped has x = 2 |d_perp| /
-    |d|^2 <= 2 / |d| < tau, at most the final 32nd value; coincident nodes
-    have box distance 0. At grid 2048 the torus knot's walk takes 538 481
-    differences of its 2 098 176 pairs i <= j.
+    orders of a pair from one difference d, over the `_near_tiles` within
+    2 / tau, tau the 32nd largest x walked so far, 0 at first. A pair
+    skipped has x = 2 |d_perp| / |d|^2 <= 2 / |d| < tau, at most the final
+    32nd value; coincident nodes have box distance 0. At grid 2048 the
+    torus knot's walk takes 393 450 differences of its 2 098 176 pairs
+    i <= j.
     """
     grid = len(pos)
     width = math.ceil(1e-3 * grid)
     band = np.arange(1 - width, width)
     k = 8 * 4  # seed candidates, before the neighbour filter keeps eight
     every = np.arange(grid)
-    tiles = list(_triangle_tiles(grid))
-    starts = [lo for lo, _, _ in tiles]
-    low, high = np.minimum.reduceat(pos, starts), np.maximum.reduceat(pos, starts)
-    block = np.repeat(np.arange(len(tiles)), np.diff(starts + [grid]))
     # the k largest x walked so far and their grid cells, largest first,
     # equal values by descending cell, as a stable sort would give them
     values, cells = np.zeros(0), np.zeros(0, dtype=int)
     tau = 0.0
-
-    def near_tiles():
-        """Each triangle tile with the columns of the tiles from its own on
-        within 2 / tau, tau as it stands when the walker reads the tile."""
-        for b, (lo, hi, cols) in enumerate(tiles):
-            reach = 2.0 * (1.0 + 1e-9) / tau if tau > 0.0 else math.inf
-            gap = np.maximum(np.maximum(low[b:] - high[b], low[b] - high[b:]), 0.0)
-            near = ~(np.sqrt(np.sum(gap * gap, axis=1)) > reach)
-            if not near.all():
-                cols = lo + np.flatnonzero(near[block[lo:] - b])
-            yield lo, hi, cols
-
+    tiles = _near_tiles(np.ascontiguousarray(pos.T), lambda: 2.0 / tau if tau > 0.0 else math.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for lo, cols, dist2, x, _ in _pair_tiles(_pair_operands(pos, tan), tiles=near_tiles()):
+        for lo, cols, dist2, x, _ in _pair_tiles(_pair_operands(pos, tan), tiles=tiles):
             rows, cols = every[lo : lo + x.shape[1]], every[cols]
             # the band cells among cols: cols[at] == band where walked
             near_band = (rows[:, None] + band) % grid

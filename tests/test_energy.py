@@ -605,6 +605,30 @@ class TestPairWalkers:
         pair_stats(*random_configuration(np.random.default_rng(13), self.N), 3.0)
         assert threads == {threading.main_thread()}
 
+    @pytest.mark.parametrize("rows, tiles, walkers", [(20, 2, 1), (12, 3, 1), (8, 4, 2), (6, 5, 2)])
+    def test_each_walker_gets_two_tiles(self, monkeypatch, rows, tiles, walkers):
+        # a helper thread starts only while every walker still gets two
+        # tiles: two walkers on two tiles measured slower than one
+        monkeypatch.setattr(curve, "PAIR_TILE", rows * self.N)
+        threads = self.walkers(monkeypatch, 3)
+        pair_stats(*random_configuration(np.random.default_rng(14), self.N), 3.0)
+        assert len(list(curve._triangle_tiles(self.N))) == tiles
+        assert len(threads) == walkers
+        assert threading.main_thread() in threads
+
+    @pytest.mark.parametrize("q", [3.0, float(N)])
+    def test_walks_exactly_the_triangle_tiles(self, monkeypatch, q):
+        # every pair counts in the energy: the walkers together take the
+        # triangle tiles as they are, with no near-field box work
+        def no_boxes(*_):
+            raise AssertionError("near-field tiles in pair_stats")
+
+        monkeypatch.setattr(energy, "_near_tiles", no_boxes)
+        monkeypatch.setattr(energy, "_usable_cpus", lambda: 3)
+        tiles = walked_tiles(monkeypatch)
+        pair_stats(*random_configuration(np.random.default_rng(15), self.N), q)
+        assert sorted(tiles, key=lambda tile: tile[0]) == list(curve._triangle_tiles(self.N))
+
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_coincident_pair_in_a_helper_tile(self, monkeypatch, cpus):
         # the pair of rows 4 and 22 lies in tile 1, rows [3, 6) against the
@@ -639,6 +663,27 @@ class TestPairWalkers:
         assert len(threads) == 3
         # every helper was joined before the error was raised
         assert threading.active_count() == before
+
+
+def walked_tiles(monkeypatch):
+    """The tiles (lo, hi, cols) that `energy._pair_tiles` walks, over all
+    walkers, filled by a spy that reads them one at a time, as
+    `energy._pair_tiles` does."""
+    walked = []
+    pair_tiles = energy._pair_tiles
+
+    def spy(operands, diagonal=None, tiles=None):
+        for tile in curve._triangle_tiles(operands[2].shape[-1]) if tiles is None else tiles:
+            walked.append(tile)
+            yield from pair_tiles(operands, diagonal, [tile])
+
+    monkeypatch.setattr(energy, "_pair_tiles", spy)
+    return walked
+
+
+def walked_pairs(tiles, n):
+    widths = ((lo, hi, n - lo if isinstance(cols, slice) else len(cols)) for lo, hi, cols in tiles)
+    return sum((hi - lo) * width for lo, hi, width in widths)
 
 
 class TestPairInvariance:
@@ -973,6 +1018,40 @@ class TestThickness:
         energy._thickness_seeds(pos, tan, seed_curves["circle"].length)
         assert evaluated == [(hi - lo) * (grid - lo) for lo, hi, _ in curve._triangle_tiles(grid)]
         assert max(evaluated) <= curve.PAIR_TILE
+
+    def test_seed_scan_walks_the_near_blocks(self, seed_curves, monkeypatch):
+        # the near columns of each triangle tile, by blocks of NEAR_BLOCK
+        # nodes: 393 450 differences, where tiles against whole tiles took
+        # 538 481
+        tiles = walked_tiles(monkeypatch)
+        _, pos, tan = grid_nodes(seed_curves["knot23"], 2048)
+        energy._thickness_seeds(pos, tan, seed_curves["knot23"].length)
+        assert walked_pairs(tiles, 2048) == 393_450
+
+    def test_near_tiles_read_the_reach_per_tile(self, knot, monkeypatch):
+        # a reach that shrinks from tile to tile: each tile is built from
+        # the reach as it stands when the tile is asked for, and holds every
+        # column from lo on within that reach of one of its rows
+        n = 300
+        monkeypatch.setattr(curve, "PAIR_TILE", 8 * n)
+        monkeypatch.setattr(energy, "NEAR_BLOCK", 8)
+        _, pos, _ = grid_nodes(knot, n)
+        dist = np.sqrt(((pos[:, None] - pos[None, :]) ** 2).sum(axis=-1))
+        reach = [math.inf]
+        reads = []
+        tiles = energy._near_tiles(np.ascontiguousarray(pos.T), lambda: reads.append(reach[0]) or reach[0])
+        skipped = 0
+        for count, (lo, hi, cols) in enumerate(tiles, start=1):
+            # one read per tile, of the reach set after the tile before
+            assert len(reads) == count and reads[-1] == reach[0]
+            cols = np.arange(n)[cols]
+            assert (cols[: hi - lo] == np.arange(lo, hi)).all() and (np.diff(cols) > 0).all()
+            near = lo + np.flatnonzero(dist[lo:hi, lo:].min(axis=0) <= reach[0])
+            assert np.isin(near, cols).all()
+            skipped += n - lo - len(cols)
+            reach[0] = 2.0 / count
+        assert reads[0] == math.inf and reads[-1] < 0.2
+        assert skipped > 0
 
     def test_seed_scan_memory_bounded(self, knot):
         # the (grid, grid) quotients alone take 32 MB here. The scan holds,
