@@ -1,14 +1,12 @@
-"""Biarc basics: classify point-tangent pairs, find the balanced matching
-point, and inspect the two arcs that interpolate the data."""
+"""Biarc basics: build the balanced biarc of a point-tangent pair, read its
+matching point, and inspect the two arcs that interpolate the data."""
 
 import numpy as np
 
 from biarcs import (
     PointTangent,
-    balanced_matching_point,
     biarc_parameter,
     build_balanced_biarc,
-    classify_pair,
     eval_biarc,
 )
 
@@ -26,15 +24,14 @@ pairs = {
 
 for name, (a, b) in pairs.items():
     print(f"--- {name} ---")
-    print("class:", classify_pair(a, b).value)
-    m = balanced_matching_point(a, b)
+    biarc = build_balanced_biarc(a, b)
+    m = biarc.matching_point
     print("matching point:", np.round(m, 6))
     print(
         "balance |m-q0| vs |q1-m|:",
         round(np.linalg.norm(m - a.point), 9),
         round(np.linalg.norm(b.point - m), 9),
     )
-    biarc = build_balanced_biarc(a, b)
     print(
         "arc lengths:",
         round(biarc.first.length, 6),

@@ -6,16 +6,11 @@ from .biarc import (
     Arc,
     Biarc,
     ImproperPairError,
-    IncompatiblePairError,
-    PairClass,
     PairError,
     PointTangent,
-    balanced_matching_point,
     biarc_parameter,
     build_balanced_biarc,
-    classify_pair,
     eval_biarc,
-    reflect_about,
 )
 from .curve import (
     CurveDiagnostics,

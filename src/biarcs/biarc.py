@@ -10,7 +10,10 @@ to p1. It lies on the bisector of the chord at the sagitta of that subarc,
 
     m = (p0 + p1) / 2 + (|p1 - p0| / 2) (u - (u.e) e) / (1 + u.e),
 
-a closed form without branches; 1 + u.e > 1 for every proper pair.
+a closed form without branches: w = t0 + t1* has e.w = e.t0 + e.t1 > 0, so
+1 + u.e > 1 for every proper pair. A proper pair therefore meets no check
+but the joins of its two arcs, within JOIN_TOL, which every built biarc
+passes; where rounding breaks a join, it raises the join's PairError.
 
 `_pair_arcs` is the one construction of a balanced biarc, written once
 over coordinate triples with an array namespace ``xp``. On (n,) numpy
@@ -28,15 +31,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from types import SimpleNamespace
 
 import numpy as np
 
 # Largest deviation from 1 of the norm of a unit tangent.
 UNIT_TOL = 1e-9
-# Equality tolerance for classification tests on unit vectors.
-CLASSIFY_TOL = 1e-9
 # Largest tangent mismatch, and position mismatch relative to the biarc's
 # length, that a built biarc may show where its arcs meet.
 JOIN_TOL = 1e-9
@@ -56,10 +56,6 @@ class ImproperPairError(PairError):
     includes coincident points)."""
 
 
-class IncompatiblePairError(PairError):
-    """Cocircular pair with opposing orientations: no balanced matching point."""
-
-
 def _as_vec3(v) -> np.ndarray:
     a = np.asarray(v, dtype=float)
     if a.shape != (3,):
@@ -72,21 +68,6 @@ def _require_unit(v, tol: float = UNIT_TOL) -> np.ndarray:
     if abs(np.linalg.norm(a) - 1.0) > tol:
         raise ValueError(f"direction is not unit length: |v| = {np.linalg.norm(a)!r}")
     return a
-
-
-def reflect_about(e, v) -> np.ndarray:
-    """Reflect v at the axis spanned by the unit vector e: (2 e e^T - Id) v."""
-    e = _require_unit(e)
-    v = _as_vec3(v)
-    return 2.0 * np.dot(e, v) * e - v
-
-
-class PairClass(Enum):
-    GENERIC = "generic"
-    COCIRCULAR_COMPATIBLE = "cocircular_compatible"
-    COCIRCULAR_INCOMPATIBLE = "cocircular_incompatible"
-    EQUAL_TANGENTS_TRANSVERSAL = "equal_tangents_transversal"
-    EQUAL_TANGENTS_PERPENDICULAR = "equal_tangents_perpendicular"
 
 
 @dataclass(frozen=True)
@@ -263,12 +244,11 @@ def _pair_arcs(p0, t0, p1, t1, xp):
     gap0, turn0 = _misses(first, m, t_m, xp)
     gap1, turn1 = _misses(second, p1, t1, xp)
     tol = JOIN_TOL * total
-    ok = proper & (wlen > CLASSIFY_TOL) & (gap0 <= tol) & (gap1 <= tol)
-    ok = ok & (turn0 <= JOIN_TOL) & (turn1 <= JOIN_TOL)
-    return first, second, total, ok, (dd, proper, wlen, gap0, gap1, turn0, turn1)
+    ok = proper & (gap0 <= tol) & (gap1 <= tol) & (turn0 <= JOIN_TOL) & (turn1 <= JOIN_TOL)
+    return first, second, total, ok, (dd, proper, gap0, gap1, turn0, turn1)
 
 
-def _pair_error(index, dd, proper, wlen, gap0, gap1, turn0, turn1) -> PairError:
+def _pair_error(index, dd, proper, gap0, gap1, turn0, turn1) -> PairError:
     """The PairError of a pair that failed the checks of `_pair_arcs`, given
     the quantities it checked."""
     if dd == 0.0:
@@ -276,9 +256,6 @@ def _pair_error(index, dd, proper, wlen, gap0, gap1, turn0, turn1) -> PairError:
     if not proper:
         msg = "pair is not proper: both tangents must make a positive inner product with the chord"
         return ImproperPairError(msg, index)
-    if not wlen > CLASSIFY_TOL:
-        msg = "cocircular pair with incompatible orientations has no balanced matching point"
-        return IncompatiblePairError(msg, index)
     return PairError(
         f"biarc join failed to close: position gap {np.maximum(gap0, gap1):.3e}, tangent "
         f"mismatch {np.maximum(turn0, turn1):.3e}",
@@ -294,8 +271,8 @@ def _balanced_arcs(p0, t0, p1, t1):
     arcs in chain order, read by `_eval_arcs`: arc 2i is the first arc of
     pair i, arc 2i + 1 its second, and starts[2i + 1] its matching point.
     The n biarc lengths come last. Raises the PairError of the first pair
-    that is improper, incompatible, or whose arcs fail to meet within
-    JOIN_TOL, with ``index`` set to that pair.
+    that is improper (an ImproperPairError) or whose arcs fail to meet
+    within JOIN_TOL, with ``index`` set to that pair.
     """
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         first, second, total, ok, checked = _pair_arcs(p0.T, t0.T, p1.T, t1.T, np)
@@ -342,41 +319,10 @@ def _biarc_view(starts, dirs, normals, k, lengths, pair) -> Biarc:
     return Biarc(first=first, second=second, matching_point=starts[1], pair=pair)
 
 
-def classify_pair(a: PointTangent, b: PointTangent) -> PairClass:
-    """Classify a point-tangent pair by its matching-point locus.
-
-    Equal-tangent pairs are classified first: on the overlap (both tangents
-    parallel to the chord) the locus is the chord's line, which the
-    equal-tangent classes describe.
-    """
-    d = b.point - a.point
-    dist = np.linalg.norm(d)
-    if dist == 0.0:
-        raise ValueError("point-tangent pair has coincident points")
-    e = d / dist
-    t0, t1 = a.tangent, b.tangent
-    if np.linalg.norm(t0 - t1) <= CLASSIFY_TOL:
-        if abs(float(np.dot(t0, e))) <= CLASSIFY_TOL:
-            return PairClass.EQUAL_TANGENTS_PERPENDICULAR
-        return PairClass.EQUAL_TANGENTS_TRANSVERSAL
-    t1s = reflect_about(e, t1)
-    if np.linalg.norm(t0 - t1s) <= CLASSIFY_TOL:
-        return PairClass.COCIRCULAR_COMPATIBLE
-    if np.linalg.norm(t0 + t1s) <= CLASSIFY_TOL:
-        return PairClass.COCIRCULAR_INCOMPATIBLE
-    return PairClass.GENERIC
-
-
 def build_balanced_biarc(a: PointTangent, b: PointTangent) -> Biarc:
     """Construct the proper balanced biarc interpolating the pair."""
     arcs = _balanced_arcs(a.point[None], a.tangent[None], b.point[None], b.tangent[None])
     return _biarc_view(*arcs[:5], pair=(a, b))
-
-
-def balanced_matching_point(a: PointTangent, b: PointTangent) -> np.ndarray:
-    """The unique matching point on the preferred subarc equidistant from
-    both data points."""
-    return build_balanced_biarc(a, b).matching_point
 
 
 def eval_biarc(biarc: Biarc, s: float):

@@ -71,6 +71,9 @@ class Partition:
         object.__setattr__(self, "samples", s)
         if s.ndim != 1 or s.size < 3:
             raise ValueError("partition needs at least three nodes")
+        # a NaN fails no comparison below
+        if not np.isfinite(s).all():
+            raise ValueError("partition nodes must be finite")
         if s[0] != 0.0 or np.any(np.diff(s) <= 0.0):
             raise ValueError("partition nodes must be strictly increasing from 0")
 

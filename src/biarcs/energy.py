@@ -88,8 +88,8 @@ def _normal_frame(tangents):
 def _normal_square(d, frame, out=None):
     """|d_perp|^2 = (d . n1)^2 + (d . n2)^2 for differences d, a C-ordered
     (3, ...) array, in the normal planes of a (2, 3, ...) `_normal_frame`
-    whose trailing axes broadcast to d's: the projections d . n1 and d . n2
-    go into ``out``, a (2, ...) array of d's shape (else fresh arrays), and
+    whose trailing axes broadcast with d's: the projections d . n1 and d . n2
+    go into ``out``, a (2, ...) array of their shape (else fresh arrays), and
     the result into its first entry. One einsum per normal: a stacked
     einsum over both measured three times slower. einsum sums d's
     coordinates left to right whatever the layout of the frame, so a d
@@ -115,7 +115,7 @@ def _quotients(d, frame):
     """Squared distances and pair quotients of differences d = p_row -
     p_col, a C-ordered (3, ...) array, with the normal frame of the column
     point's unit tangent, a (2, 3, ...) `_normal_frame` whose trailing axes
-    broadcast to d's:
+    broadcast with d's:
 
         dist2 = |d|^2,  x = 2 sqrt((d . n1)^2 + (d . n2)^2) / dist2,
 
@@ -123,9 +123,9 @@ def _quotients(d, frame):
     line at the column point: d's component in the line's normal plane is
     (d . n1, d . n2). Coincident points give NaN quotients, so the caller
     runs it under np.errstate. Every pair quotient of the package comes
-    from this formula: one row and one column of a move and the
-    refinement's stencils through this function, and both orders of a pair
-    tile through its two steps, `_normal_square` and `_inverse_radii`.
+    from this formula: both orders of a move, from one d on two frames, and
+    the refinement's stencils through this function, and both orders of a
+    pair tile through its two steps, `_normal_square` and `_inverse_radii`.
     """
     dist2 = np.einsum("i...,i...->...", d, d)
     return dist2, _inverse_radii(_normal_square(d, frame), dist2)

@@ -99,7 +99,7 @@ def from_junctions(points, tangents) -> BiarcCurve:
 
     Raises BiarcCurveBuildError, with ``segment`` set to the first failing
     junction or pair, when the input is malformed or a pair admits no
-    balanced biarc (improper, incompatible, coincident, or not closing).
+    balanced biarc (coincident, improper, or not closing).
     """
     points = np.asarray(points, dtype=float)
     tangents = np.asarray(tangents, dtype=float)
@@ -217,6 +217,8 @@ def junctions_from_text(text: str) -> BiarcCurve:
         if len(parts) != 7:
             raise ValueError(f"junction line {lineno}: expected 7 fields, got {len(parts)}")
         vals = [float(p) for p in parts]
+        if not all(map(math.isfinite, vals[0:3])):
+            raise ValueError(f"junction line {lineno}: point must be finite")
         norm = np.linalg.norm(vals[3:6])
         if not 0.0 < norm < math.inf:
             raise ValueError(f"junction line {lineno}: tangent must be nonzero and finite")

@@ -139,15 +139,11 @@ class _PairTable:
             raise ValueError("initial junctions are closer than MIN_DISTANCE * L / n")
         # the thickness proxy is the inverse of the largest junction quotient
         self.ceiling = 2.0 * stats.max_quotient
-        # coordinate rows of the quotient operands of a move at j: the moved
-        # point against every junction (row j of Y), then every junction
-        # against the moved point and the normal frame of its tangent
-        # (column j); the halves that hold the moved junction are written by
-        # each `propose`
-        p, frame = self.points.T, _normal_frame(self.tangents.T)
-        self._rows = np.concatenate([p, p], axis=1)
-        self._cols = np.concatenate([p, p], axis=1)
-        self._frame = np.concatenate([frame, frame], axis=2)
+        # the normal frames a move at j projects its differences on: every
+        # junction's (row j of Y), then the moved tangent's, which each
+        # `propose` writes (column j)
+        frame = _normal_frame(self.tangents.T)
+        self._frame = np.stack([frame, frame], axis=2)
         self.Y = np.empty((n, n))
         with np.errstate(divide="ignore", invalid="ignore"):
             # a tile holds rows [lo, hi) against columns from lo, and the
@@ -180,26 +176,25 @@ class _PairTable:
             return "gate"
         # the frame the fill gives column j, bit for bit, on floats
         frame = _normal_frame(tangent.tolist())
-        self._rows[:, :n] = point[:, None]
-        self._cols[:, n:] = point[:, None]
-        self._frame[:, :, n:] = frame[:, :, None]
+        self._frame[:, :, 1] = frame[:, :, None]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # a subtraction, not the fill's matrix product: these operands
-            # are not outer products, and both round p_i - p_j once
-            d = np.subtract(self._rows, self._cols, order="C")
+            # one difference d = point - p_k for both orders, as a pair tile
+            # takes: x[0] is row j, and x[1] column j, p_k - point = -d on
+            # the moved frame, whose projections square to the same bits
+            d = np.subtract(point[:, None], self.points.T, order="C")
             dist2, x = _quotients(d, self._frame)
-            # entries j and n + j pair the moved junction with itself
-            dist2[j] = dist2[n + j] = math.inf
+            # entry j pairs the moved junction with itself
+            dist2[j] = math.inf
             if math.sqrt(dist2.min()) < self.min_distance:
                 return "min_distance"
-            x[j] = x[n + j] = 0.0
+            x[:, j] = 0.0
             if x.max() > self.ceiling:
                 return "thickness_floor"
-            y = _scaled_powers(x, self.ceiling, self.q, dist2)
+            y = _scaled_powers(x, self.ceiling, self.q)
         row, col = self.Y[j].copy(), self.Y[:, j].copy()
         self._move = (j, point, tangent, frame, row, col, self.w[jm], self.w[j])
-        self.Y[j] = y[:n]
-        self.Y[:, j] = y[n:]
+        self.Y[j] = y[0]
+        self.Y[:, j] = y[1]
         self.w[jm], self.w[j] = math.ldexp(lam_prev, -self.k), math.ldexp(lam_j, -self.k)
         self.candidate = float(self.w @ (self.Y @ self.w))
         return None
@@ -207,10 +202,9 @@ class _PairTable:
     def commit(self) -> None:
         """Keep the proposed move."""
         j, point, tangent, frame = self._move[:4]
-        n = len(self.w)
-        self.points[j] = self._rows[:, n + j] = self._cols[:, j] = point
+        self.points[j] = point
         self.tangents[j] = tangent
-        self._frame[:, :, j] = frame
+        self._frame[:, :, 0, j] = frame
         self.energy = self.candidate
         self._move = None
 

@@ -1,7 +1,7 @@
 import numpy as np
 
 from biarcs import curve, energy
-from biarcs.biarc import IncompatiblePairError, PointTangent
+from biarcs.biarc import PointTangent
 
 
 def unit(v):
@@ -80,12 +80,6 @@ def random_cocircular_pair(rng):
     a0 = rng.uniform(0.0, 2 * np.pi)
     a1 = a0 + rng.uniform(0.2, 0.9 * np.pi)
     return at(a0), at(a1), center, radius
-
-
-def require_constructible(a, b):
-    if not is_proper(a, b):
-        raise IncompatiblePairError
-    return a, b
 
 
 def jittered_circle_config(rng, n, pos_scale=0.03, tan_scale=0.05):

@@ -17,8 +17,6 @@ PUBLIC_API = [
     "CurveSpec",
     "HolderCheck",
     "ImproperPairError",
-    "IncompatiblePairError",
-    "PairClass",
     "PairError",
     "PairStats",
     "Partition",
@@ -26,13 +24,11 @@ PUBLIC_API = [
     "analytic_curve",
     "anneal_discrete",
     "arclength_reparametrize",
-    "balanced_matching_point",
     "biarc_parameter",
     "build_balanced_biarc",
     "build_biarc_curve",
     "c1_distance",
     "check_Bn",
-    "classify_pair",
     "continuous_tp_energy",
     "curve_diagnostics",
     "discrete_tp_energy",
@@ -46,7 +42,6 @@ PUBLIC_API = [
     "mollify",
     "pair_stats",
     "preset_curve",
-    "reflect_about",
     "ropelength_proxy",
     "tangent_modulus",
     "thickness_and_ropelength",

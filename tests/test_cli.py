@@ -137,6 +137,12 @@ class TestConfigErrors:
             (["anneal", "--q", "inf", "--steps", "5"], "q must be finite and at least 2, got inf"),
             (["energy", "--q", "nan"], "q must be finite and above 2, got nan"),
             (["anneal", "--q", "nan"], "q must be finite and at least 2, got nan"),
+            (["converge", "--n-sweep", "8,x"], "bad integer list '8,x'"),
+            (["converge", "--n-sweep", ","], "empty sweep"),
+            (["energy", "--curve", "ellipse", "--params", "2,b"], "bad number list '2,b'"),
+            (["energy", "--format", "xml"], "unknown format 'xml'"),
+            (["ropelength"], "ropelength needs an n-sweep"),
+            (["mollify"], "mollify needs an n-sweep"),
         ],
     )
     def test_bad_sizes_exit_2(self, capsys, argv, message):
@@ -149,6 +155,7 @@ class TestConfigErrors:
         [
             ("energy", "q = abc", "q: expected float, got 'abc'"),
             ("energy", "n = 3.5", "n: expected int, got '3.5'"),
+            ("energy", "q 3", "exp.cfg:1: expected key = value"),
             # the anneal schedule and the seminorm grid are constants
             ("anneal", "cooling_rate = 0.9", "unknown key 'cooling_rate' for anneal"),
             ("mollify", "seminorm_grid = 64", "unknown key 'seminorm_grid' for mollify"),
@@ -171,6 +178,11 @@ class TestConfigErrors:
             (["anneal", "--initial", "{dir}/start.txt"], "1 0 0 0 0 0 1\n", "tangent must be nonzero"),
             (["anneal", "--initial", "{dir}/start.txt"], "# no junctions\n", "three junction lines"),
             (["energy", "--out", "{dir}/none/e.csv"], None, "No such file"),
+            (
+                ["anneal", "--initial", "{dir}/start.txt"],
+                "1 2 3 0 1 0 1\n2 nan 3 0 1 0 1\n",
+                "junction line 2: point must be finite",
+            ),
         ],
     )
     def test_bad_files_exit_2(self, tmp_path, capsys, argv, initial, message):

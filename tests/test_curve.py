@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from biarcs import curve as curve_module
 from biarcs.curve import (
+    Partition,
     analytic_curve,
     arclength_reparametrize,
     curve_diagnostics,
@@ -365,6 +366,11 @@ class TestPartition:
     def test_too_few_nodes(self):
         with pytest.raises(ValueError):
             make_partition(1.0, 2)
+
+    @pytest.mark.parametrize("nodes", [[0, 1, math.nan, 3], [0, 1, 2, math.inf]])
+    def test_non_finite_nodes(self, nodes):
+        with pytest.raises(ValueError, match="finite"):
+            Partition(nodes)
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):

@@ -1168,12 +1168,14 @@ class TestChainAsCurve:
 
 class TestProxy:
     def test_circle_closed_form(self):
-        # proxy on the exact circle interpolant collapses to
-        # 2 pi (1 - 1/n)^(1/n)
-        for n in (16, 64):
-            circle, beta = circle_beta(n)
-            got = ropelength_proxy(beta, circle.length)
-            assert got == pytest.approx(TWO_PI * (1 - 1 / n) ** (1 / n), rel=1e-12)
+        # every x_ij on a circle of radius R is 1/R, so E_n = n (n-1) lam^2
+        # R^-n, and the proxy on the exact circle interpolant collapses to
+        # 2 pi (1 - 1/n)^(1/n) at every radius: a gap of about 2 pi / n^2
+        for n in (16, 64, 256, 1024, 2048):
+            for radius in (0.37, 1.0, 3.0):
+                circle, beta = circle_beta(n, radius)
+                got = ropelength_proxy(beta, circle.length)
+                assert got == pytest.approx(TWO_PI * (1 - 1 / n) ** (1 / n), rel=1e-12)
 
     def test_gap_decreases(self):
         gaps = []
