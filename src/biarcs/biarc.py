@@ -224,7 +224,9 @@ def _pair_arcs(p0, t0, p1, t1, xp):
     dist = xp.sqrt(dd)
     ex, ey, ez = dx / dist, dy / dist, dz / dist
     s = 2.0 * ((ex * a1 + ez * c1) + ey * b1)
-    wx, wy, wz = (a0 + s * ex) - a1, (b0 + s * ey) - b1, (c0 + s * ez) - c1
+    # w = t0 + t1* = (t0 - t1) + s e: equal tangents cancel exactly, so u
+    # keeps its precision where |w| is tiny
+    wx, wy, wz = (a0 - a1) + s * ex, (b0 - b1) + s * ey, (c0 - c1) + s * ez
     wlen = xp.sqrt((wx * wx + wz * wz) + wy * wy)
     ux, uy, uz = wx / wlen, wy / wlen, wz / wlen
     ue = (ux * ex + uz * ez) + uy * ey

@@ -27,10 +27,10 @@ multiplication, and its extreme distances. It combines the partials in
 tile order, so no sum leaves the float range at any power or scale, and
 the result does not depend on the number of walkers. The seed search
 needs only the largest quotients, and walks only the near field,
-`_near_tiles`: each tile against the blocks of NEAR_BLOCK consecutive
-nodes whose bounding boxes lie within 2 / tau of its rows, as every
-quotient is at most 2 / |q_i - q_j|, with tau, the smallest of the
-candidates found so far, read afresh for each tile: it only grows.
+`_near_tiles`: each tile against the nodes that lie within 2 / tau of the
+bounding box of its rows, as every quotient is at most 2 / |q_i - q_j|,
+with tau, the smallest of the candidates found so far, read afresh for
+each tile: it only grows.
 """
 
 from __future__ import annotations
@@ -60,9 +60,6 @@ REFINE_STEPS = 2000
 # (1.8 MB at the default PAIR_TILE), so memory stays bounded on machines
 # with many CPUs
 MAX_WALKERS = 4
-# consecutive nodes per column block of the near-field tiles: smaller
-# blocks have tighter boxes, and each tile tests one box per block
-NEAR_BLOCK = 16
 
 
 def _normal_frame(tangents):
@@ -150,43 +147,22 @@ def _near_tiles(coords, reach):
     coordinates ``coords``, a C-ordered (3, n) array, with only the columns
     that may lie within reach() of a row: for walks that need only the pairs
     within a reach, as a pair further apart has x = 2 |d_perp| / |d|^2 <=
-    2 / |d| < 2 / reach(). The columns go in blocks of NEAR_BLOCK
-    consecutive nodes, whose bounding boxes are taken once: a block is near
-    a tile when its box lies within reach(), plus 1e-9 relative for
-    rounding, of the box of the tile's rows. reach() is read as each tile
-    is asked for, after the walk has taken in the tiles before it, so a walk
-    whose reach shrinks tightens the tiles still to come. A tile whose every
-    block is near is yielded unchanged. A block that shares a node with a
-    tile's rows is at distance 0, so the columns of a tile (lo, hi, cols)
-    are sorted and start with lo, ..., hi - 1, as `_pair_tiles` needs.
+    2 / |d| < 2 / reach(). A column j >= lo is kept when its point lies
+    within reach(), plus 1e-9 relative for rounding, of the bounding box of
+    the tile's rows. reach() is read as each tile is asked for, after the
+    walk has taken in the tiles before it, so a walk whose reach shrinks
+    tightens the tiles still to come. A tile whose every column is near is
+    yielded unchanged. A tile's rows lie in their own box, so the columns of
+    a tile (lo, hi, cols) are sorted and start with lo, ..., hi - 1, as
+    `_pair_tiles` needs.
     """
-    n = coords.shape[1]
-    tiles = list(_triangle_tiles(n))
-    block_starts, tile_starts = np.arange(0, n, NEAR_BLOCK), [lo for lo, _, _ in tiles]
-    low, high = (f.reduceat(coords, block_starts, axis=1) for f in (np.minimum, np.maximum))
-    row_low, row_high = (f.reduceat(coords, tile_starts, axis=1) for f in (np.minimum, np.maximum))
-
-    def box_distances(chunk):
-        """The squared distances between the row box of each tile in
-        ``chunk`` and every block box, a (tiles, blocks) array: chunks of
-        NEAR_BLOCK tiles keep the temporaries to 3 n entries."""
-        gap = low[:, None] - row_high[:, chunk, None]
-        np.maximum(gap, row_low[:, chunk, None] - high[:, None], out=gap)
+    for lo, hi, cols in _triangle_tiles(coords.shape[1]):
+        rows, ahead = coords[:, lo:hi], coords[:, lo:]
+        gap = rows.min(axis=1)[:, None] - ahead
+        np.maximum(gap, ahead - rows.max(axis=1)[:, None], out=gap)
         np.maximum(gap, 0.0, out=gap)
-        return np.einsum("ijk,ijk->jk", gap, gap)
-
-    for at in range(0, len(tiles), NEAR_BLOCK):
-        chunk = slice(at, at + NEAR_BLOCK)
-        for (lo, hi, cols), dist2 in zip(tiles[chunk], box_distances(chunk)):
-            first = lo // NEAR_BLOCK
-            near = ~(dist2[first:] > (reach() * (1.0 + 1e-9)) ** 2)
-            if not near.all():
-                # the near blocks' nodes from lo on; the last block may end past n
-                starts = (first + np.flatnonzero(near)) * NEAR_BLOCK
-                cols = (starts[:, None] + np.arange(NEAR_BLOCK)).ravel()
-                past = (NEAR_BLOCK * (first + len(near)) - n) * int(near[-1])
-                cols = cols[lo % NEAR_BLOCK : len(cols) - past]
-            yield lo, hi, cols
+        near = ~(np.einsum("ij,ij->j", gap, gap) > (reach() * (1.0 + 1e-9)) ** 2)
+        yield lo, hi, cols if near.all() else lo + np.flatnonzero(near)
 
 
 def _pair_tiles(operands, diagonal=None, tiles=None):
@@ -461,7 +437,7 @@ def _thickness_seeds(pos: np.ndarray, tan: np.ndarray, L: float) -> np.ndarray:
     2 / tau, tau the 32nd largest x walked so far, 0 at first. A pair
     skipped has x = 2 |d_perp| / |d|^2 <= 2 / |d| < tau, at most the final
     32nd value; coincident nodes have box distance 0. At grid 2048 the
-    torus knot's walk takes 393 450 differences of its 2 098 176 pairs
+    torus knot's walk takes 350 113 differences of its 2 098 176 pairs
     i <= j.
     """
     grid = len(pos)

@@ -137,8 +137,9 @@ def build_biarc_curve(curve: CurveSpec, partition: Partition) -> BiarcCurve:
     """Interpolate an arclength-parametrized closed curve by balanced
     biarcs over the partition.
 
-    The chain exists whenever every point-tangent pair is proper and not
-    incompatibly cocircular, which is checked segment by segment.
+    The chain exists whenever every point-tangent pair is proper and its
+    biarc closes within `biarc.JOIN_TOL`, which is checked segment by
+    segment.
     """
     if not curve.is_arclength:
         raise BiarcCurveBuildError("source curve must be arclength-parametrized")
@@ -204,9 +205,9 @@ def junctions_from_text(text: str) -> BiarcCurve:
 
     Points are read back exactly. Tangents are renormalized, which moves a
     written unit tangent by about an ulp, so the stored segment lengths are
-    informational and recomputed by the rebuild.
-    A malformed line raises ValueError, a chain that cannot be built
-    BiarcCurveBuildError.
+    informational and recomputed by the rebuild; each must still be finite
+    and positive. A malformed line raises ValueError naming the line, a
+    chain that cannot be built BiarcCurveBuildError.
     """
     points, tangents = [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -216,9 +217,14 @@ def junctions_from_text(text: str) -> BiarcCurve:
         parts = line.split()
         if len(parts) != 7:
             raise ValueError(f"junction line {lineno}: expected 7 fields, got {len(parts)}")
-        vals = [float(p) for p in parts]
+        try:
+            vals = [float(p) for p in parts]
+        except ValueError as exc:
+            raise ValueError(f"junction line {lineno}: {exc}") from None
         if not all(map(math.isfinite, vals[0:3])):
             raise ValueError(f"junction line {lineno}: point must be finite")
+        if not 0.0 < vals[6] < math.inf:
+            raise ValueError(f"junction line {lineno}: segment length must be finite and positive")
         norm = np.linalg.norm(vals[3:6])
         if not 0.0 < norm < math.inf:
             raise ValueError(f"junction line {lineno}: tangent must be nonzero and finite")

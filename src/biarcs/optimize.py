@@ -36,6 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .biarc import PairError, _move_lengths
+from .curve import _triangle_tiles
 from .energy import (
     _normal_frame,
     _pair_operands,
@@ -43,7 +44,6 @@ from .energy import (
     _quotients,
     _scaled_powers,
     _unscaled,
-    pair_stats,
 )
 from .interpolate import BiarcCurve, from_junctions
 
@@ -134,25 +134,28 @@ class _PairTable:
         self.w = np.ldexp(lam, -self.k)
         self.points = initial.junction_points.copy()
         self.tangents = initial.junction_tangents.copy()
-        stats = pair_stats(self.points, self.tangents, lam, cfg.q)
-        if stats.min_distance < self.min_distance:
-            raise ValueError("initial junctions are closer than MIN_DISTANCE * L / n")
-        # the thickness proxy is the inverse of the largest junction quotient
-        self.ceiling = 2.0 * stats.max_quotient
         # the normal frames a move at j projects its differences on: every
         # junction's (row j of Y), then the moved tangent's, which each
         # `propose` writes (column j)
         frame = _normal_frame(self.tangents.T)
         self._frame = np.stack([frame, frame], axis=2)
         self.Y = np.empty((n, n))
+        min_d2 = math.inf
         with np.errstate(divide="ignore", invalid="ignore"):
             # a tile holds rows [lo, hi) against columns from lo, and the
-            # transposed pairs past the tile
-            for lo, cols, _, x, spare in _pair_tiles(_pair_operands(self.points, self.tangents)):
-                y = _scaled_powers(x, self.ceiling, self.q, spare)
+            # transposed pairs past the tile; fmin skips the NaN diagonal
+            for lo, cols, dist2, x, _ in _pair_tiles(_pair_operands(self.points, self.tangents)):
                 hi = lo + x.shape[1]
-                self.Y[lo:hi, cols] = y[0]
-                self.Y[hi:, lo:hi] = y[1, :, hi - lo :].T
+                self.Y[lo:hi, cols] = x[0]
+                self.Y[hi:, lo:hi] = x[1, :, hi - lo :].T
+                min_d2 = min(min_d2, float(np.fmin.reduce(dist2, axis=None)))
+        if math.sqrt(min_d2) < self.min_distance:
+            raise ValueError("initial junctions are closer than MIN_DISTANCE * L / n")
+        # the thickness proxy is the inverse of the largest junction quotient
+        self.ceiling = 2.0 * float(self.Y.max())
+        # by the tiles' rows: at q = 3 a spare the size of Y would double the peak
+        for lo, hi, _ in _triangle_tiles(n):
+            _scaled_powers(self.Y[lo:hi], self.ceiling, self.q)
         self.energy = self.candidate = float(self.w @ (self.Y @ self.w))
         self._move = None
 

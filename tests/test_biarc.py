@@ -287,23 +287,30 @@ class TestBuild:
     )
     def test_equal_tangents_near_the_chord_normal(self, seed, log_tilt, scale):
         # equal tangents tilted towards the chord from a random direction in
-        # its normal plane: the pair is proper, so it builds a biarc that
-        # passes every invariant or fails at a join, never as improper
+        # its normal plane: the pair is proper, and its t0 - t1 cancels
+        # exactly, so it builds a biarc that passes every invariant
         rng = np.random.default_rng(seed)
         e, u, v = random_rotation(rng).T
         tilt, side = 10.0**log_tilt, rng.uniform(0.0, 2 * math.pi)
         t = math.sin(tilt) * e + math.cos(tilt) * (math.cos(side) * u + math.sin(side) * v)
         q0 = scale * rng.normal(size=3)
         a, b = PointTangent(q0, t), PointTangent(q0 + scale * e, t)
-        try:
-            biarc = build_balanced_biarc(a, b)
-        except PairError as exc:
-            assert type(exc) is PairError
-        else:
-            # the tangents turn by about pi within a length of scale: the
-            # join checks' own JOIN_TOL bounds the mismatch
-            check_biarc_invariants(biarc, a, b, tol=JOIN_TOL, scale=scale)
-        assert_move_matches_batch(a, b)
+        # the tangents turn by about pi within a length of scale: the join
+        # checks' own JOIN_TOL bounds the mismatch
+        check_biarc_invariants(build_balanced_biarc(a, b), a, b, tol=JOIN_TOL, scale=scale)
+        assert PairError not in assert_move_matches_batch(a, b)
+
+    def test_equal_tangents_near_the_chord_normal_rotated(self):
+        # w = t0 + t1* formed as (t0 + s e) - t1 lost the digits of its
+        # 2e-9 norm to the rounding of t0 + s e, and this pair failed its
+        # join with a tangent mismatch of 1.1e-8
+        rng = np.random.default_rng(0)
+        e, u, _ = random_rotation(rng).T
+        q0 = rng.normal(size=3)
+        t = math.sin(1e-9) * e + math.cos(1e-9) * u
+        a, b = PointTangent(q0, t), PointTangent(q0 + e, t)
+        check_biarc_invariants(build_balanced_biarc(a, b), a, b, tol=JOIN_TOL)
+        assert PairError not in assert_move_matches_batch(a, b)
 
     @settings(max_examples=100, deadline=None)
     @given(

@@ -183,6 +183,16 @@ class TestConfigErrors:
                 "1 2 3 0 1 0 1\n2 nan 3 0 1 0 1\n",
                 "junction line 2: point must be finite",
             ),
+            (
+                ["anneal", "--initial", "{dir}/start.txt"],
+                "1 2 3 0 1 0 1\n\n2 abc 3 0 1 0 1\n",
+                "junction line 3: could not convert string to float: 'abc'",
+            ),
+            (
+                ["anneal", "--initial", "{dir}/start.txt"],
+                "1 2 3 0 1 0 1\n2 2 3 0 1 0 nan\n",
+                "junction line 2: segment length must be finite and positive",
+            ),
         ],
     )
     def test_bad_files_exit_2(self, tmp_path, capsys, argv, initial, message):
@@ -587,6 +597,19 @@ class TestAnnealCommand:
              "--q", "3", "--steps", "50", "--out", str(tmp_path / "second.csv")],
         )
         assert code == 0
+
+    def test_improper_initial_pair_exits_3(self, tmp_path, capsys):
+        # eight junctions on the unit circle, the tangent of junction 4
+        # reversed: the pair from junction 3 to 4 is the first improper one
+        angles = 2 * math.pi * np.arange(8) / 8
+        rows = np.column_stack([np.cos(angles), np.sin(angles), np.zeros(8),
+                                -np.sin(angles), np.cos(angles), np.zeros(8), np.full(8, 0.8)])
+        rows[4, 3:6] *= -1.0
+        start = tmp_path / "start.txt"
+        start.write_text("".join(" ".join(map(repr, row)) + "\n" for row in rows.tolist()))
+        code, out, err = run(capsys, ["anneal", "--initial", str(start), "--q", "3", "--steps", "5"])
+        assert code == 3 and out == ""
+        assert "segment 3: pair is not proper" in err
 
     def test_tiny_radius_trace_is_the_unit_trace_scaled(self, capsys):
         # energies and temperatures 1e300 times those at R = 1, where the

@@ -1019,14 +1019,14 @@ class TestThickness:
         assert evaluated == [(hi - lo) * (grid - lo) for lo, hi, _ in curve._triangle_tiles(grid)]
         assert max(evaluated) <= curve.PAIR_TILE
 
-    def test_seed_scan_walks_the_near_blocks(self, seed_curves, monkeypatch):
-        # the near columns of each triangle tile, by blocks of NEAR_BLOCK
-        # nodes: 393 450 differences, where tiles against whole tiles took
-        # 538 481
+    def test_seed_scan_walks_the_near_columns(self, seed_curves, monkeypatch):
+        # the near columns of each triangle tile, node by node: 350 113
+        # differences, where blocks of 16 nodes took 393 450 and tiles
+        # against whole tiles 538 481
         tiles = walked_tiles(monkeypatch)
         _, pos, tan = grid_nodes(seed_curves["knot23"], 2048)
         energy._thickness_seeds(pos, tan, seed_curves["knot23"].length)
-        assert walked_pairs(tiles, 2048) == 393_450
+        assert walked_pairs(tiles, 2048) == 350_113
 
     def test_near_tiles_read_the_reach_per_tile(self, knot, monkeypatch):
         # a reach that shrinks from tile to tile: each tile is built from
@@ -1034,7 +1034,6 @@ class TestThickness:
         # column from lo on within that reach of one of its rows
         n = 300
         monkeypatch.setattr(curve, "PAIR_TILE", 8 * n)
-        monkeypatch.setattr(energy, "NEAR_BLOCK", 8)
         _, pos, _ = grid_nodes(knot, n)
         dist = np.sqrt(((pos[:, None] - pos[None, :]) ** 2).sum(axis=-1))
         reach = [math.inf]

@@ -155,6 +155,31 @@ class TestBuild:
             from_junctions(points, tangents)
         assert err.value.segment == 0
 
+    @pytest.mark.parametrize(
+        "case, segment, message",
+        [
+            ("two junctions", None, "at least three junctions"),
+            ("(8, 2) arrays", None, r"matching \(n, 3\) arrays"),
+            ("NaN point", 3, "junction 3: point not finite"),
+            ("long tangent", 5, "junction 5: .* tangent not unit length"),
+        ],
+    )
+    def test_malformed_junctions_rejected(self, case, segment, message):
+        angles = np.linspace(0, TWO_PI, 8, endpoint=False)
+        points = np.stack([np.cos(angles), np.sin(angles), np.zeros_like(angles)], axis=-1)
+        tangents = np.stack([-np.sin(angles), np.cos(angles), np.zeros_like(angles)], axis=-1)
+        if case == "two junctions":
+            points, tangents = points[:2], tangents[:2]
+        elif case == "(8, 2) arrays":
+            points, tangents = points[:, :2], tangents[:, :2]
+        elif case == "NaN point":
+            points[3, 1] = np.nan
+        else:
+            tangents[5] *= 1.1
+        with pytest.raises(BiarcCurveBuildError, match=message) as err:
+            from_junctions(points, tangents)
+        assert err.value.segment == segment
+
     def test_overflow_is_a_build_error(self):
         # at radius 1e160 the squared chords overflow; the suite turns a
         # stray RuntimeWarning into an error, so only the typed error passes
