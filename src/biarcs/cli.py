@@ -24,6 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .curve import (
+    _PRESETS,
     _mollify_sweep,
     arclength_reparametrize,
     gagliardo_seminorm,
@@ -145,7 +146,6 @@ SETTINGS = {
 }
 # grid of the tangent seminorm of the mollify command
 SEMINORM_GRID = 256
-PRESET_PARAMS = {"circle": [1.0], "ellipse": [2.0, 1.0], "torus_knot": [2, 3, 2.0, 0.5]}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -187,13 +187,15 @@ def resolve_settings(args: argparse.Namespace) -> dict:
     q = settings.get("q", 3.0)
     if not (np.isfinite(q) and (low <= q if closed else low < q)):
         raise ConfigError(f"q must be finite and {'at least' if closed else 'above'} {low:g}, got {q}")
+    if "n_sweep" in settings and settings["n_sweep"] is None:
+        raise ConfigError(f"{args.command} needs an n-sweep")
     return settings
 
 
 def resolved_curve(settings: dict):
     name, params = settings["curve"], settings["params"]
     try:
-        raw = preset_curve(name, PRESET_PARAMS.get(name, []) if params is None else params)
+        raw = preset_curve(name, list(_PRESETS.get(name, {}).values()) if params is None else params)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return arclength_reparametrize(raw)
@@ -240,10 +242,20 @@ def emit(rows: list[dict], columns: list[str], settings: dict) -> None:
                 obj[c] = float(fmt(v)) if isinstance(v, float) else v
             payload.append(obj)
         text = json.dumps(payload, indent=2) + "\n"
+    write_output(settings, text)
+
+
+def write_output(settings: dict, text: str, sidecar: str = "") -> None:
+    """Write text to the output path, and a sidecar text (an anneal's
+    junctions) next to it with the suffix .junctions.txt; to stdout, the
+    two follow each other."""
     if settings["out"] == "-":
-        sys.stdout.write(text)
-    else:
-        Path(settings["out"]).write_text(text)
+        sys.stdout.write(text + sidecar)
+        return
+    out = Path(settings["out"])
+    out.write_text(text)
+    if sidecar:
+        out.with_suffix(".junctions.txt").write_text(sidecar)
 
 
 def cmd_energy(settings: dict) -> int:
@@ -274,8 +286,6 @@ def cmd_energy(settings: dict) -> int:
 
 def cmd_converge(settings: dict) -> int:
     """energy error sweep against the continuous reference"""
-    if settings["n_sweep"] is None:
-        raise ConfigError("converge needs an n-sweep")
     if len(settings["n_sweep"]) < 2:
         raise ConfigError("converge fits a slope and needs at least two sweep values")
     curve = resolved_curve(settings)
@@ -283,16 +293,8 @@ def cmd_converge(settings: dict) -> int:
     q = settings["q"]
     reference = continuous_tp_energy(curve, q, settings["grid"])
     rows = []
-    for i, (n, part) in enumerate(zip(settings["n_sweep"], parts)):
-        try:
-            beta = build_biarc_curve(curve, part)
-        except BiarcCurveBuildError as exc:
-            if i == 0:
-                raise RuntimeError(
-                    f"interpolation failed at the smallest sweep value n={n}: {exc}; "
-                    "start the sweep at a larger n"
-                ) from exc
-            raise
+    for n, part in zip(settings["n_sweep"], parts):
+        beta = build_biarc_curve(curve, part)
         energy = discrete_tp_energy(beta, q, gated=False, L=curve.length)
         rows.append(
             {
@@ -313,8 +315,6 @@ def cmd_converge(settings: dict) -> int:
 
 def cmd_ropelength(settings: dict) -> int:
     """ropelength proxy sweep against the thickness reference"""
-    if settings["n_sweep"] is None:
-        raise ConfigError("ropelength needs an n-sweep")
     curve = resolved_curve(settings)
     parts = [_partition(curve, n, settings) for n in settings["n_sweep"]]
     _, reference = thickness_and_ropelength(curve, settings["grid"])
@@ -330,8 +330,6 @@ def cmd_ropelength(settings: dict) -> int:
 def cmd_mollify(settings: dict) -> int:
     """smoothing sweep: C1 distance and tangent seminorm"""
     sweep = settings["n_sweep"]
-    if sweep is None:
-        raise ConfigError("mollify needs an n-sweep of scale denominators k (eps = 1/k)")
     curve = resolved_curve(settings)
     L = curve.length
     q = settings["q"]
@@ -390,15 +388,7 @@ def cmd_anneal(settings: dict) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     best, trace = anneal_discrete(initial, cfg)
-    text = trace_to_csv(trace)
-    if settings["out"] == "-":
-        sys.stdout.write(text)
-        sys.stdout.write(junctions_to_text(best))
-    else:
-        out = Path(settings["out"])
-        out.write_text(text)
-        sidecar = out.with_suffix(".junctions.txt")
-        sidecar.write_text(junctions_to_text(best))
+    write_output(settings, trace_to_csv(trace), junctions_to_text(best))
     return 0
 
 
@@ -436,7 +426,3 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -167,8 +167,13 @@ def _hermite_inverse(raw: CurveSpec, slope: np.ndarray) -> CurveSpec:
     return CurveSpec(total, position, derivative, second_derivative, table, True, raw.name)
 
 
-# the parameters of each preset curve, in order
-_PRESET_PARAMETERS = {"circle": ("R",), "ellipse": ("a", "b"), "torus_knot": ("p", "q", "R", "r")}
+# the parameters of each preset curve, in order, with the defaults the CLI
+# takes when none are given
+_PRESETS = {
+    "circle": {"R": 1.0},
+    "ellipse": {"a": 2.0, "b": 1.0},
+    "torus_knot": {"p": 2, "q": 3, "R": 2.0, "r": 0.5},
+}
 
 
 def preset_curve(name: str, params) -> CurveSpec:
@@ -181,10 +186,10 @@ def preset_curve(name: str, params) -> CurveSpec:
     numbers of the knot obey |p| + |q| < DEFAULT_GRID_1D // 2: the package's
     1-D sample grids resolve no higher mode.
     """
-    if name not in _PRESET_PARAMETERS:
+    if name not in _PRESETS:
         raise ValueError(f"unknown curve preset {name!r}")
     params = [float(p) for p in params]
-    names = _PRESET_PARAMETERS[name]
+    names = list(_PRESETS[name])
     if len(params) != len(names):
         plural = "s" if len(names) > 1 else ""
         raise ValueError(
@@ -512,6 +517,8 @@ def tangent_modulus(curve: CurveSpec, h: float, grid: int = 1024) -> float:
     max over the grid and over sub-offsets of |t(s+d) - t(s)|, d <= h."""
     if not curve.is_arclength:
         raise ValueError("tangent modulus expects an arclength-parametrized curve")
+    if not math.isfinite(h):
+        raise ValueError(f"tangent modulus offset h must be finite, got {h}")
     if grid < 1:
         raise ValueError(f"tangent modulus grid must be at least 1, got {grid}")
     s = np.linspace(0.0, curve.length, grid, endpoint=False)

@@ -158,7 +158,7 @@ def build_biarc_curve(curve: CurveSpec, partition: Partition) -> BiarcCurve:
         out = from_junctions(points, tangents)
     except BiarcCurveBuildError as exc:
         raise BiarcCurveBuildError(
-            f"{exc} (consider a finer partition; largest gap {partition.max_gap:.4g})",
+            f"{exc} (consider a finer partition, a larger n; largest gap {partition.max_gap:.4g})",
             segment=exc.segment,
         ) from exc
     return replace(out, source_params=np.asarray(partition.samples, dtype=float))

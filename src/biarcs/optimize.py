@@ -45,7 +45,7 @@ from .energy import (
     _scaled_powers,
     _unscaled,
 )
-from .interpolate import BiarcCurve, from_junctions
+from .interpolate import BiarcCurve, check_Bn, from_junctions
 
 # the first temperature, times the initial energy
 INITIAL_TEMPERATURE = 0.1
@@ -78,6 +78,8 @@ class AnnealConfig:
             raise ValueError("steps must be >= 0")
         if not 2 <= self.q < math.inf:
             raise ValueError(f"energy power q must be finite and >= 2, got {self.q}")
+        if not 0 < self.L < math.inf:
+            raise ValueError(f"chain length L must be finite and positive, got {self.L}")
 
 
 # why a move is rejected, in the order the guards run
@@ -127,11 +129,10 @@ class _PairTable:
         self.q = cfg.q
         self.min_distance = MIN_DISTANCE * cfg.L / n
         self.lo, self.hi = cfg.L / (2 * n), 2 * cfg.L / n
-        lam = initial.segment_lengths
-        if lam.min() < self.lo or lam.max() > self.hi:
+        if not check_Bn(initial, cfg.L):
             raise ValueError("initial configuration fails the length gate")
         self.k = math.frexp(self.hi)[1]
-        self.w = np.ldexp(lam, -self.k)
+        self.w = np.ldexp(initial.segment_lengths, -self.k)
         self.points = initial.junction_points.copy()
         self.tangents = initial.junction_tangents.copy()
         # the normal frames a move at j projects its differences on: every

@@ -395,9 +395,38 @@ class TestBiarcParameter:
         lam = biarc_parameter(build_balanced_biarc(*quarter_circle_pair()))
         assert lam == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-12)
 
+    def test_degenerate_denominator(self):
+        # tangents a hair off perpendicular to the chord, on one side, make
+        # a proper pair whose arcs are two semicircles: the chord from the
+        # start to the matching point is perpendicular to the start tangent
+        t = [1e-16, -1.0, 0.0]
+        biarc = build_balanced_biarc(PointTangent(np.zeros(3), t), PointTangent([1.0, 0.0, 0.0], t))
+        assert biarc.first.length == pytest.approx(math.pi / 4, rel=1e-12)
+        with pytest.raises(ValueError, match="degenerate biarc-parameter denominator"):
+            biarc_parameter(biarc)
+
     def test_finite_on_random_pairs(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
             a, b = random_proper_pair(rng)
             lam = biarc_parameter(build_balanced_biarc(a, b))
             assert np.isfinite(lam) and lam > 0.0
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: PointTangent([0.0, 0.0], [1.0, 0.0, 0.0]), "expected a 3-vector, got shape (2,)"),
+            (lambda: PointTangent(np.zeros(3), [2.0, 0.0, 0.0]), "direction is not unit length"),
+            (lambda: PointTangent([0.0, math.nan, 0.0], [1.0, 0.0, 0.0]), "point has non-finite components"),
+            (lambda: Arc(np.zeros(3), [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], 1.0),
+             "curvature vector must be perpendicular to the direction"),
+            (lambda: Arc(np.zeros(3), [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], 0.0), "arc length must be positive"),
+        ],
+        ids=["point-shape", "tangent-length", "point-nan", "arc-curvature", "arc-length"],
+    )
+    def test_bad_inputs_are_named(self, make, message):
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value).startswith(message)

@@ -323,6 +323,8 @@ class TestConfigErrors:
             (["anneal", "--curve", "circle", "--n", "8", "--steps", "3"], "q = 4\nsteps = 2\n"),
             (["mollify", "--curve", "circle", "--n-sweep", "4,8", "--grid", "64"], "q = 4\nseed = 3\n"),
             (["converge", "--curve", "circle", "--grid", "64"], "n_sweep = 8,16\nformat = json\n"),
+            # blank and comment lines are skipped
+            (["energy", "--curve", "circle", "--n", "8"], "# wibble = 3\n\n   \nq = 4\n"),
         ],
     )
     def test_config_keys_of_the_command_are_read(self, tmp_path, capsys, argv, lines):
@@ -544,6 +546,13 @@ class TestMollifyCommand:
         assert [r["k"] for r in rows] == ["4", "8", "16", "32"]
         for col, values in expected.items():
             assert [float(r[col]) for r in rows] == pytest.approx(values, rel=1e-10)
+
+    def test_sweep_that_fails_to_decrease_exits_3(self, capsys, monkeypatch):
+        seminorms = iter([1.0, 2.0, 3.0])
+        monkeypatch.setattr("biarcs.cli.gagliardo_seminorm", lambda *args: next(seminorms))
+        code, out, err = run(capsys, ["mollify", "--curve", "circle", "--n-sweep", "4,8,16", "--grid", "64"])
+        assert (code, out) == (3, "")
+        assert err == "numerical failure: tangent_seminorm failed to decrease along the smoothing sweep\n"
 
     def test_eps_bound(self, capsys):
         # a short curve makes eps = 1/1 exceed a quarter of the length

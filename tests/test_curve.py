@@ -285,6 +285,22 @@ class TestPresets:
             preset_curve(name, params)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "name, params, message",
+        [
+            ("ellipse", [2.0, 0.0], "ellipse semi-axes must be positive"),
+            ("ellipse", [-2.0, 1.0], "ellipse semi-axes must be positive"),
+            ("torus_knot", [0, 3, 2.0, 0.5], "torus knot winding numbers must be nonzero integers"),
+            ("torus_knot", [2, 0, 2.0, 0.5], "torus knot winding numbers must be nonzero integers"),
+            ("torus_knot", [2.5, 3, 2.0, 0.5], "torus knot winding numbers must be nonzero integers"),
+        ],
+        ids=["ellipse-b-0", "ellipse-a-negative", "torus_knot-p-0", "torus_knot-q-0", "torus_knot-p-2.5"],
+    )
+    def test_bad_shape_parameters(self, name, params, message):
+        with pytest.raises(ValueError) as exc:
+            preset_curve(name, params)
+        assert str(exc.value) == message
+
 
 class TestArclength:
     def test_nonuniform_circle(self):
@@ -370,6 +386,20 @@ class TestPartition:
     @pytest.mark.parametrize("nodes", [[0, 1, math.nan, 3], [0, 1, 2, math.inf]])
     def test_non_finite_nodes(self, nodes):
         with pytest.raises(ValueError, match="finite"):
+            Partition(nodes)
+
+    @pytest.mark.parametrize(
+        "nodes, message",
+        [
+            ([0.0, 1.0], "partition needs at least three nodes"),
+            ([[0.0, 1.0, 2.0]], "partition needs at least three nodes"),
+            ([0.5, 1.0, 2.0], "partition nodes must be strictly increasing from 0"),
+            ([0.0, 2.0, 1.0, 3.0], "partition nodes must be strictly increasing from 0"),
+            ([0.0, 1.0, 1.0, 3.0], "partition nodes must be strictly increasing from 0"),
+        ],
+    )
+    def test_bad_nodes(self, nodes, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             Partition(nodes)
 
     def test_bad_mode(self):
@@ -537,6 +567,11 @@ class TestSeminorm:
         with pytest.raises(ValueError, match="rho must be finite"):
             gagliardo_seminorm(np.cos, 0.5, rho, 64, 2.0)
 
+    @pytest.mark.parametrize("s", [0.0, 1.0, -0.5, math.nan])
+    def test_smoothness_order_must_lie_in_the_unit_interval(self, s):
+        with pytest.raises(ValueError, match=r"smoothness order s must lie in \(0, 1\)"):
+            gagliardo_seminorm(np.cos, s, 2.0, 64, 2.0)
+
 
 class TestDiagnostics:
     @pytest.mark.parametrize("grid", [0, -1])
@@ -546,6 +581,21 @@ class TestDiagnostics:
             curve_diagnostics(circle, grid=grid)
         with pytest.raises(ValueError, match=f"grid must be at least 1, got {grid}"):
             tangent_modulus(circle, 0.5, grid=grid)
+
+    def test_curve_must_be_arclength_parametrized(self):
+        ellipse = preset_curve("ellipse", [2.0, 1.0])
+        with pytest.raises(ValueError, match="tangent modulus expects an arclength-parametrized curve"):
+            tangent_modulus(ellipse, 0.5)
+        with pytest.raises(ValueError, match="diagnostics expect an arclength-parametrized curve"):
+            curve_diagnostics(ellipse)
+
+    # a NaN offset gave a modulus of 0.0, and an infinite one 0.0 after two
+    # RuntimeWarnings
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+    def test_offset_must_be_finite(self, h):
+        circle = preset_curve("circle", [1.0])
+        with pytest.raises(ValueError, match=f"tangent modulus offset h must be finite, got {h}"):
+            tangent_modulus(circle, h)
 
     def test_unit_circle(self):
         d = curve_diagnostics(preset_curve("circle", [1.0]), grid=256)

@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -568,6 +569,14 @@ class TestPairWalkers:
         monkeypatch.setattr(energy, "_usable_cpus", lambda: cpus)
         return walker_threads(monkeypatch)
 
+    @pytest.mark.parametrize("count, usable", [(5, 5), (None, 1)])
+    def test_usable_cpus_without_affinity(self, monkeypatch, count, usable):
+        # where the OS has no affinity call the count of CPUs stands, and
+        # one CPU where even that is unknown
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert energy._usable_cpus() == usable
+
     @pytest.mark.parametrize("q", [3.0, float(N)])
     @pytest.mark.parametrize("with_diagonal", [False, True], ids=["no-diagonal", "diagonal"])
     def test_bits_independent_of_walker_count(self, monkeypatch, q, with_diagonal):
@@ -809,6 +818,11 @@ class TestContinuous:
         with pytest.raises(ValueError, match=f"grid must be at least 1, got {grid}"):
             continuous_tp_energy(preset_curve("circle", [1.0]), 3.0, grid)
 
+    def test_curve_must_be_arclength_parametrized(self):
+        ellipse = preset_curve("ellipse", [2.0, 1.0])
+        with pytest.raises(ValueError, match="continuous energy expects an arclength-parametrized curve"):
+            continuous_tp_energy(ellipse, 3.0, 64)
+
     def test_shift_invariance(self):
         ellipse = arclength_reparametrize(preset_curve("ellipse", [2.0, 1.0]))
         shift = 1.2345
@@ -981,6 +995,11 @@ class TestThickness:
         # grid 0 divided by zero
         with pytest.raises(ValueError, match=f"grid must be at least 1, got {grid}"):
             thickness_and_ropelength(preset_curve("circle", [1.0]), grid)
+
+    def test_curve_must_be_arclength_parametrized(self):
+        ellipse = preset_curve("ellipse", [2.0, 1.0])
+        with pytest.raises(ValueError, match="thickness expects an arclength-parametrized curve"):
+            thickness_and_ropelength(ellipse, 64)
 
     # Delta from eight Nelder-Mead runs (xatol 1e-10 L, fatol 1e-12) on
     # the same grid seeds, the refinement used before the compass search
@@ -1175,6 +1194,25 @@ class TestProxy:
                 circle, beta = circle_beta(n, radius)
                 got = ropelength_proxy(beta, circle.length)
                 assert got == pytest.approx(TWO_PI * (1 - 1 / n) ** (1 / n), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "name, params, grid, band",
+        [("ellipse", [2.0, 1.0], 512, (0.95, 1.05)), ("torus_knot", [2, 3, 2.0, 0.5], 2048, (0.47, 0.57))],
+        ids=["ellipse", "torus_knot"],
+    )
+    def test_gap_law_on_uniform_partitions(self, name, params, grid, band):
+        # gap = R (b ln n + c) / n, R the thickness reference: the slope of
+        # n gap / R against ln n over n = 256 ... 2048 measured 1.000 on the
+        # 2:1 ellipse and 0.522 on the (2, 3) knot
+        shape = arclength_reparametrize(preset_curve(name, params))
+        _, reference = thickness_and_ropelength(shape, grid)
+        ns = np.array([256, 512, 1024, 2048])
+        scaled = []
+        for n in ns:
+            beta = build_biarc_curve(shape, make_partition(shape.length, int(n)))
+            scaled.append(n * abs(ropelength_proxy(beta, shape.length) - reference) / reference)
+        slope = np.polyfit(np.log(ns), scaled, 1)[0]
+        assert band[0] < slope < band[1]
 
     def test_gap_decreases(self):
         gaps = []

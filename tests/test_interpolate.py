@@ -180,6 +180,11 @@ class TestBuild:
             from_junctions(points, tangents)
         assert err.value.segment == segment
 
+    def test_source_must_be_arclength_parametrized(self):
+        ellipse = preset_curve("ellipse", [2.0, 1.0])
+        with pytest.raises(BiarcCurveBuildError, match="source curve must be arclength-parametrized"):
+            build_biarc_curve(ellipse, make_partition(ellipse.period, 8))
+
     def test_overflow_is_a_build_error(self):
         # at radius 1e160 the squared chords overflow; the suite turns a
         # stray RuntimeWarning into an error, so only the typed error passes

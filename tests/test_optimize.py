@@ -223,6 +223,13 @@ class TestGuards:
         with pytest.raises(ValueError, match="energy power q must be finite"):
             AnnealConfig(q=q, n=8, L=TWO_PI)
 
+    # a NaN length made every move's scale NaN, so every move was rejected
+    # as not constructible and the run returned its start unchanged
+    @pytest.mark.parametrize("L", [math.nan, math.inf, 0.0, -1.0])
+    def test_length_must_be_finite_and_positive(self, L):
+        with pytest.raises(ValueError, match=f"chain length L must be finite and positive, got {L}"):
+            AnnealConfig(q=3.0, n=12, L=L, steps=200, seed=1)
+
 
 class TestPairTable:
     """The cached pair table against a fresh pair-kernel pass. The two scale
