@@ -110,7 +110,7 @@ class Setting(NamedTuple):
 COMMON = {
     "curve": Setting(str, "circle", "preset name: circle, ellipse, torus_knot"),
     "params": Setting(parse_float_list, None, "comma-separated preset parameters"),
-    "seed": Setting(int, 0, "random seed"),
+    "seed": Setting(int, 0, "random seed, a non-negative integer"),
     "out": Setting(str, "-", "output path ('-' for stdout)"),
 }
 Q = Setting(float, 3.0, "energy power")
@@ -187,6 +187,8 @@ def resolve_settings(args: argparse.Namespace) -> dict:
     q = settings.get("q", 3.0)
     if not (np.isfinite(q) and (low <= q if closed else low < q)):
         raise ConfigError(f"q must be finite and {'at least' if closed else 'above'} {low:g}, got {q}")
+    if settings["seed"] < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {settings['seed']}")
     if "n_sweep" in settings and settings["n_sweep"] is None:
         raise ConfigError(f"{args.command} needs an n-sweep")
     return settings

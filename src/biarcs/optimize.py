@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .biarc import PairError, _move_lengths
-from .curve import _triangle_tiles
+from .curve import _check_seed, _triangle_tiles
 from .energy import (
     _normal_frame,
     _pair_operands,
@@ -62,10 +62,10 @@ MIN_DISTANCE = 1e-3
 @dataclass
 class AnnealConfig:
     """A run of ``steps`` moves at energy power q on a chain of n biarcs
-    and length L, drawn from ``seed``. The schedule and the move scales are
-    the module constants: INITIAL_TEMPERATURE times the initial energy,
-    COOLING_RATE, SIGMA_POSITION and MIN_DISTANCE times L/n, and
-    SIGMA_TANGENT in radians."""
+    and length L, drawn from ``seed``, a non-negative integer. The schedule
+    and the move scales are the module constants: INITIAL_TEMPERATURE times
+    the initial energy, COOLING_RATE, SIGMA_POSITION and MIN_DISTANCE times
+    L/n, and SIGMA_TANGENT in radians."""
 
     q: float
     n: int
@@ -80,6 +80,7 @@ class AnnealConfig:
             raise ValueError(f"energy power q must be finite and >= 2, got {self.q}")
         if not 0 < self.L < math.inf:
             raise ValueError(f"chain length L must be finite and positive, got {self.L}")
+        self.seed = _check_seed(self.seed)
 
 
 # why a move is rejected, in the order the guards run
@@ -233,6 +234,8 @@ def anneal_discrete(initial: BiarcCurve, cfg: AnnealConfig) -> tuple[BiarcCurve,
         raise ValueError(f"config expects n={cfg.n} but the curve has {n} segments")
     table = _PairTable(initial, cfg)
 
+    # the package's one use of numpy.random: its normal and bounded integer
+    # draws, unlike make_partition's uniforms, are not worth reproducing
     rng = np.random.default_rng(cfg.seed)
     # energies and the temperature in the table's units until the trace
     temperature = INITIAL_TEMPERATURE * table.energy

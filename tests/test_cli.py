@@ -1,4 +1,5 @@
 import atexit
+import errno
 import gc
 import importlib
 import json
@@ -143,6 +144,14 @@ class TestConfigErrors:
             (["energy", "--format", "xml"], "unknown format 'xml'"),
             (["ropelength"], "ropelength needs an n-sweep"),
             (["mollify"], "mollify needs an n-sweep"),
+            # a negative seed, whether or not the command draws from it
+            (["anneal", "--seed", "-1", "--steps", "5"], "seed must be a non-negative integer, got -1"),
+            (["energy", "--partition", "jitter:0.1", "--seed", "-1"],
+             "seed must be a non-negative integer, got -1"),
+            (["energy", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
+            (["converge", "--n-sweep", "16,32", "--seed", "-2"], "seed must be a non-negative integer, got -2"),
+            (["ropelength", "--n-sweep", "16,32", "--seed", "-3"], "seed must be a non-negative integer, got -3"),
+            (["mollify", "--n-sweep", "4,8", "--seed", "-4"], "seed must be a non-negative integer, got -4"),
         ],
     )
     def test_bad_sizes_exit_2(self, capsys, argv, message):
@@ -354,6 +363,15 @@ class TestConfigErrors:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
         assert not any((tmp_path / "taken").iterdir())
 
+    def test_unwritable_out_directory_exits_2(self, tmp_path, capsys, monkeypatch):
+        # root writes anywhere, so the refusal is stood in by os.access
+        monkeypatch.setattr("biarcs.cli.os.access", lambda path, mode: False)
+        out = tmp_path / "e.csv"
+        code, stdout, err = run(capsys, ["energy", "--curve", "circle", "--n", "8", "--out", str(out)])
+        assert (code, stdout) == (2, "")
+        assert err == f"error: [Errno {errno.EACCES}] {os.strerror(errno.EACCES)}: '{tmp_path}'\n"
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -464,6 +482,35 @@ def test_cli_run_imports_only_numpy_and_the_standard_library():
     run = child_run(["-c", code])
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv, imported",
+    [
+        (["converge", "--curve", "ellipse", "--n-sweep", "16,32", "--grid", "64"], False),
+        (["ropelength", "--curve", "circle", "--n-sweep", "16,32", "--grid", "64"], False),
+        (["energy", "--curve", "circle", "--n", "16", "--grid", "64"], False),
+        # numpy's normal and integer draws stay numpy's: only an anneal
+        # imports numpy.random
+        (["anneal", "--curve", "circle", "--n", "12", "--steps", "20", "--out", "{tmp}/a.csv"], True),
+    ],
+    ids=["converge", "ropelength", "energy", "anneal"],
+)
+def test_only_the_anneal_imports_numpy_random(tmp_path, argv, imported):
+    # numpy 1.x imports numpy.random with numpy itself, numpy 2 on first use
+    argv = [arg.format(tmp=tmp_path) for arg in argv] + ["--partition", "jitter:0.1", "--seed", "3"]
+    code = (
+        "import atexit, sys\n"
+        "atexit.register(lambda: print('numpy.random' in sys.modules))\n"
+        "import numpy\n"
+        "print('numpy.random' in sys.modules)\n"
+        "import biarcs.cli\n"
+        f"assert biarcs.cli.main({argv!r}) == 0\n"
+    )
+    child = child_run(["-c", code])
+    assert child.returncode == 0, child.stderr
+    lines = child.stdout.splitlines()
+    assert lines[-1] == str(imported or lines[0] == "True")
 
 
 def test_cli_process_freezes_its_heap_at_exit_and_keeps_its_outputs(tmp_path, capsys):

@@ -415,6 +415,47 @@ class TestPartition:
             assert p.min_gap >= lo - 1e-12 and p.max_gap <= hi + 1e-12
             assert p.max_gap <= 3.3 / 2
 
+    # the first three offsets at L/n = 1, exact differences (Sterbenz), as
+    # numpy 2.4's default_rng(seed).uniform(-0.25, 0.25) drew them; pinned
+    # here so the partitions outlive a numpy that changes its stream
+    @pytest.mark.parametrize(
+        "seed, offsets",
+        [
+            (0, ["0x1.187f5e7ece140p-4", "-0x1.d77a103be9320p-4", "-0x1.d60b095ac4c80p-3"]),
+            (1, ["0x1.835ef9bc91700p-8", "0x1.cd465aef054b0p-3", "-0x1.6c616c27dc500p-3"]),
+            (2**32, ["0x1.8f17af8a16b00p-3", "0x1.d4132d1fc6380p-6", "0x1.34213fe136380p-3"]),
+            (2**64, ["-0x1.9fd5e9a386e80p-6", "-0x1.be4b1f7f99540p-5", "0x1.3b439efc465c0p-5"]),
+        ],
+        ids=["0", "1", "2^32", "2^64"],
+    )
+    def test_jitter_offsets_are_pinned(self, seed, offsets):
+        p = make_partition(8.0, 8, "jitter:0.25", seed)
+        assert [float(x).hex() for x in p.samples[1:4] - np.arange(1, 4)] == offsets
+
+    @pytest.mark.parametrize("size", [1, 7, 64])
+    def test_draws_are_numpys(self, size):
+        # the stream of numpy's default_rng, bit for bit, at seeds of one to
+        # four 32-bit words and past the pool of four
+        seeds = [*range(40), 2**32 - 1, 2**32, 2**40 + 7, 2**64 - 1, 2**64, 2**100 + 3, 2**160 + 1]
+        for seed in seeds:
+            expected = np.random.default_rng(seed).random(size)
+            assert np.array_equal(np.array(curve_module._uniform_doubles(seed, size)), expected)
+
+    def test_jitter_is_numpys_uniform_draw(self):
+        for seed, L, n, rho in ((3, 9.688448220547677, 64, 0.1), (7, 3.3, 33, 0.399)):
+            expected = np.linspace(0.0, L, n + 1)
+            expected[1:-1] += np.random.default_rng(seed).uniform(-rho, rho, n - 1) * (L / n)
+            assert np.array_equal(make_partition(L, n, f"jitter:{rho}", seed).samples, expected)
+
+    @pytest.mark.parametrize("seed", [-1, None, 1.5, "3"])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {seed!r}$"):
+            make_partition(1.0, 8, "jitter:0.1", seed)
+
+    def test_seed_is_read_through_index(self):
+        a = make_partition(1.0, 8, "jitter:0.1", np.int64(5)).samples
+        assert np.array_equal(a, make_partition(1.0, 8, "jitter:0.1", 5).samples)
+
 
 class TestMollify:
     def test_circle_reproduced(self):

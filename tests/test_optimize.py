@@ -230,6 +230,16 @@ class TestGuards:
         with pytest.raises(ValueError, match=f"chain length L must be finite and positive, got {L}"):
             AnnealConfig(q=3.0, n=12, L=L, steps=200, seed=1)
 
+    # seed=None would draw OS entropy: a run that cannot be repeated
+    @pytest.mark.parametrize("seed", [-1, None, 2.0])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {seed!r}$"):
+            AnnealConfig(q=3.0, n=12, L=TWO_PI, steps=200, seed=seed)
+
+    def test_seed_is_read_through_index(self):
+        cfg = AnnealConfig(q=3.0, n=12, L=TWO_PI, steps=200, seed=np.uint8(7))
+        assert type(cfg.seed) is int and cfg.seed == 7
+
 
 class TestPairTable:
     """The cached pair table against a fresh pair-kernel pass. The two scale
