@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,22 +43,27 @@ class CurveSpec:
     """A closed curve with derivatives and a parameter-to-arclength table.
 
     ``arclength_table`` has shape (m, 2) with columns (parameter, arclength),
-    both increasing from 0; the last row gives (period, length). When
-    ``is_arclength`` is set the two columns coincide and the derivative is a
-    unit tangent field.
+    both increasing from 0; the last row gives (period, length). When the
+    two columns coincide the curve is arclength-parametrized (`is_arclength`)
+    and the derivative is a unit tangent field.
     """
 
-    period: float
     position: Callable
     derivative: Callable
     second_derivative: Optional[Callable]
     arclength_table: np.ndarray
-    is_arclength: bool
-    name: str = ""
+
+    @property
+    def period(self) -> float:
+        return float(self.arclength_table[-1, 0])
 
     @property
     def length(self) -> float:
         return float(self.arclength_table[-1, 1])
+
+    @property
+    def is_arclength(self) -> bool:
+        return np.array_equal(self.arclength_table[:, 0], self.arclength_table[:, 1])
 
 
 @dataclass(frozen=True)
@@ -164,8 +169,7 @@ def _hermite_inverse(raw: CurveSpec, slope: np.ndarray) -> CurveSpec:
             t = d / np.sqrt(speed2)
             return (dd - np.sum(t * dd, axis=-1, keepdims=True) * t) / speed2
 
-    table = np.column_stack([cum, cum])
-    return CurveSpec(total, position, derivative, second_derivative, table, True, raw.name)
+    return CurveSpec(position, derivative, second_derivative, np.column_stack([cum, cum]))
 
 
 # the parameters of each preset curve, in order, with the defaults the CLI
@@ -229,15 +233,15 @@ def preset_curve(name: str, params) -> CurveSpec:
     for m, c in terms:
         coeffs[abs(m)] += np.conj(c) if m < 0 else c
     factor = (2j * math.pi / period) * np.arange(len(coeffs))[:, None]
-    return _trig_curve(coeffs, coeffs * factor, period, table, name == "circle", name)
+    return _trig_curve(coeffs, coeffs * factor, period, table)
 
 
-def _with_length_table(spec: CurveSpec) -> CurveSpec:
-    x = np.linspace(0.0, spec.period, DEFAULT_GRID_1D + 1)
+def _length_table(derivative: Callable, period: float) -> np.ndarray:
+    """The (parameter, arclength) table of a curve on DEFAULT_GRID_1D cells."""
+    x = np.linspace(0.0, period, DEFAULT_GRID_1D + 1)
     mid = 0.5 * (x[:-1] + x[1:])
-    speed_x, speed_m = (np.linalg.norm(spec.derivative(t), axis=-1) for t in (x, mid))
-    table = np.column_stack([x, _cumulative_speed(speed_x, speed_m, spec.period)])
-    return replace(spec, arclength_table=table)
+    speed_x, speed_m = (np.linalg.norm(derivative(t), axis=-1) for t in (x, mid))
+    return np.column_stack([x, _cumulative_speed(speed_x, speed_m, period)])
 
 
 def analytic_curve(
@@ -245,12 +249,10 @@ def analytic_curve(
     derivative: Callable,
     second_derivative: Optional[Callable] = None,
     period: float = 2 * math.pi,
-    name: str = "custom",
 ) -> CurveSpec:
     """Wrap analytic position/derivative callables into a CurveSpec with a
     computed arclength table."""
-    spec = CurveSpec(period, position, derivative, second_derivative, None, False, name)
-    return _with_length_table(spec)
+    return CurveSpec(position, derivative, second_derivative, _length_table(derivative, period))
 
 
 def _check_seed(seed) -> int:
@@ -413,16 +415,16 @@ def _trig_polynomial(coeffs: np.ndarray, period: float) -> Callable:
     return evaluate
 
 
-def _trig_curve(position_coeffs, tangent_coeffs, period, table, is_arclength, name) -> CurveSpec:
+def _trig_curve(position_coeffs, tangent_coeffs, period, table) -> CurveSpec:
     """The curve whose position and derivative are the `_trig_polynomial`
     of each coefficient table; its second derivative is the tangent's,
     term by term: the tangent coefficients times 2 pi i m / period. A
-    missing length table is computed by `_with_length_table`."""
+    missing length table is computed by `_length_table`."""
     factor = (2j * math.pi / period) * np.arange(len(tangent_coeffs))[:, None]
-    evaluators = (_trig_polynomial(c, period) for c in (position_coeffs, tangent_coeffs))
+    position, derivative = (_trig_polynomial(c, period) for c in (position_coeffs, tangent_coeffs))
     second = _trig_polynomial(tangent_coeffs * factor, period)
-    spec = CurveSpec(period, *evaluators, second, table, is_arclength, name)
-    return spec if table is not None else _with_length_table(spec)
+    table = _length_table(derivative, period) if table is None else table
+    return CurveSpec(position, derivative, second, table)
 
 
 def mollify(curve: CurveSpec, eps: float) -> CurveSpec:
@@ -494,7 +496,7 @@ def _mollify_sweep(curve: CurveSpec, scales) -> list[CurveSpec]:
         tan_coeffs = norm * tan_smooth
         tan_coeffs = tan_coeffs[: _kept_modes(tan_coeffs)]
         table = np.column_stack([np.linspace(0.0, L, samples + 1), scale * cum])
-        raw = _trig_curve(pos_coeffs, tan_coeffs, L, table, False, curve.name)
+        raw = _trig_curve(pos_coeffs, tan_coeffs, L, table)
         # the raw curve's speed at the table nodes is scale * speed_x: the
         # polynomial's values there are what the inverse FFT already gave, up
         # to the dropped modes
@@ -565,9 +567,10 @@ def gagliardo_seminorm(
         vals = vals[:, None]
     if not np.all(np.isfinite(vals)):
         raise ValueError("seminorm integrand has non-finite samples")
-    # |x-y|^(1+s rho) by index separation; the excluded band |x-y| < 1.5 h
-    # gets an infinite denominator, which zeroes its integrand
-    denom = (np.arange(grid // 2 + 1) * h) ** (1.0 + s * rho)
+    # distances in grid units k = |x-y| / h, so no power of h overflows; the
+    # sum takes its factor h^(1 - s rho) once, at the end. The excluded band
+    # k < 1.5 gets an infinite denominator, which zeroes its integrand
+    denom = np.arange(grid // 2 + 1) ** (1.0 + s * rho)
     denom[:2] = np.inf
     coords = np.ascontiguousarray(vals.T)
     main = 0.0
@@ -578,17 +581,14 @@ def gagliardo_seminorm(
         # stand for their mirror images too
         terms[:, hi - lo :] *= 2.0
         main += float(np.sum(terms))
-    main *= h * h
     # local extrapolation of the excluded band, modelling the integrand as
-    # A(x) |x-y|^beta with the Lipschitz exponent; A comes from the nearest
+    # A(x) k^beta with the Lipschitz exponent; A comes from the nearest
     # included band, separation 2. One side of each row suffices: the other
     # side holds the same values two rows on, and only their sum is used
     beta = rho * (1.0 - s) - 1.0
     band = np.linalg.norm(vals - np.roll(vals, -2, axis=0), axis=-1) ** rho / denom[2]
-    amp = band / (2.0 * h) ** beta
-    width = 1.5 * h
-    comp = float(amp.sum()) * h * 2.0 * width ** (beta + 1.0) / (beta + 1.0)
-    return main + comp
+    comp = float(band.sum()) / 2.0**beta * 2.0 * 1.5 ** (beta + 1.0) / (beta + 1.0)
+    return (main + comp) * h ** (1.0 - s * rho)
 
 
 def tangent_modulus(curve: CurveSpec, h: float, grid: int = 1024) -> float:

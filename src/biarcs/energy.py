@@ -182,13 +182,14 @@ def _pair_tiles(operands, diagonal=None, tiles=None):
     x's shape that the consumer may overwrite.
 
     A tile's d is one batched matrix product, and x_ji's projections go one
-    tile behind x_ij's, so that the square roots and divisions run once on
-    both. Every tile is written into seven work buffers sized for the
-    largest triangle tile, d, dist2 and the projections in three arrays
-    (one 1.5 MB block lifted glibc's mmap threshold, and the converge
-    benchmark's peak RSS by 1.2 MB), so a consumer must not keep a tile
-    past the next iteration. The caller runs the loop under np.errstate, in
-    the thread that runs the loop: numpy keeps it per thread.
+    slot behind x_ij's in the tile's (3, r, c) block, so that the square
+    roots and divisions run once on both. Every tile is written into seven
+    work buffers sized for the largest triangle tile, d, dist2 and the
+    projections in three arrays (one 1.5 MB block lifted glibc's mmap
+    threshold, and the converge benchmark's peak RSS by 1.2 MB), so a
+    consumer must not keep a tile past the next iteration. The caller runs
+    the loop under np.errstate, in the thread that runs the loop: numpy
+    keeps it per thread.
     """
     rows, cols_ops, frame = operands
     n = cols_ops.shape[-1]

@@ -77,8 +77,7 @@ class BiarcCurve:
             return k[..., None] * (np.cos(phi) * normals - np.sin(phi) * dirs)
 
         position, derivative = (lambda s, j=j: _eval_arcs(*arcs_at(s))[j] for j in (0, 1))
-        table = np.column_stack([breaks, breaks])
-        return CurveSpec(L, position, derivative, second_derivative, table, True, "biarc chain")
+        return CurveSpec(position, derivative, second_derivative, np.column_stack([breaks, breaks]))
 
     @property
     def biarcs(self) -> tuple:

@@ -1,6 +1,8 @@
 """The public names of the package. An export added, removed or renamed
 changes this list, and the change is then listed in CHANGES.md."""
 
+import dataclasses
+import inspect
 import types
 
 import biarcs
@@ -58,3 +60,15 @@ def test_public_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == PUBLIC_API
+
+
+def test_a_curve_is_three_callables_and_its_length_table():
+    # period, length and is_arclength are read from the table
+    fields = [field.name for field in dataclasses.fields(biarcs.CurveSpec)]
+    assert fields == ["position", "derivative", "second_derivative", "arclength_table"]
+    assert all(
+        isinstance(getattr(biarcs.CurveSpec, name), property)
+        for name in ("period", "length", "is_arclength")
+    )
+    parameters = list(inspect.signature(biarcs.analytic_curve).parameters)
+    assert parameters == ["position", "derivative", "second_derivative", "period"]

@@ -1,18 +1,23 @@
 import atexit
+import contextlib
 import errno
 import gc
 import importlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biarcs.cli import COMMON, SETTINGS, build_parser, main, resolve_settings
 
@@ -601,6 +606,17 @@ class TestMollifyCommand:
         assert (code, out) == (3, "")
         assert err == "numerical failure: tangent_seminorm failed to decrease along the smoothing sweep\n"
 
+    def test_huge_circle_seminorm_is_finite_under_warnings_as_errors(self, capsys):
+        # distances in cells of 1e147 made the power |x-y|^(1+s rho) overflow,
+        # a RuntimeWarning, and the seminorm read 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["mollify", "--curve", "circle", "--params", "1e150",
+                                          "--n-sweep", "2,4"])
+        assert (code, err) == (0, "")
+        semi = [float(row["tangent_seminorm"]) for row in parse_csv(out)[1]]
+        assert all(0.0 < value < math.inf for value in semi)
+
     def test_eps_bound(self, capsys):
         # a short curve makes eps = 1/1 exceed a quarter of the length
         code, _, err = run(
@@ -609,6 +625,73 @@ class TestMollifyCommand:
         )
         assert code == 2
         assert "quarter" in err
+
+
+# unit-size shapes of each preset; the drawn argvs scale them by 2^k
+UNIT_SHAPES = {
+    "circle": ["1"],
+    "ellipse": ["2,1", "1,0.5", "3,1"],
+    "torus_knot": ["2,3,2,0.5", "2,3,2,0.8", "3,2,2,0.5"],
+}
+
+
+@st.composite
+def cli_argvs(draw):
+    """An argv of energy, converge, ropelength or mollify with cheap sizes:
+    a preset at scale 2^k, q <= 8 and jitter below 0.2, so no energy beyond
+    the double range and no length gate can put an inf in stdout. Jittered
+    gaps lie within (1 +- 2 rho) L/n, and the gate takes [L/(2n), 2L/n]:
+    jitter 0.27 already failed it on the (2, 3) knots at n = 16 and 32."""
+    command = draw(st.sampled_from(["energy", "converge", "ropelength", "mollify"]))
+    name = draw(st.sampled_from(sorted(UNIT_SHAPES)))
+    scale = 2.0 ** draw(st.integers(-30, 30))
+    unit = draw(st.sampled_from(UNIT_SHAPES[name]))
+    params = [float(v) for v in unit.split(",")]
+    if name == "torus_knot":
+        params[2:] = [scale * v for v in params[2:]]
+    else:
+        params = [scale * v for v in params]
+    argv = [command, "--curve", name, "--params", ",".join(map(repr, params))]
+    argv += ["--seed", str(draw(st.integers(0, 2**32)))]
+    if command != "ropelength":
+        argv += ["--q", repr(draw(st.floats(2.1, 8.0)))]
+    sweep = sorted(draw(st.lists(st.sampled_from([4, 8, 16, 32]), min_size=2, max_size=3, unique=True)))
+    if command == "energy":
+        argv += ["--n", str(sweep[0])]
+    else:
+        argv += ["--n-sweep", ",".join(map(str, sweep))]
+    argv += ["--grid", str(draw(st.sampled_from([32, 64])))]
+    if command != "mollify":
+        rho = draw(st.one_of(st.none(), st.floats(0.0, 0.2, exclude_max=True)))
+        argv += ["--partition", "uniform" if rho is None else f"jitter:{rho!r}"]
+    if draw(st.booleans()):
+        argv += ["--format", "json"]
+    return argv
+
+
+class TestContract:
+    """Any legal argv exits 0 with finite numbers, 2 for a configuration
+    error or 3 for a numerical failure, each with one line of stderr, and
+    warns of nothing."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(argv=cli_argvs())
+    def test_drawn_argvs_keep_the_exit_code_contract(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 2, 3), err
+        if code:
+            assert (out, err.count("\n"), err[-1:]) == ("", 1, "\n")
+        else:
+            numbers = []
+            for token in re.split(r'[\s,\[\]{}:"]+', out):
+                with contextlib.suppress(ValueError):
+                    numbers.append(float(token))
+            assert numbers and all(map(math.isfinite, numbers)), out
 
 
 class TestAnnealCommand:

@@ -20,6 +20,7 @@ from biarcs.curve import (
     preset_curve,
     tangent_modulus,
 )
+from biarcs.interpolate import build_biarc_curve
 
 TWO_PI = 2 * math.pi
 # composite-Simpson oracle on the exact speed sqrt(4 sin^2 + cos^2), 2^16 cells
@@ -300,6 +301,51 @@ class TestPresets:
         with pytest.raises(ValueError) as exc:
             preset_curve(name, params)
         assert str(exc.value) == message
+
+
+class TestCurveSpec:
+    """A CurveSpec reads its period from the last parameter of its length
+    table, and is arclength-parametrized when the table's two columns
+    coincide; every kind of curve the package builds reads what it means."""
+
+    def test_every_kind_of_curve_reads_its_period_and_parametrization(self, monkeypatch):
+        circle = preset_curve("circle", [1.5])
+        ellipse = preset_curve("ellipse", [2.0, 1.0])
+        knot = preset_curve("torus_knot", [2, 3, 2.0, 0.5])
+        # the unit circle at speed 2 pi / 3
+        omega = TWO_PI / 3.0
+        custom = analytic_curve(
+            lambda u: np.stack([np.cos(omega * u), np.sin(omega * u), 0.0 * u], axis=-1),
+            lambda u: omega * np.stack([-np.sin(omega * u), np.cos(omega * u), 0.0 * u], axis=-1),
+            period=3.0,
+        )
+        unit = arclength_reparametrize(knot)
+        raws = []  # the mollified polynomial before its reparametrization
+        inverse = curve_module._hermite_inverse
+
+        def spy(raw, slope):
+            raws.append(raw)
+            return inverse(raw, slope)
+
+        monkeypatch.setattr(curve_module, "_hermite_inverse", spy)
+        smooth = mollify(unit, 0.25)
+        beta = build_biarc_curve(unit, make_partition(unit.length, 16))
+        chain = beta.spec
+        cases = [
+            (circle, TWO_PI * 1.5, True),
+            (ellipse, TWO_PI, False),
+            (knot, TWO_PI, False),
+            (custom, 3.0, False),
+            (unit, unit.length, True),
+            (raws[0], unit.length, False),
+            (smooth, smooth.length, True),
+            (chain, float(beta.arc_offsets[-1]), True),
+        ]
+        for spec, period, is_arclength in cases:
+            assert (spec.period, spec.is_arclength) == (period, is_arclength)
+        assert unit.length == pytest.approx(knot.length, rel=1e-15)
+        assert smooth.length == pytest.approx(unit.length, rel=1e-14)
+        assert custom.length == pytest.approx(TWO_PI, rel=1e-12)
 
 
 class TestArclength:
@@ -586,6 +632,19 @@ class TestSeminorm:
         a = gagliardo_seminorm(circle.derivative, 0.5, 2.0, 256, TWO_PI)
         b = gagliardo_seminorm(circle.derivative, 0.5, 2.0, 512, TWO_PI)
         assert abs(a - b) / b < 0.01
+
+    @pytest.mark.parametrize("k", [-400, 400])
+    @pytest.mark.parametrize("s, rho", [(2.0 / 3.0, 3.0), (0.5, 3.0), (0.3, 2.0)])
+    def test_dilation_scales_by_a_power(self, smoothed_knot, k, s, rho):
+        # x -> f(x / c) over period c P has c^(1 - s rho) times the seminorm
+        # of f over P; at c = 2^+-400 the cells are 2^+-395 wide, and at
+        # s rho = 2 their powers |x - y|^(1 + s rho) leave the double range
+        knot, smooth = smoothed_knot
+        c = 2.0**k
+        f = lambda x: smooth.derivative(x) - knot.derivative(x)
+        base = gagliardo_seminorm(f, s, rho, 256, knot.length)
+        dilated = gagliardo_seminorm(lambda x: f(x / c), s, rho, 256, c * knot.length)
+        assert dilated == pytest.approx(c ** (1.0 - s * rho) * base, rel=1e-13)
 
     def test_guards(self):
         circle = preset_curve("circle", [1.0])
