@@ -17,7 +17,7 @@ those columns. A tile's d is one matrix product of the rows [p_i, 1] by
 the columns [1; -p_j], which rounds p_i - p_j once as a subtraction does,
 at a third of its cost, and gives both x_ij, with the columns' frames,
 and x_ji, with the rows' frames on -d, whose projections square to the
-same bits. Every tile is written into seven tile-sized work buffers per
+same bits. Every tile is written into six tile-sized work buffers per
 walker, however large n is. `pair_stats` splits the tiles over the usable
 CPUs, at most MAX_WALKERS walkers of which the caller is one, each with
 two tiles at least, and reduces each tile to a partial: its largest
@@ -56,8 +56,8 @@ from .interpolate import BiarcCurve, check_Bn
 # seen, a mollified torus knot whose maximum lies on a narrow ridge, takes
 # about a thousand
 REFINE_STEPS = 2000
-# the most threads one pair walk uses: each walker owns seven tile buffers
-# (1.8 MB at the default PAIR_TILE), so memory stays bounded on machines
+# the most threads one pair walk uses: each walker owns six tile buffers
+# (1.6 MB at the default PAIR_TILE), so memory stays bounded on machines
 # with many CPUs
 MAX_WALKERS = 4
 
@@ -183,32 +183,33 @@ def _pair_tiles(operands, diagonal=None, tiles=None):
 
     A tile's d is one batched matrix product, and x_ji's projections go one
     slot behind x_ij's in the tile's (3, r, c) block, so that the square
-    roots and divisions run once on both. Every tile is written into seven
-    work buffers sized for the largest triangle tile, d, dist2 and the
-    projections in three arrays (one 1.5 MB block lifted glibc's mmap
-    threshold, and the converge benchmark's peak RSS by 1.2 MB), so a
-    consumer must not keep a tile past the next iteration. The caller runs
-    the loop under np.errstate, in the thread that runs the loop: numpy
-    keeps it per thread.
+    roots and divisions run once on both, and dist2 takes the block's third
+    slot. Every tile is written into six work buffers sized for the largest
+    triangle tile, d and the projections in two arrays of three (one 1.5 MB
+    block lifted glibc's mmap threshold, and the converge benchmark's peak
+    RSS by 1.2 MB), so a consumer must not keep a tile past the next
+    iteration. The caller runs the loop under np.errstate, in the thread
+    that runs the loop: numpy keeps it per thread.
     """
     rows, cols_ops, frame = operands
     n = cols_ops.shape[-1]
     size = max(((hi - lo) * (n - lo) for lo, hi, _ in _triangle_tiles(n)), default=0)
-    work = [np.empty(3 * size), np.empty(size), np.empty(3 * size)]
+    work = [np.empty(3 * size), np.empty(3 * size)]
     for lo, hi, cols in _triangle_tiles(n) if tiles is None else tiles:
         # a slice keeps the columns a view: gathered copies of all columns
         # measured a quarter slower
         near, near_frame = cols_ops[:, :, cols], frame[:, :, None, cols]
         r, c = hi - lo, near.shape[-1]
-        diff, dist2, proj = (buf[: k * r * c].reshape(k, r, c) for k, buf in zip((3, 1, 3), work))
+        diff, proj = (buf[: 3 * r * c].reshape(3, r, c) for buf in work)
         # r c 2 <= 2 PAIR_TILE multiply-adds per coordinate: under OpenBLAS's
         # threading threshold, so the product runs on the calling walker
         d = np.matmul(rows[:, lo:hi], near, out=diff)
-        dist2 = np.einsum("i...,i...->...", d, d, out=dist2[0])
         # x_ji on every column: strided views of the columns past the tile
         # measured slower
         _normal_square(d, near_frame, proj[:2])
         _normal_square(d, frame[:, :, lo:hi, None], proj[1:])
+        # the second sum went into proj[1], so proj[2] is free for |d|^2
+        dist2 = np.einsum("i...,i...->...", d, d, out=proj[2])
         x = _inverse_radii(proj[:2], dist2)
         x[1, :, :r] = 0.0
         # the diagonal, node lo + r against itself in row r and column r,

@@ -606,6 +606,17 @@ class TestMollifyCommand:
         assert (code, out) == (3, "")
         assert err == "numerical failure: tangent_seminorm failed to decrease along the smoothing sweep\n"
 
+    @pytest.mark.parametrize("radius", ["1", "256", "65536"])
+    def test_reproduced_circle_passes_the_decrease_check_at_every_scale(self, capsys, radius):
+        # the mollified circle is the circle to rounding, so both columns
+        # sit at their noise floor; the position part's grows with the
+        # radius (1.3e-8 at 65536), and an absolute slack of 1e-12 exited 3
+        # from radius 256 on
+        code, out, err = run(capsys, ["mollify", "--curve", "circle", "--params", radius,
+                                      "--n-sweep", "4,16,32,64"])
+        assert (code, err) == (0, "")
+        assert [row["k"] for row in parse_csv(out)[1]] == ["4", "16", "32", "64"]
+
     def test_huge_circle_seminorm_is_finite_under_warnings_as_errors(self, capsys):
         # distances in cells of 1e147 made the power |x-y|^(1+s rho) overflow,
         # a RuntimeWarning, and the seminorm read 0
@@ -637,12 +648,13 @@ UNIT_SHAPES = {
 
 @st.composite
 def cli_argvs(draw):
-    """An argv of energy, converge, ropelength or mollify with cheap sizes:
-    a preset at scale 2^k, q <= 8 and jitter below 0.2, so no energy beyond
-    the double range and no length gate can put an inf in stdout. Jittered
-    gaps lie within (1 +- 2 rho) L/n, and the gate takes [L/(2n), 2L/n]:
-    jitter 0.27 already failed it on the (2, 3) knots at n = 16 and 32."""
-    command = draw(st.sampled_from(["energy", "converge", "ropelength", "mollify"]))
+    """An argv of any command with cheap sizes: a preset at scale 2^k,
+    q <= 8, jitter below 0.2 and at most 40 anneal steps, so no energy
+    beyond the double range and no length gate can put an inf in stdout.
+    Jittered gaps lie within (1 +- 2 rho) L/n, and the gate takes
+    [L/(2n), 2L/n]: jitter 0.27 already failed it on the (2, 3) knots at
+    n = 16 and 32."""
+    command = draw(st.sampled_from(["energy", "converge", "ropelength", "anneal", "mollify"]))
     name = draw(st.sampled_from(sorted(UNIT_SHAPES)))
     scale = 2.0 ** draw(st.integers(-30, 30))
     unit = draw(st.sampled_from(UNIT_SHAPES[name]))
@@ -656,15 +668,18 @@ def cli_argvs(draw):
     if command != "ropelength":
         argv += ["--q", repr(draw(st.floats(2.1, 8.0)))]
     sweep = sorted(draw(st.lists(st.sampled_from([4, 8, 16, 32]), min_size=2, max_size=3, unique=True)))
-    if command == "energy":
+    if command in ("energy", "anneal"):
         argv += ["--n", str(sweep[0])]
     else:
         argv += ["--n-sweep", ",".join(map(str, sweep))]
-    argv += ["--grid", str(draw(st.sampled_from([32, 64])))]
+    if command == "anneal":
+        argv += ["--steps", str(draw(st.integers(1, 40)))]
+    else:
+        argv += ["--grid", str(draw(st.sampled_from([32, 64])))]
     if command != "mollify":
         rho = draw(st.one_of(st.none(), st.floats(0.0, 0.2, exclude_max=True)))
         argv += ["--partition", "uniform" if rho is None else f"jitter:{rho!r}"]
-    if draw(st.booleans()):
+    if command != "anneal" and draw(st.booleans()):
         argv += ["--format", "json"]
     return argv
 
@@ -672,9 +687,10 @@ def cli_argvs(draw):
 class TestContract:
     """Any legal argv exits 0 with finite numbers, 2 for a configuration
     error or 3 for a numerical failure, each with one line of stderr, and
-    warns of nothing."""
+    warns of nothing. An anneal's numbers are its trace and the junction
+    text after it."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=75, deadline=None)
     @given(argv=cli_argvs())
     def test_drawn_argvs_keep_the_exit_code_contract(self, argv):
         out, err = io.StringIO(), io.StringIO()

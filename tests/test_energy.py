@@ -952,6 +952,22 @@ class TestRateConstant:
         # measured: 2.5e-7 at q = 2.5 and 3, 2.6e-7 at 4 and 2.7e-7 at 8
         assert n * gap / L == pytest.approx(self.curvature_integral(curve, q), rel=1e-5)
 
+    @pytest.mark.parametrize("rho, bound", [(0.1, 1.2e-3), (0.3, 1.0e-2)])
+    def test_the_jittered_gap_has_mean_one_plus_two_thirds_rho_squared(self, ellipse, rho, bound):
+        # a gap lambda = h (1 + o_{i+1} - o_i), o uniform on [-rho, rho],
+        # weighs the left-out diagonal by lambda^2: E[(lambda / h)^2] = 1 +
+        # 2 rho^2 / 3. Measured over seeds 0-11: mean 1.00646 (sd 0.0014) at
+        # rho = 0.1 and 1.0587 (sd 0.012) at 0.3; the bounds are about three
+        # standard errors of those spreads
+        curve, reference, integral = ellipse
+        n, L = 1024, curve.length
+        ratios = []
+        for seed in range(12):
+            beta = build_biarc_curve(curve, make_partition(L, n, f"jitter:{rho}", seed))
+            gap = reference - discrete_tp_energy(beta, self.Q, gated=False, L=L)
+            ratios.append(n * gap / (L * integral))
+        assert np.mean(ratios) == pytest.approx(1.0 + 2.0 * rho**2 / 3.0, abs=bound)
+
     def test_the_corrected_error_is_third_order(self, ellipse):
         curve, reference, _ = ellipse
         errors = []
@@ -1072,10 +1088,11 @@ class TestThickness:
 
     def test_seed_scan_memory_bounded(self, knot):
         # the (grid, grid) quotients alone take 32 MB here. The scan holds,
-        # in 8-byte entries, the walk's seven work buffers of the largest
-        # tile, one argpartition index array over one order of a tile (both
-        # orders at once took another) and, per node, the walk's 18 operands,
-        # 12 of a tile's gathered columns and two index arrays
+        # in 8-byte entries, the walk's six work buffers of the largest tile
+        # (|d|^2 shares the projections' block; a seventh buffer for it read
+        # 2 525 924 bytes), one argpartition index array over one order of a
+        # tile (both orders at once took another) and, per node, the walk's
+        # 18 operands, 12 of a tile's gathered columns and two index arrays
         grid = 2048
         size = max((hi - lo) * (grid - lo) for lo, hi, _ in curve._triangle_tiles(grid))
         _, pos, tan = grid_nodes(knot, grid)
@@ -1085,7 +1102,7 @@ class TestThickness:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * ((7 + 1) * size + (18 + 12 + 2) * grid)
+        assert peak <= 8 * ((6 + 1) * size + (18 + 12 + 2) * grid)
 
     @pytest.mark.parametrize("grid", [64, 2048])
     def test_not_embedded(self, grid):
