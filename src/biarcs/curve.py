@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Optional
+from itertools import islice
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -293,13 +294,13 @@ def _mix(x: int, y: int) -> int:
     return value ^ value >> 16
 
 
-def _uniform_doubles(seed: int, size: int) -> list[float]:
-    """The first ``size`` doubles in [0, 1) of ``np.random.default_rng(seed)``,
-    bit for bit, on Python ints. SeedSequence hashes the seed's 32-bit words
+def _pcg64(seed: int) -> Iterator[int]:
+    """The 64-bit outputs of ``np.random.default_rng(seed)``'s PCG64, bit
+    for bit, on Python ints. SeedSequence hashes the seed's 32-bit words
     into a pool of four and the pool into four 64-bit words: the state and
-    the increment of a PCG64 generator, whose XSL-RR outputs' top 53 bits
-    are the doubles. Numpy does not promise to keep its stream across
-    versions (NEP 19); this one stays."""
+    the increment of a PCG64 generator, whose XSL-RR outputs these are.
+    Numpy does not promise to keep its stream across versions (NEP 19);
+    this one stays."""
     words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
     # SeedSequence's INIT_A and MULT_A, then INIT_B and MULT_B below
     hashmix = _hashmix(0x43B0D7E5, 0x931E8875)
@@ -322,12 +323,16 @@ def _uniform_doubles(seed: int, size: int) -> list[float]:
     )
     inc = (initseq << 1 | 1) & _MASK128
     state = (initstate + inc) * _PCG_MULTIPLIER + inc & _MASK128
-    doubles = []
-    for _ in range(size):
+    while True:
         state = state * _PCG_MULTIPLIER + inc & _MASK128
         word, rot = (state >> 64 ^ state) & _MASK64, state >> 122
-        doubles.append((((word >> rot | word << (64 - rot)) & _MASK64) >> 11) * 2.0**-53)
-    return doubles
+        yield (word >> rot | word << (64 - rot)) & _MASK64
+
+
+def _uniform_doubles(seed: int, size: int) -> list[float]:
+    """The first ``size`` doubles in [0, 1) of ``np.random.default_rng(seed)``:
+    the top 53 bits of each `_pcg64` output."""
+    return [(word >> 11) * 2.0**-53 for word in islice(_pcg64(seed), size)]
 
 
 def make_partition(L: float, n: int, mode: str = "uniform", seed: int = 0) -> Partition:

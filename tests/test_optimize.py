@@ -396,6 +396,61 @@ class TestMoveRebuild:
             assert None in shipped[3]
 
 
+class TestDraws:
+    """`optimize._anneal_draws` is numpy's Generator stream, bit for bit."""
+
+    # one to four 32-bit words of seed, and past SeedSequence's pool of four
+    SEEDS = [*range(40), 2**32 - 1, 2**32, 2**40 + 7, 2**64 - 1, 2**64, 2**100 + 3, 2**160 + 1]
+
+    def test_the_anneals_calls_are_numpys(self):
+        # as a step draws: a junction, the point's and the tangent's kicks,
+        # and now and then a Metropolis uniform. Each n takes one 32-bit
+        # word, so the spare high half serves every other call, across the
+        # normals between; n = 2^31 + 11 redraws about half its words
+        scales = (0.3,) * 3 + (2.5e-7,) * 3
+        for seed in self.SEEDS:
+            rng = np.random.default_rng(seed)
+            integer, kicks, uniform = optimize._anneal_draws(seed, scales)
+            for step in range(100):
+                n = (4, 7, 64, 2**31 + 11, 2**32 - 1)[step % 5]
+                assert integer(n) == rng.integers(n)
+                expected = [rng.normal(scale=s, size=3) for s in (0.3, 2.5e-7)]
+                assert np.array(kicks()).tobytes() == np.concatenate(expected).tobytes()
+                if step % 3 == 0:
+                    assert uniform() == rng.random()
+
+    @pytest.mark.parametrize("seed", [0, 39, 2**160 + 1])
+    def test_normals_take_every_branch(self, monkeypatch, seed):
+        # the tail past R (layer 0) takes log1p, the wedge of a layer exp
+        calls = dict.fromkeys(["log1p", "exp"], 0)
+        for name in calls:
+
+            def counted(x, name=name, real=getattr(math, name)):
+                calls[name] += 1
+                return real(x)
+
+            monkeypatch.setattr(math, name, counted)
+        _, kicks, _ = optimize._anneal_draws(seed, (1.0,) * 200_000)
+        z = np.array(kicks())
+        monkeypatch.undo()
+        assert np.array_equal(z, np.random.default_rng(seed).standard_normal(200_000))
+        assert calls["log1p"] > 0 and calls["exp"] > 0
+
+    @pytest.mark.parametrize(
+        "seed, first",
+        [
+            (0, (54, ["-0x1.0e8cfe9bd45ccp-3", "0x1.47e57a468b06dp-1", "0x1.adabbec84d4f0p-4"],
+                 "0x1.a064f4f059bcap-1")),
+            (2**64 + 5, (56, ["-0x1.b5ed9d58af755p-4", "0x1.e62ae9beb47b8p-1",
+                              "0x1.885dddec8f0e8p-4"], "0x1.ee48923c83ec1p-1")),
+        ],
+    )
+    def test_first_draws_are_pinned(self, seed, first):
+        # the stream stays if a later numpy changes its own (NEP 19)
+        integer, kicks, uniform = optimize._anneal_draws(seed, (1.0,) * 3)
+        assert (integer(64), [z.hex() for z in kicks()], uniform().hex()) == first
+
+
 class TestTraceCsv:
     def test_format(self):
         trace = AnnealTrace(
