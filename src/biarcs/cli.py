@@ -23,6 +23,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ._stream import _check_seed
 from .curve import (
     _PRESETS,
     _mollify_sweep,
@@ -187,8 +188,10 @@ def resolve_settings(args: argparse.Namespace) -> dict:
     q = settings.get("q", 3.0)
     if not (np.isfinite(q) and (low <= q if closed else low < q)):
         raise ConfigError(f"q must be finite and {'at least' if closed else 'above'} {low:g}, got {q}")
-    if settings["seed"] < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {settings['seed']}")
+    try:
+        _check_seed(settings["seed"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if "n_sweep" in settings and settings["n_sweep"] is None:
         raise ConfigError(f"{args.command} needs an n-sweep")
     return settings
@@ -231,18 +234,14 @@ def check_output(settings: dict) -> None:
 
 def emit(rows: list[dict], columns: list[str], settings: dict) -> None:
     if settings["format"] == "csv":
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(fmt(row[c]) for c in columns))
+        lines = [",".join(columns), *(",".join(fmt(row[c]) for c in columns) for row in rows)]
         text = "\n".join(lines) + "\n"
     else:
-        payload = []
-        for row in rows:
-            obj = {}
-            for c in columns:
-                v = row[c]
-                obj[c] = float(fmt(v)) if isinstance(v, float) else v
-            payload.append(obj)
+        # the JSON numbers are the CSV's 12 significant digits
+        payload = [
+            {c: float(fmt(v)) if isinstance(v := row[c], float) else v for c in columns}
+            for row in rows
+        ]
         text = json.dumps(payload, indent=2) + "\n"
     write_output(settings, text)
 
@@ -268,19 +267,11 @@ def cmd_energy(settings: dict) -> int:
     part = _partition(curve, n, settings)
     beta = build_biarc_curve(curve, part)
     meta = {"q": settings["q"], "grid": grid, "curve": settings["curve"], "seed": settings["seed"]}
+    discrete = discrete_tp_energy(beta, settings["q"], gated=True, L=curve.length)
+    continuous = continuous_tp_energy(curve, settings["q"], grid)
     rows = [
-        {
-            "kind": "discrete",
-            "n": n,
-            "value": discrete_tp_energy(beta, settings["q"], gated=True, L=curve.length),
-            **meta,
-        },
-        {
-            "kind": "continuous",
-            "n": 0,
-            "value": continuous_tp_energy(curve, settings["q"], grid),
-            **meta,
-        },
+        {"kind": "discrete", "n": n, "value": discrete, **meta},
+        {"kind": "continuous", "n": 0, "value": continuous, **meta},
     ]
     emit(rows, ["kind", "q", "n", "value", "grid", "curve", "seed"], settings)
     return 0
@@ -298,14 +289,8 @@ def cmd_converge(settings: dict) -> int:
     for n, part in zip(settings["n_sweep"], parts):
         beta = build_biarc_curve(curve, part)
         energy = discrete_tp_energy(beta, q, gated=False, L=curve.length)
-        rows.append(
-            {
-                "n": n,
-                "discrete_energy": energy,
-                "reference_energy": reference,
-                "abs_error": abs(reference - energy),
-            }
-        )
+        error = abs(reference - energy)
+        rows.append(dict(n=n, discrete_energy=energy, reference_energy=reference, abs_error=error))
     ns = np.array([row["n"] for row in rows], dtype=float)
     errs = np.array([row["abs_error"] for row in rows])
     slope = float(np.polyfit(np.log(ns), np.log(np.maximum(errs, 1e-300)), 1)[0])

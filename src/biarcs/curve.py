@@ -13,12 +13,12 @@ derivatives taken term by term from the coefficients (`_trig_curve`).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from itertools import islice
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
+
+from ._stream import Stream, _check_seed
 
 DEFAULT_GRID_1D = 2048
 # points per row block when a mollified curve is evaluated
@@ -256,85 +256,6 @@ def analytic_curve(
     return CurveSpec(position, derivative, second_derivative, _length_table(derivative, period))
 
 
-def _check_seed(seed) -> int:
-    """The seed as an int, read through `operator.index`; anything else, or
-    a negative seed, is a ValueError that names it."""
-    try:
-        value = operator.index(seed)
-    except TypeError:
-        value = -1
-    if value < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    return value
-
-
-_MASK32 = (1 << 32) - 1
-_MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
-# the 128-bit LCG multiplier of PCG64 (O'Neill 2014)
-_PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _hashmix(const: int, mult: int) -> Callable[[int], int]:
-    """numpy SeedSequence's hash of a 32-bit word, whose multiplier starts
-    at ``const`` and is multiplied by ``mult`` on every call."""
-
-    def hashmix(value: int) -> int:
-        nonlocal const
-        value ^= const
-        const = const * mult & _MASK32
-        value = value * const & _MASK32
-        return value ^ value >> 16
-
-    return hashmix
-
-
-def _mix(x: int, y: int) -> int:
-    value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
-    return value ^ value >> 16
-
-
-def _pcg64(seed: int) -> Iterator[int]:
-    """The 64-bit outputs of ``np.random.default_rng(seed)``'s PCG64, bit
-    for bit, on Python ints. SeedSequence hashes the seed's 32-bit words
-    into a pool of four and the pool into four 64-bit words: the state and
-    the increment of a PCG64 generator, whose XSL-RR outputs these are.
-    Numpy does not promise to keep its stream across versions (NEP 19);
-    this one stays."""
-    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    # SeedSequence's INIT_A and MULT_A, then INIT_B and MULT_B below
-    hashmix = _hashmix(0x43B0D7E5, 0x931E8875)
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
-    # every pool word into every other, then each word past the fourth
-    # into every pool word
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    hashmix = _hashmix(0x8B51F9DD, 0x58F38DED)
-    half = [hashmix(pool[i % 4]) for i in range(8)]
-    # eight 32-bit halves make four 64-bit words, low half first; the state
-    # and the sequence each take two, high word first
-    initstate, initseq = (
-        (half[k] | half[k + 1] << 32) << 64 | half[k + 2] | half[k + 3] << 32 for k in (0, 4)
-    )
-    inc = (initseq << 1 | 1) & _MASK128
-    state = (initstate + inc) * _PCG_MULTIPLIER + inc & _MASK128
-    while True:
-        state = state * _PCG_MULTIPLIER + inc & _MASK128
-        word, rot = (state >> 64 ^ state) & _MASK64, state >> 122
-        yield (word >> rot | word << (64 - rot)) & _MASK64
-
-
-def _uniform_doubles(seed: int, size: int) -> list[float]:
-    """The first ``size`` doubles in [0, 1) of ``np.random.default_rng(seed)``:
-    the top 53 bits of each `_pcg64` output."""
-    return [(word >> 11) * 2.0**-53 for word in islice(_pcg64(seed), size)]
-
-
 def make_partition(L: float, n: int, mode: str = "uniform", seed: int = 0) -> Partition:
     """Partition of [0, L] into n cells, uniform or with jittered nodes.
 
@@ -342,7 +263,7 @@ def make_partition(L: float, n: int, mode: str = "uniform", seed: int = 0) -> Pa
     moves interior nodes by at most rho*L/n, which keeps every gap within
     [(1-2 rho) L/n, (1+2 rho) L/n]. The offsets are those of
     ``np.random.default_rng(seed).uniform(-rho, rho, n - 1)``, reproduced
-    (`_uniform_doubles`), so ``seed`` is a non-negative integer.
+    (`_stream`), so ``seed`` is a non-negative integer.
     """
     seed = _check_seed(seed)
     if n < 4:
@@ -359,7 +280,7 @@ def make_partition(L: float, n: int, mode: str = "uniform", seed: int = 0) -> Pa
     if rho == 0.0:
         return Partition(base)
     # as Generator.uniform forms them, low + (high - low) u
-    base[1:-1] += (-rho + (2.0 * rho) * np.array(_uniform_doubles(seed, n - 1))) * (L / n)
+    base[1:-1] += (-rho + (2.0 * rho) * np.array(Stream(seed).random(n - 1))) * (L / n)
     return Partition(base)
 
 
@@ -543,13 +464,7 @@ def _check_embedded(dist2: np.ndarray, L: float) -> None:
         raise ValueError("curve is not embedded: distinct parameters collide")
 
 
-def gagliardo_seminorm(
-    f: Callable,
-    s: float,
-    rho: float,
-    grid: int,
-    period: float,
-) -> float:
+def gagliardo_seminorm(f: Callable, s: float, rho: float, grid: int, period: float) -> float:
     """Double-sum quadrature of the fractional difference quotient
     |f(x)-f(y)|^rho / |x-y|^(1+s rho) over the periodic square.
 
@@ -652,11 +567,9 @@ def curve_diagnostics(curve: CurveSpec, grid: int = 512) -> CurveDiagnostics:
         # the NaN diagonal drops out of the fmax
         ratios = _separation(lo, hi, grid) * h / np.sqrt(dist2)
         c_gamma = max(c_gamma, float(np.fmax.reduce(ratios, axis=None)))
-    ks = []
-    for k in range(1, 9):
-        hk = L / 2.0**k
-        ks.append((hk, tangent_modulus(curve, hk, grid=min(grid, 1024))))
-    ks = np.array(ks[::-1])  # increasing h
+    # the dyadic offsets L / 2^k, increasing
+    offsets = L / 2.0 ** np.arange(8, 0, -1)
+    ks = np.array([(hk, tangent_modulus(curve, hk, grid=min(grid, 1024))) for hk in offsets])
     # a modulus of continuity is non-decreasing; enforce on the samples
     ks[:, 1] = np.maximum.accumulate(ks[:, 1])
     max_curv = float(curvature_values(curve, s).max())

@@ -521,14 +521,38 @@ def _refine_inverse_tp(curve: CurveSpec, L: float, s, t, step: float) -> np.ndar
     )
 
 
+def _largest_curvature(curve: CurveSpec) -> float:
+    """The largest curvature, from its values at the nodes of the curve's
+    length table, a chain's arc breaks: the eight largest are each bracketed
+    by their neighbouring nodes, and six steps of 33 points keep the two
+    spacings around the best. A refined value counts only past 1e-13
+    relative of the sampled maximum (less is rounding noise), so a maximum
+    at a node keeps its bits."""
+    nodes = curve.arclength_table[:, 0]
+    kappa = curvature_values(curve, nodes[:-1])
+    sampled = float(kappa.max())
+    top = np.argsort(kappa)[-8:]
+    # the node before node 0 is the last one but the period, one period back
+    ends = np.concatenate([[nodes[-2] - nodes[-1]], nodes])
+    lo, hi = ends[top], ends[top + 2]
+    rows, refined = np.arange(len(top)), sampled
+    for _ in range(6):
+        s = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, 33)
+        kappa = curvature_values(curve, s)
+        i = np.clip(np.argmax(kappa, axis=1), 1, 31)
+        lo, hi = s[rows, i - 1], s[rows, i + 1]
+        refined = max(refined, float(kappa.max()))
+    return refined if refined > sampled * (1.0 + 1e-13) else sampled
+
+
 def thickness_and_ropelength(curve: CurveSpec, grid: int = 64) -> tuple[float, float]:
     """Thickness (smallest tangent-point radius) and ropelength length/Delta.
 
     The largest inverse radii of a coarse pair grid seed one vectorized
     compass refinement (`_refine_inverse_tp`); the near-diagonal supremum
-    equals the maximal curvature and is taken into account separately, at
-    the grid nodes and at the nodes and cell midpoints of the curve's
-    length table: a chain's arc breaks and its arcs' midpoints.
+    equals the maximal curvature and is taken into account separately,
+    refined from its values at the nodes of the curve's length table, a
+    chain's arc breaks (`_largest_curvature`).
     """
     if not curve.is_arclength:
         raise ValueError("thickness expects an arclength-parametrized curve")
@@ -539,11 +563,7 @@ def thickness_and_ropelength(curve: CurveSpec, grid: int = 64) -> tuple[float, f
     s = (np.arange(grid) + 0.5) * h
     seeds = _thickness_seeds(curve.position(s), curve.derivative(s), L)
     best = float(_refine_inverse_tp(curve, L, s[seeds[:, 0]], s[seeds[:, 1]], h).max())
-    breaks = curve.arclength_table[:, 0]
-    nodes = np.concatenate([s, breaks, 0.5 * (breaks[:-1] + breaks[1:])])
-    curv = float(np.max(curvature_values(curve, nodes)))
-    sup_inv = max(best, curv)
-    delta = 1.0 / sup_inv
+    delta = 1.0 / max(best, _largest_curvature(curve))
     return delta, L / delta
 
 

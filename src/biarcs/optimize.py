@@ -24,24 +24,20 @@ MIN_DISTANCE times L/n. L/n is also the unit of the length gate, so a run
 from a chain dilated by d, with length d L, is the undilated run with every
 length d times and every energy and temperature d^(2 - q) times its value;
 for d a power of two and an integral q, bit for bit.
-
-A run draws its moves as ``np.random.default_rng(seed)`` would, reproduced
-on the package's own PCG64 (`_anneal_draws`), so no run imports
-`numpy.random` and a trace does not move with the installed numpy.
 """
 
 from __future__ import annotations
 
 import io
 import math
-import struct
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from ._stream import Stream, _check_seed
 from .biarc import PairError, _move_lengths
-from .curve import _check_seed, _pcg64, _triangle_tiles
+from .curve import _triangle_tiles
 from .energy import (
     _normal_frame,
     _pair_operands,
@@ -62,74 +58,6 @@ SIGMA_POSITION = 0.05
 SIGMA_TANGENT = 0.05
 # smallest distance allowed between two junctions, times L/n
 MIN_DISTANCE = 1e-3
-
-
-def _anneal_draws(seed: int, scales) -> tuple:
-    """The draws of ``np.random.default_rng(seed)`` that the anneal makes, bit
-    for bit, on `_pcg64`'s stream: ``integer(n)`` is ``integers(n)`` for
-    2 <= n < 2^32, ``kicks()`` is ``normal(scale=s)`` for each s in
-    ``scales`` in turn, and ``uniform()`` is ``random()``.
-
-    ``integers`` takes a 32-bit word, the low half of a 64-bit output, and
-    keeps the high half for its next call; it scales the word to [0, n) by
-    Lemire's multiply ("Fast Random Integer Generation in an Interval",
-    2019), drawing again while the product's low half lies below
-    (2^32 - n) mod n. The normal is numpy's ziggurat on numpy's tables
-    (`_ziggurat`), one output per try: its low byte is the layer, the next
-    bit the sign and the 52 bits above it the abscissa.
-    """
-    from ._ziggurat import INV_R, TABLES, R
-
-    next64 = _pcg64(seed).__next__
-    values = struct.unpack("<256Q512d", bytes.fromhex(TABLES))
-    ki, wi, fi = values[:256], values[256:512], values[512:]
-    spare = None
-
-    def next32() -> int:
-        nonlocal spare
-        if spare is None:
-            word = next64()
-            spare = word >> 32
-            return word & 0xFFFFFFFF
-        word, spare = spare, None
-        return word
-
-    def integer(n: int) -> int:
-        m = next32() * n
-        if m & 0xFFFFFFFF < n:
-            threshold = (0x100000000 - n) % n
-            while m & 0xFFFFFFFF < threshold:
-                m = next32() * n
-        return m >> 32
-
-    def uniform() -> float:
-        return (next64() >> 11) * 2.0**-53
-
-    def normal() -> float:
-        while True:
-            bits = next64()
-            idx = bits & 0xFF
-            rabs = bits >> 9 & 0xFFFFFFFFFFFFF
-            x = rabs * wi[idx]
-            if bits & 0x100:
-                x = -x
-            if rabs < ki[idx]:
-                return x
-            if idx == 0:
-                # the tail past R, by Marsaglia's exponential rejection
-                while True:
-                    xx = -INV_R * math.log1p(-uniform())
-                    yy = -math.log1p(-uniform())
-                    if yy + yy > xx * xx:
-                        xx += R
-                        return -xx if rabs & 0x100 else xx
-            if (fi[idx - 1] - fi[idx]) * uniform() + fi[idx] < math.exp(-0.5 * x * x):
-                return x
-
-    def kicks() -> list[float]:
-        return [0.0 + scale * normal() for scale in scales]
-
-    return integer, kicks, uniform
 
 
 @dataclass
@@ -311,7 +239,8 @@ def anneal_discrete(initial: BiarcCurve, cfg: AnnealConfig) -> tuple[BiarcCurve,
     temperature = INITIAL_TEMPERATURE * table.energy
     sigma_q = SIGMA_POSITION * cfg.L / n
     # a step draws its junction, then the point's and the tangent's kicks
-    integer, kicks, uniform = _anneal_draws(cfg.seed, (sigma_q,) * 3 + (SIGMA_TANGENT,) * 3)
+    stream = Stream(cfg.seed)
+    scales = (sigma_q,) * 3 + (SIGMA_TANGENT,) * 3
 
     best_energy = table.energy
     best_points = table.points.copy()
@@ -320,8 +249,8 @@ def anneal_discrete(initial: BiarcCurve, cfg: AnnealConfig) -> tuple[BiarcCurve,
     rejections = dict.fromkeys(REJECTION_REASONS, 0)
 
     for step in range(cfg.steps):
-        j = integer(n)
-        shift, kick = np.array(kicks()).reshape(2, 3)
+        j = stream.integers(n)
+        shift, kick = np.array([stream.normal(scale) for scale in scales]).reshape(2, 3)
         point = table.points[j] + shift
         t = table.tangents[j]
         kick -= np.dot(kick, t) * t
@@ -335,7 +264,7 @@ def anneal_discrete(initial: BiarcCurve, cfg: AnnealConfig) -> tuple[BiarcCurve,
             # at temperature 0 (geometric cooling underflows) only downhill
             # moves pass
             if delta <= 0.0 or (
-                temperature > 0.0 and uniform() < math.exp(-delta / temperature)
+                temperature > 0.0 and stream.random() < math.exp(-delta / temperature)
             ):
                 table.commit()
                 if table.energy < best_energy:

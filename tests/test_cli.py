@@ -654,15 +654,30 @@ UNIT_SHAPES = {
 }
 
 
+def dilated(argv, factor):
+    """The argv with its preset's lengths times ``factor``: a torus knot's
+    radii, every parameter of the other presets."""
+    at = argv.index("--params") + 1
+    params = [float(v) for v in argv[at].split(",")]
+    first = 2 if argv[argv.index("--curve") + 1] == "torus_knot" else 0
+    params[first:] = [factor * v for v in params[first:]]
+    return [*argv[:at], ",".join(map(repr, params)), *argv[at + 1 :]]
+
+
+def output_rows(text):
+    """The rows of a command's CSV or JSON output, as dicts of strings or numbers."""
+    return json.loads(text) if text.startswith("[") else parse_csv(text)[1]
+
+
 @st.composite
-def cli_argvs(draw):
+def cli_argvs(draw, commands=("energy", "converge", "ropelength", "anneal", "mollify")):
     """An argv of any command with cheap sizes: a preset at scale 2^k,
     q <= 8, jitter below 0.2 and at most 40 anneal steps, so no energy
     beyond the double range and no length gate can put an inf in stdout.
     Jittered gaps lie within (1 +- 2 rho) L/n, and the gate takes
     [L/(2n), 2L/n]: jitter 0.27 already failed it on the (2, 3) knots at
     n = 16 and 32."""
-    command = draw(st.sampled_from(["energy", "converge", "ropelength", "anneal", "mollify"]))
+    command = draw(st.sampled_from(commands))
     name = draw(st.sampled_from(sorted(UNIT_SHAPES)))
     scale = 2.0 ** draw(st.integers(-30, 30))
     unit = draw(st.sampled_from(UNIT_SHAPES[name]))
@@ -716,6 +731,24 @@ class TestContract:
                 with contextlib.suppress(ValueError):
                     numbers.append(float(token))
             assert numbers and all(map(math.isfinite, numbers)), out
+
+    @settings(max_examples=30, deadline=None)
+    @given(argv=cli_argvs(commands=("converge", "ropelength")), k=st.integers(-8, 8))
+    def test_dilation_keeps_the_scale_free_columns(self, argv, k):
+        # a ropelength and the slope of an error that scales as the energy,
+        # d^(2 - q), do not move when the curve is dilated by d = 2^k
+        runs = []
+        for args in (argv, dilated(argv, 2.0**k)):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(args)
+            runs.append((code, output_rows(out.getvalue()) if code == 0 else []))
+        (code, rows), (dilated_code, dilated_rows) = runs
+        assert code == dilated_code and len(rows) == len(dilated_rows)
+        for row, dilated_row in zip(rows, dilated_rows):
+            for key in ("proxy", "reference", "fitted_slope"):
+                if key in row:
+                    assert float(dilated_row[key]) == pytest.approx(float(row[key]), rel=1e-10, abs=0)
 
 
 class TestAnnealCommand:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biarcs import curve as curve_module
+from biarcs._stream import Stream
 from biarcs.curve import (
     Partition,
     analytic_curve,
@@ -485,7 +486,7 @@ class TestPartition:
         seeds = [*range(40), 2**32 - 1, 2**32, 2**40 + 7, 2**64 - 1, 2**64, 2**100 + 3, 2**160 + 1]
         for seed in seeds:
             expected = np.random.default_rng(seed).random(size)
-            assert np.array_equal(np.array(curve_module._uniform_doubles(seed, size)), expected)
+            assert np.array_equal(np.array(Stream(seed).random(size)), expected)
 
     def test_jitter_is_numpys_uniform_draw(self):
         for seed, L, n, rho in ((3, 9.688448220547677, 64, 0.1), (7, 3.3, 33, 0.399)):

@@ -1148,6 +1148,21 @@ class TestThickness:
         delta, _ = thickness_and_ropelength(mollify(knot, eps), 64)
         assert abs(delta - expected) <= tol
 
+    @pytest.mark.parametrize("grid", [64, 256, 2048])
+    @pytest.mark.parametrize("phase", [0.3, 0.123456])
+    def test_curvature_maximum_between_nodes(self, phase, grid):
+        # the 2:1 ellipse turned by a phase: its largest curvature 2, at the
+        # ends of the major axis, lies between the length table's nodes,
+        # where the node values alone gave Delta = 0.50000098 and 0.50000122
+        def field(sign, x, y):  # sign (2 x(u + phase), y(u + phase), 0)
+            return lambda u: sign * np.stack([2.0 * x(u + phase), y(u + phase), 0.0 * u], -1)
+
+        ellipse = analytic_curve(
+            field(1.0, np.cos, np.sin), field(-1.0, np.sin, lambda v: -np.cos(v)), field(-1.0, np.cos, np.sin)
+        )
+        delta, _ = thickness_and_ropelength(arclength_reparametrize(ellipse), grid)
+        assert delta == pytest.approx(0.5, rel=1e-12)
+
     def test_step_budget_exhausted(self, knot, monkeypatch):
         monkeypatch.setattr(energy, "REFINE_STEPS", 3)
         with pytest.raises(RuntimeError, match="did not converge"):
@@ -1190,6 +1205,17 @@ class TestChainAsCurve:
         beta = self.chain(ellipse, n, mode)
         delta, _ = thickness_and_ropelength(beta.spec, 64)
         assert delta == pytest.approx(1.0 / beta.arc_k.max(), rel=1e-9)
+
+    @pytest.mark.parametrize("mode", ["uniform", "jitter:0.2"])
+    def test_curvature_refinement_keeps_the_arc_values(self, mode):
+        # a chain's curvature is constant on each arc, so refining between
+        # the arc breaks finds rounding noise alone and keeps the largest
+        # value at the breaks, bit for bit
+        ellipse = arclength_reparametrize(preset_curve("ellipse", [2.0, 1.0]))
+        for curve in (preset_curve("circle", [1.0]), ellipse):
+            spec = self.chain(curve, 64, mode).spec
+            breaks = spec.arclength_table[:-1, 0]
+            assert energy._largest_curvature(spec) == curvature_values(spec, breaks).max()
 
     def test_knot_chain_ropelength_approaches_the_knot(self, knot):
         _, target = thickness_and_ropelength(knot, 64)
@@ -1240,6 +1266,25 @@ class TestProxy:
             scaled.append(n * abs(ropelength_proxy(beta, shape.length) - reference) / reference)
         slope = np.polyfit(np.log(ns), scaled, 1)[0]
         assert band[0] < slope < band[1]
+
+    @pytest.mark.parametrize(
+        "params, per_decade",
+        [([2, 3, 2.0, 0.5], math.sqrt(10.0)), ([2, 3, 2.0, 0.8], math.sqrt(10.0)), ([3, 5, 2.0, 0.5], 10.0)],
+        ids=["torus_knot", "torus_knot_r_0.8", "torus_knot_3_5"],
+    )
+    def test_largest_quotient_on_a_ridge_or_isolated(self, params, per_decade):
+        # the gamma of the gap law, read from the inverse radius itself: the
+        # cells with x >= m (1 - eps) cover an area ~eps around an isolated
+        # maximum and a band of width ~sqrt(eps) along a ridge, so their
+        # count grows by 10 or sqrt(10) per decade of eps. Over eps = 1e-3
+        # ... 1e-1 this 512^2 grid measured 3.27 and 3.39 on the (2, 3)
+        # knots and 9.3 on the (3, 5) knot (a 3000^2 grid: 3.16-3.20 and
+        # 11.2-14.6 per decade)
+        shape = arclength_reparametrize(preset_curve("torus_knot", params))
+        s = (np.arange(512) + 0.5) * (shape.length / 512)
+        x = energy._inverse_tp(shape, shape.length, s[:, None], s[None, :])
+        counts = [np.count_nonzero(x >= x.max() * (1.0 - eps)) for eps in (1e-1, 1e-3)]
+        assert abs(math.log10(math.sqrt(counts[0] / counts[1]) / per_decade)) < 0.15
 
     def test_gap_decreases(self):
         gaps = []

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biarcs import optimize
+from biarcs._stream import Stream
 from biarcs.biarc import PairError, _balanced_arcs, _move_lengths
 from biarcs.curve import arclength_reparametrize, make_partition, preset_curve
 from biarcs.energy import _normal_frame, _scaled_powers, discrete_tp_energy, pair_stats
@@ -397,7 +398,7 @@ class TestMoveRebuild:
 
 
 class TestDraws:
-    """`optimize._anneal_draws` is numpy's Generator stream, bit for bit."""
+    """`_stream.Stream` is numpy's Generator stream, bit for bit."""
 
     # one to four 32-bit words of seed, and past SeedSequence's pool of four
     SEEDS = [*range(40), 2**32 - 1, 2**32, 2**40 + 7, 2**64 - 1, 2**64, 2**100 + 3, 2**160 + 1]
@@ -410,14 +411,15 @@ class TestDraws:
         scales = (0.3,) * 3 + (2.5e-7,) * 3
         for seed in self.SEEDS:
             rng = np.random.default_rng(seed)
-            integer, kicks, uniform = optimize._anneal_draws(seed, scales)
+            stream = Stream(seed)
             for step in range(100):
                 n = (4, 7, 64, 2**31 + 11, 2**32 - 1)[step % 5]
-                assert integer(n) == rng.integers(n)
+                assert stream.integers(n) == rng.integers(n)
                 expected = [rng.normal(scale=s, size=3) for s in (0.3, 2.5e-7)]
-                assert np.array(kicks()).tobytes() == np.concatenate(expected).tobytes()
+                kicks = [stream.normal(s) for s in scales]
+                assert np.array(kicks).tobytes() == np.concatenate(expected).tobytes()
                 if step % 3 == 0:
-                    assert uniform() == rng.random()
+                    assert stream.random() == rng.random()
 
     @pytest.mark.parametrize("seed", [0, 39, 2**160 + 1])
     def test_normals_take_every_branch(self, monkeypatch, seed):
@@ -430,8 +432,8 @@ class TestDraws:
                 return real(x)
 
             monkeypatch.setattr(math, name, counted)
-        _, kicks, _ = optimize._anneal_draws(seed, (1.0,) * 200_000)
-        z = np.array(kicks())
+        stream = Stream(seed)
+        z = np.array([stream.normal() for _ in range(200_000)])
         monkeypatch.undo()
         assert np.array_equal(z, np.random.default_rng(seed).standard_normal(200_000))
         assert calls["log1p"] > 0 and calls["exp"] > 0
@@ -447,8 +449,10 @@ class TestDraws:
     )
     def test_first_draws_are_pinned(self, seed, first):
         # the stream stays if a later numpy changes its own (NEP 19)
-        integer, kicks, uniform = optimize._anneal_draws(seed, (1.0,) * 3)
-        assert (integer(64), [z.hex() for z in kicks()], uniform().hex()) == first
+        stream = Stream(seed)
+        # left to right, in the anneal's order: junction, kicks, uniform
+        drawn = (stream.integers(64), [stream.normal().hex() for _ in range(3)], stream.random().hex())
+        assert drawn == first
 
 
 class TestTraceCsv:
