@@ -46,6 +46,7 @@ from .biarc import UNIT_TOL
 from .curve import (
     CurveSpec,
     _check_embedded,
+    _largest_curvature,
     _triangle_tiles,
     curvature_values,
     periodic_distance,
@@ -521,30 +522,6 @@ def _refine_inverse_tp(curve: CurveSpec, L: float, s, t, step: float) -> np.ndar
     )
 
 
-def _largest_curvature(curve: CurveSpec) -> float:
-    """The largest curvature, from its values at the nodes of the curve's
-    length table, a chain's arc breaks: the eight largest are each bracketed
-    by their neighbouring nodes, and six steps of 33 points keep the two
-    spacings around the best. A refined value counts only past 1e-13
-    relative of the sampled maximum (less is rounding noise), so a maximum
-    at a node keeps its bits."""
-    nodes = curve.arclength_table[:, 0]
-    kappa = curvature_values(curve, nodes[:-1])
-    sampled = float(kappa.max())
-    top = np.argsort(kappa)[-8:]
-    # the node before node 0 is the last one but the period, one period back
-    ends = np.concatenate([[nodes[-2] - nodes[-1]], nodes])
-    lo, hi = ends[top], ends[top + 2]
-    rows, refined = np.arange(len(top)), sampled
-    for _ in range(6):
-        s = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, 33)
-        kappa = curvature_values(curve, s)
-        i = np.clip(np.argmax(kappa, axis=1), 1, 31)
-        lo, hi = s[rows, i - 1], s[rows, i + 1]
-        refined = max(refined, float(kappa.max()))
-    return refined if refined > sampled * (1.0 + 1e-13) else sampled
-
-
 def thickness_and_ropelength(curve: CurveSpec, grid: int = 64) -> tuple[float, float]:
     """Thickness (smallest tangent-point radius) and ropelength length/Delta.
 
@@ -552,7 +529,7 @@ def thickness_and_ropelength(curve: CurveSpec, grid: int = 64) -> tuple[float, f
     compass refinement (`_refine_inverse_tp`); the near-diagonal supremum
     equals the maximal curvature and is taken into account separately,
     refined from its values at the nodes of the curve's length table, a
-    chain's arc breaks (`_largest_curvature`).
+    chain's arc breaks (`curve._largest_curvature`).
     """
     if not curve.is_arclength:
         raise ValueError("thickness expects an arclength-parametrized curve")

@@ -24,34 +24,52 @@ class BiarcCurveBuildError(ValueError):
 
 @dataclass(frozen=True)
 class BiarcCurve:
-    """A closed C^1 chain of balanced biarcs, held as flat arc arrays.
+    """A closed C^1 chain of balanced biarcs, held as its read-only arc arrays.
 
     Biarc i runs from junction i to junction i + 1 (mod n) and is made of
     arcs 2i and 2i + 1, the second starting at its matching point. Per arc,
-    ``arc_starts``, ``arc_dirs``, ``arc_normals`` and ``arc_k`` hold the
-    start point, unit start tangent, unit normal (zero on a straight arc)
-    and curvature; ``arc_offsets`` holds the arclength at which each arc
-    starts, with the total length appended.
+    ``arc_starts``, ``arc_dirs``, ``arc_normals``, ``arc_k`` and
+    ``arc_lengths`` hold the start point, unit start tangent, unit normal
+    (zero on a straight arc), curvature and length. The rest is derived on
+    access: the junction data, the biarc lengths (the sums `biarc._pair_arcs`
+    forms, bit for bit), and the arclength at which each junction
+    (``offsets``) and arc (``arc_offsets``) starts, plus the total length.
 
     ``source_params`` holds the partition nodes when the curve was built by
     interpolating a CurveSpec; it is required for C^1-distance measurements.
     ``spec`` is the chain as a CurveSpec, which every curve function takes.
     """
 
-    junction_points: np.ndarray
-    junction_tangents: np.ndarray
-    segment_lengths: np.ndarray
-    offsets: np.ndarray
     arc_starts: np.ndarray = field(repr=False)
     arc_dirs: np.ndarray = field(repr=False)
     arc_normals: np.ndarray = field(repr=False)
     arc_k: np.ndarray = field(repr=False)
-    arc_offsets: np.ndarray = field(repr=False)
+    arc_lengths: np.ndarray = field(repr=False)
     source_params: Optional[np.ndarray] = None
 
     @property
+    def junction_points(self) -> np.ndarray:
+        return self.arc_starts[::2]
+
+    @property
+    def junction_tangents(self) -> np.ndarray:
+        return self.arc_dirs[::2]
+
+    @property
+    def segment_lengths(self) -> np.ndarray:
+        return self.arc_lengths[::2] + self.arc_lengths[1::2]
+
+    @property
+    def offsets(self) -> np.ndarray:
+        return np.concatenate([[0.0], np.cumsum(self.segment_lengths)])
+
+    @property
+    def arc_offsets(self) -> np.ndarray:
+        return np.concatenate([[0.0], np.cumsum(self.arc_lengths)])
+
+    @property
     def n_segments(self) -> int:
-        return len(self.junction_points)
+        return len(self.arc_k) // 2
 
     @property
     def total_length(self) -> float:
@@ -63,11 +81,11 @@ class BiarcCurve:
         tangent and curvature vector k (cos(ks) normal - sin(ks) dir) of the
         arc that holds s mod L, for s of any shape; its length table holds
         the arc breaks."""
-        breaks, L = self.arc_offsets, float(self.arc_offsets[-1])
+        breaks = self.arc_offsets
         arcs = (self.arc_starts, self.arc_dirs, self.arc_normals, self.arc_k)
 
         def arcs_at(s):
-            s = np.mod(np.asarray(s, dtype=float), L)
+            s = np.mod(np.asarray(s, dtype=float), breaks[-1])
             i = np.clip(np.searchsorted(breaks, s, side="right") - 1, 0, len(self.arc_k) - 1)
             return *(a[i] for a in arcs), s - breaks[i]
 
@@ -82,8 +100,7 @@ class BiarcCurve:
     @property
     def biarcs(self) -> tuple:
         """The chain as Biarc objects, a read-only view built on each access."""
-        arcs = (self.arc_starts, self.arc_dirs, self.arc_normals, self.arc_k)
-        arcs += (np.diff(self.arc_offsets),)
+        arcs = (self.arc_starts, self.arc_dirs, self.arc_normals, self.arc_k, self.arc_lengths)
         data = [PointTangent(p, t) for p, t in zip(self.junction_points, self.junction_tangents)]
         n = len(data)
         return tuple(
@@ -114,22 +131,14 @@ def from_junctions(points, tangents) -> BiarcCurve:
             f"junction {i}: point not finite or tangent not unit length", segment=i
         )
     try:
-        starts, dirs, normals, k, arc_lengths, lengths = _balanced_arcs(
+        arcs = _balanced_arcs(
             points, tangents, np.roll(points, -1, axis=0), np.roll(tangents, -1, axis=0)
         )
     except PairError as exc:
         raise BiarcCurveBuildError(f"segment {exc.index}: {exc}", segment=exc.index) from exc
-    return BiarcCurve(
-        junction_points=points,
-        junction_tangents=tangents,
-        segment_lengths=lengths,
-        offsets=np.concatenate([[0.0], np.cumsum(lengths)]),
-        arc_starts=starts,
-        arc_dirs=dirs,
-        arc_normals=normals,
-        arc_k=k,
-        arc_offsets=np.concatenate([[0.0], np.cumsum(arc_lengths)]),
-    )
+    for a in arcs[:5]:
+        a.flags.writeable = False
+    return BiarcCurve(*arcs[:5])
 
 
 def build_biarc_curve(curve: CurveSpec, partition: Partition) -> BiarcCurve:
@@ -171,9 +180,9 @@ def check_Bn(beta: BiarcCurve, L: float) -> bool:
 
 
 def c1_distance(curve: CurveSpec, beta: BiarcCurve, grid: int) -> float:
-    """sup over the grid of |curve - B| + |curve' - B'| where B traverses
-    each biarc over the matching partition cell at constant rate; B and its
-    unit tangent come from ``beta.spec``."""
+    """max over the grid of the pointwise sum |curve - B| + |curve' - B'|
+    (the `mollify` command sums the two maxima instead), B traversing each
+    biarc over its partition cell at constant rate through ``beta.spec``."""
     if beta.source_params is None:
         raise ValueError("biarc curve was not built from a partition of the curve")
     n = beta.n_segments

@@ -14,6 +14,7 @@ from biarcs.curve import (
     Partition,
     analytic_curve,
     arclength_reparametrize,
+    curvature_values,
     curve_diagnostics,
     gagliardo_seminorm,
     make_partition,
@@ -21,6 +22,7 @@ from biarcs.curve import (
     preset_curve,
     tangent_modulus,
 )
+from biarcs.energy import thickness_and_ropelength
 from biarcs.interpolate import build_biarc_curve
 
 TWO_PI = 2 * math.pi
@@ -674,6 +676,19 @@ class TestSeminorm:
             gagliardo_seminorm(np.cos, s, 2.0, 64, 2.0)
 
 
+def turned_ellipse(phase, second_derivative=True):
+    """The 2:1 ellipse u -> (2 cos(u + phase), sin(u + phase), 0) at unit
+    speed, whose largest curvature 2 lies between its length table's nodes;
+    its second derivative is exact or, when withheld, left to differences."""
+
+    def field(sign, x, y):  # sign (2 x(u + phase), y(u + phase), 0)
+        return lambda u: sign * np.stack([2.0 * x(u + phase), y(u + phase), 0.0 * u], -1)
+
+    second = field(-1.0, np.cos, np.sin) if second_derivative else None
+    ellipse = analytic_curve(field(1.0, np.cos, np.sin), field(-1.0, np.sin, lambda v: -np.cos(v)), second)
+    return arclength_reparametrize(ellipse)
+
+
 class TestDiagnostics:
     @pytest.mark.parametrize("grid", [0, -1])
     def test_grid_below_one_rejected(self, grid):
@@ -704,6 +719,26 @@ class TestDiagnostics:
         assert d.bilipschitz_constant == pytest.approx(math.pi / 2, rel=1e-6)
         assert d.max_curvature == pytest.approx(1.0, rel=1e-9)
         assert np.all(np.diff(d.modulus_samples[:, 1]) >= 0)
+
+    # the grid's nodes alone gave 1.999098 at grid 64, 1.999286 at 512 and
+    # 1.9999972 at 2048
+    @pytest.mark.parametrize("grid", [64, 512, 2048])
+    def test_curvature_maximum_between_nodes(self, grid):
+        d = curve_diagnostics(turned_ellipse(0.3), grid=grid)
+        assert d.max_curvature == pytest.approx(2.0, rel=1e-12)
+
+    # central differences at 1e-4 L were 2.0e-6 (ellipse) and 7.9e-6 (knot)
+    # relative off, and put the ellipse's thickness at 0.500001017
+    def test_difference_curvature_resolves_the_curve(self):
+        knot = arclength_reparametrize(preset_curve("torus_knot", [2, 3, 2, 0.5]))
+        for curve in (turned_ellipse(0.3), knot):
+            s = np.linspace(0.0, curve.length, 4096, endpoint=False)
+            exact = curvature_values(curve, s)
+            differences = curvature_values(replace(curve, second_derivative=None), s)
+            assert np.max(np.abs(differences / exact - 1.0)) <= 1e-7
+        ellipse = turned_ellipse(0.3, second_derivative=False)
+        for grid in (64, 256):
+            assert abs(thickness_and_ropelength(ellipse, grid)[0] - 0.5) <= 1e-7
 
     def test_modulus_matches_circle(self):
         circle = preset_curve("circle", [1.0])

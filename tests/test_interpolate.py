@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from conftest import jittered_circle_config, random_rotation
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biarcs.biarc import biarc_parameter
+from biarcs.biarc import biarc_parameter, build_balanced_biarc
 from biarcs.curve import (
     Partition,
     arclength_reparametrize,
@@ -14,7 +15,9 @@ from biarcs.curve import (
     make_partition,
     preset_curve,
 )
+from biarcs.energy import discrete_tp_energy
 from biarcs.interpolate import (
+    BiarcCurve,
     BiarcCurveBuildError,
     build_biarc_curve,
     c1_distance,
@@ -310,6 +313,48 @@ class TestSpec:
             mid = 0.5 * (beta.arc_offsets[:-1] + beta.arc_offsets[1:])
             kappa = curvature_values(beta.spec, mid)
             np.testing.assert_allclose(kappa, beta.arc_k, rtol=1e-12, atol=0.0)
+
+
+class TestRepresentation:
+    """A chain is its five arc arrays: the junction data and biarc lengths
+    are read from them, and none of them can be edited."""
+
+    def test_built_chain_keeps_no_caller_array(self):
+        # the chain once kept the caller's arrays: scaling them moved the
+        # q = 3 energy of this chain from 47.2337 to 41.2470
+        _, _, beta = ellipse_interpolant(16)
+        points, tangents = beta.junction_points.copy(), beta.junction_tangents.copy()
+        chain = from_junctions(points, tangents)
+        before = (chain.junction_points.copy(), chain.arc_starts[::2].copy())
+        energy = discrete_tp_energy(chain, 3.0, False, chain.total_length)
+        points *= 1.1
+        tangents *= -1.0
+        assert np.array_equal(chain.junction_points, before[0])
+        assert np.array_equal(chain.arc_starts[::2], before[1])
+        assert discrete_tp_energy(chain, 3.0, False, chain.total_length) == energy
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_biarcs_have_the_built_arc_lengths(self, n):
+        # lengths taken as differences of the arc offsets differed in their
+        # last bits on 660 of these 672 arcs
+        knot = arclength_reparametrize(preset_curve("torus_knot", [2, 3, 2, 0.5]))
+        beta = build_biarc_curve(knot, make_partition(knot.length, n, "jitter:0.2", seed=1))
+        for biarc in beta.biarcs:
+            alone = build_balanced_biarc(*biarc.pair)
+            assert biarc.first.length == alone.first.length
+            assert biarc.second.length == alone.second.length
+
+    def test_chain_data_is_read_only(self):
+        _, _, beta = ellipse_interpolant(16)
+        arrays = [beta.junction_points, beta.junction_tangents]
+        arrays += [beta.arc_starts, beta.arc_dirs, beta.arc_normals, beta.arc_k, beta.arc_lengths]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+
+    def test_only_the_arc_arrays_are_stored(self):
+        names = [f.name for f in dataclasses.fields(BiarcCurve)]
+        assert names == ["arc_starts", "arc_dirs", "arc_normals", "arc_k", "arc_lengths", "source_params"]
 
 
 class TestGate:
